@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dot_core::{constraints, dot, exhaustive, problem::Problem};
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::EngineConfig;
 use dot_profiler::{profile_workload, ProfileSource};
 use dot_storage::catalog;
@@ -23,10 +24,7 @@ fn bench_optimizers(c: &mut Criterion) {
     );
     let cons = constraints::derive(&problem);
     let profile = profile_workload(
-        &workload,
-        &schema,
-        &pool,
-        &problem.cfg,
+        &PlanMemo::new(&workload.queries, &schema, &pool, &problem.cfg),
         ProfileSource::Estimate,
     );
 

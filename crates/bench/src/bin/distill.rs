@@ -35,6 +35,7 @@ use dot_core::fleet::{provision_fleet, FleetConfig, TenantRequest};
 use dot_core::problem::Problem;
 use dot_core::toc::{self, CachedEstimator, Estimator};
 use dot_core::{constraints, dot, exhaustive};
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::EngineConfig;
 use dot_profiler::{profile_workload, ProfileSource};
 use dot_storage::catalog;
@@ -679,7 +680,10 @@ fn measure_pruning() -> Vec<PruningCell> {
         };
         let p = Problem::new(schema, &pool, workload, SlaSpec::relative(*sla), cfg);
         let cons = constraints::derive(&p);
-        let prof = profile_workload(workload, schema, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&workload.queries, schema, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let estimator = Estimator::direct();
 
         let out = dot::optimize_with_pruning(&p, &prof, &cons, &estimator, true);

@@ -216,6 +216,7 @@ pub fn optimize_ablated_with(
 mod tests {
     use super::*;
     use crate::constraints;
+    use dot_dbms::memo::PlanMemo;
     use dot_dbms::EngineConfig;
     use dot_profiler::{profile_workload, ProfileSource};
     use dot_storage::catalog;
@@ -236,7 +237,10 @@ mod tests {
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let plain = crate::dot::optimize(&p, &prof, &cons);
         let ablated = optimize_ablated(&p, &prof, &cons, AblationConfig::DOT);
         assert_eq!(plain.layout, ablated.layout);
@@ -250,7 +254,10 @@ mod tests {
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let group = optimize_ablated(&p, &prof, &cons, AblationConfig::DOT);
         let object = optimize_ablated(&p, &prof, &cons, AblationConfig::OBJECT_AT_A_TIME);
         let g = group.estimate.expect("group feasible").objective_cents;
@@ -262,7 +269,10 @@ mod tests {
     fn object_moves_are_singletons() {
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let moves = enumerate_object_moves(&p, &prof);
         assert!(!moves.is_empty());
         for m in &moves {
@@ -279,7 +289,10 @@ mod tests {
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.25), EngineConfig::dss());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         for order in [
             ScoreOrder::TimePerCost,
             ScoreOrder::CostSaving,

@@ -44,6 +44,7 @@ use crate::dot::ValidationReport;
 use crate::problem::{LayoutCostModel, Problem};
 use crate::report::{self, LayoutEvaluation};
 use crate::toc::{CachedEstimator, Estimator, TocEstimate};
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::{EngineConfig, Layout, Schema};
 use dot_profiler::{profile_workload, ProfileSource, WorkloadProfile};
 use dot_storage::StoragePool;
@@ -128,6 +129,10 @@ pub struct SolveContext<'s, 'a> {
     pub profile: &'s WorkloadProfile,
     /// Derived performance + capacity constraints, computed once.
     pub constraints: &'s Constraints,
+    /// The session's plan memo: every plan the session derives, keyed by
+    /// query and the placement of that query's own objects. Solvers that
+    /// re-profile (refinement) plan through it.
+    pub plans: &'s PlanMemo<'a>,
     /// Maximum validation/refinement rounds for solvers that run the
     /// Figure 2 validation phase.
     pub refinements: usize,
@@ -135,10 +140,10 @@ pub struct SolveContext<'s, 'a> {
     /// infeasibility diagnostics (the suggested-SLA search), answering with
     /// the optimization phase alone — what the figure harness times.
     pub diagnostics: bool,
-    /// How solvers obtain TOC estimates: straight through the planner, or
-    /// memoized when the session carries a
-    /// [`CachedEstimator`]. Cached and direct
-    /// estimates are bit identical, so this never changes a recommendation.
+    /// How solvers obtain TOC estimates: planned through the session's
+    /// [`PlanMemo`], and memoized when the session carries a
+    /// [`CachedEstimator`]. Cached, memoized and direct estimates are bit
+    /// identical, so this never changes a recommendation.
     pub toc: Estimator<'s>,
 }
 
@@ -370,6 +375,7 @@ impl<'a> AdvisorBuilder<'a> {
             profile_builds: Rc::new(Cell::new(0)),
             toc_cache: self.toc_cache,
             problem_fp: OnceCell::new(),
+            plans: OnceCell::new(),
         })
     }
 }
@@ -394,6 +400,12 @@ pub struct Advisor<'a> {
     toc_cache: Option<Arc<CachedEstimator>>,
     /// The problem's cache fingerprint, computed at most once per session.
     problem_fp: OnceCell<u64>,
+    /// The session's plan memo, created on first use (a session that never
+    /// estimates, like a quiescent controller tick, never allocates one)
+    /// and shared with [`with_sla`](Self::with_sla) and
+    /// [`with_cost_model`](Self::with_cost_model) siblings: plans depend on
+    /// neither SLA nor prices.
+    plans: OnceCell<Rc<PlanMemo<'a>>>,
 }
 
 impl<'a> Advisor<'a> {
@@ -433,6 +445,7 @@ impl<'a> Advisor<'a> {
             profile_builds: Rc::new(Cell::new(0)),
             toc_cache: None,
             problem_fp: OnceCell::new(),
+            plans: OnceCell::new(),
         }
     }
 
@@ -460,13 +473,7 @@ impl<'a> Advisor<'a> {
     pub fn profile(&self) -> &WorkloadProfile {
         self.profile.get_or_init(|| {
             self.profile_builds.set(self.profile_builds.get() + 1);
-            Rc::new(profile_workload(
-                self.problem.workload,
-                self.problem.schema,
-                self.problem.pool,
-                &self.problem.cfg,
-                self.source,
-            ))
+            Rc::new(profile_workload(self.plans(), self.source))
         })
     }
 
@@ -477,10 +484,11 @@ impl<'a> Advisor<'a> {
         self.profile_builds.get()
     }
 
-    /// The session's TOC estimator: memoized when a cache is attached
-    /// (the fingerprint is computed once per session), direct otherwise.
+    /// The session's TOC estimator: planning through the session's
+    /// [`PlanMemo`], and cached when a cache is attached (the fingerprint
+    /// is computed once per session).
     pub fn estimator(&self) -> Estimator<'_> {
-        match &self.toc_cache {
+        let view = match &self.toc_cache {
             Some(cache) => {
                 let fp = *self
                     .problem_fp
@@ -488,7 +496,17 @@ impl<'a> Advisor<'a> {
                 cache.estimate_view(fp)
             }
             None => Estimator::direct(),
-        }
+        };
+        view.memoized(self.plans())
+    }
+
+    /// The session's plan memo (see [`dot_dbms::memo`]). Its maps are
+    /// allocated on the first planner call.
+    pub fn plans(&self) -> &PlanMemo<'a> {
+        self.plans.get_or_init(|| {
+            let p = &self.problem;
+            Rc::new(PlanMemo::new(&p.workload.queries, p.schema, p.pool, &p.cfg))
+        })
     }
 
     /// The attached TOC cache, if any — e.g. to read its hit-rate stats.
@@ -533,6 +551,7 @@ impl<'a> Advisor<'a> {
             problem: &self.problem,
             profile: self.profile(),
             constraints: self.constraints(),
+            plans: self.plans(),
             refinements: self.refinements,
             diagnostics: self.diagnostics,
             toc: self.estimator(),
@@ -639,7 +658,9 @@ impl<'a> Advisor<'a> {
     }
 
     fn sibling(&self, problem: Problem<'a>) -> Advisor<'a> {
-        self.profile(); // force the shared one-time computation
+        // Force the shared one-time computation, and with it the plan memo
+        // it plans through, so both cells are filled before they are cloned.
+        self.profile();
         Advisor {
             problem,
             source: self.source,
@@ -655,6 +676,7 @@ impl<'a> Advisor<'a> {
             // but a cost-model sibling must not share entries.
             toc_cache: self.toc_cache.clone(),
             problem_fp: OnceCell::new(),
+            plans: self.plans.clone(),
         }
     }
 }

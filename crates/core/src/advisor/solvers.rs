@@ -10,7 +10,6 @@ use crate::constraints::Constraints;
 use crate::dot::{self, DotOutcome, ValidationReport};
 use crate::exhaustive;
 use crate::problem::LayoutCostModel;
-use crate::toc::measure_toc;
 use dot_dbms::Layout;
 use dot_profiler::{profile_workload, ProfileSource};
 use dot_workloads::PerfMetric;
@@ -237,8 +236,8 @@ impl Solver for DotSolver {
             let layout = outcome.layout.clone().expect("feasible at this point");
             let estimate = outcome.estimate.clone().expect("estimated");
             let seed = 0xD07 + rounds as u64;
-            let measured = measure_toc(problem, &layout, seed);
-            let measured_ref = measure_toc(problem, &problem.premium_layout(), seed);
+            let measured = cx.toc.measure(problem, &layout, seed);
+            let measured_ref = cx.toc.measure(problem, &problem.premium_layout(), seed);
             let measured_cons = active_cons.rescaled(measured_ref);
             let psr = measured_cons.psr(&measured);
             let passed = measured_cons.satisfied(problem, &layout, &measured);
@@ -266,13 +265,7 @@ impl Solver for DotSolver {
             // Refine: re-profile from runtime statistics (test-run counts)
             // and redo the optimization phase.
             rounds += 1;
-            let refined = profile_workload(
-                problem.workload,
-                problem.schema,
-                problem.pool,
-                &problem.cfg,
-                ProfileSource::TestRun { seed },
-            );
+            let refined = profile_workload(cx.plans, ProfileSource::TestRun { seed });
             let next = dot::optimize_with(problem, &refined, &active_cons, &cx.toc);
             investigated += next.layouts_investigated;
             pruned += next.layouts_pruned;

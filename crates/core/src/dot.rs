@@ -245,6 +245,7 @@ pub fn optimize_with_relaxation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dot_dbms::memo::PlanMemo;
     use dot_dbms::EngineConfig;
     use dot_profiler::profile_workload;
     use dot_storage::catalog;
@@ -269,7 +270,10 @@ mod tests {
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let out = optimize(&p, &prof, &cons);
         let est = out.estimate.expect("premium is feasible");
         assert!((est.toc_cents_per_pass - cons.reference.toc_cents_per_pass).abs() < 1e-9);
@@ -284,7 +288,10 @@ mod tests {
             dot_workloads::Workload::dss("scans", vec![synth::seq_read_query(&s).with_weight(3.0)]);
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let out = optimize(&p, &prof, &cons);
         let est = out.estimate.expect("feasible");
         assert!(est.toc_cents_per_pass < cons.reference.toc_cents_per_pass);
@@ -300,7 +307,10 @@ mod tests {
             let p =
                 crate::Problem::new(&s, &pool, &w, SlaSpec::relative(ratio), EngineConfig::dss());
             let cons = constraints::derive(&p);
-            let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+            let prof = profile_workload(
+                &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+                ProfileSource::Estimate,
+            );
             optimize(&p, &prof, &cons)
                 .estimate
                 .expect("feasible")
@@ -326,7 +336,10 @@ mod tests {
             EngineConfig::dss(),
         );
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &s, &tight_pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &tight_pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let out = optimize(&p, &prof, &cons);
         assert!(out.layout.is_none(), "ratio-1.0 + tight capacity must fail");
 
@@ -366,7 +379,10 @@ mod tests {
         let w = dot_workloads::Workload::dss("hotcold", queries);
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let out = optimize(&p, &prof, &cons);
         let layout = out.layout.unwrap();
         let premium = pool.most_expensive();

@@ -413,6 +413,7 @@ pub fn exhaustive_search_additive_with(
 mod tests {
     use super::*;
     use crate::constraints;
+    use dot_dbms::memo::PlanMemo;
     use dot_dbms::EngineConfig;
     use dot_profiler::{profile_workload, ProfileSource};
     use dot_storage::catalog;
@@ -429,7 +430,10 @@ mod tests {
         assert_eq!(es.layouts_investigated, 9); // 3^2 objects
         let es_toc = es.estimate.as_ref().unwrap().toc_cents_per_pass;
 
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let dot = crate::dot::optimize(&p, &prof, &cons);
         let dot_toc = dot.estimate.unwrap().toc_cents_per_pass;
         // ES is optimal: DOT can never beat it, and (per §4.4.3) stays close.
@@ -468,7 +472,10 @@ mod tests {
         let w = tpcc::workload(&s);
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.25), EngineConfig::oltp());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let es = exhaustive_search_additive(&p, &prof, &cons);
         let est = es.estimate.expect("feasible");
         // The optimum satisfies the constraints...
@@ -489,7 +496,10 @@ mod tests {
         let w = synth::mixed_workload(&s);
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let _ = exhaustive_search_additive(&p, &prof, &cons);
     }
 }

@@ -115,6 +115,7 @@ pub fn enumerate_moves(problem: &Problem<'_>, profile: &WorkloadProfile) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dot_dbms::memo::PlanMemo;
     use dot_dbms::EngineConfig;
     use dot_profiler::{profile_workload, ProfileSource};
     use dot_storage::catalog;
@@ -135,7 +136,10 @@ mod tests {
     fn moves_cover_all_non_identity_placements() {
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let moves = enumerate_moves(&p, &prof);
         // One group of size 2 (table + pkey): 3^2 − 1 = 8 non-identity
         // placements, all of which save cost (every other class is cheaper).
@@ -149,7 +153,10 @@ mod tests {
     fn moves_sorted_ascending_by_score() {
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let moves = enumerate_moves(&p, &prof);
         for pair in moves.windows(2) {
             assert!(pair[0].score <= pair[1].score);
@@ -160,7 +167,10 @@ mod tests {
     fn delta_cost_is_positive_and_consistent() {
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let l0 = p.premium_layout();
         let c0 = p.layout_cost_cents_per_hour(&l0);
         for m in enumerate_moves(&p, &prof) {
@@ -175,7 +185,10 @@ mod tests {
     fn apply_moves_only_the_group() {
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let l0 = p.premium_layout();
         let m = &enumerate_moves(&p, &prof)[0];
         let applied = m.apply(&l0);
@@ -194,7 +207,10 @@ mod tests {
         // Eq. 4: σ[m] = δ_time[m] / δ_cost[m], exactly, for every move.
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let moves = enumerate_moves(&p, &prof);
         assert!(!moves.is_empty());
         for m in &moves {
@@ -216,7 +232,10 @@ mod tests {
         // per saved cent but far less painful.
         let (s, pool, w) = setup();
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
-        let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+            ProfileSource::Estimate,
+        );
         let hdd = pool.class_by_name("HDD").unwrap().id;
         let lraid = pool.class_by_name("L-SSD RAID 0").unwrap().id;
         let moves = enumerate_moves(&p, &prof);

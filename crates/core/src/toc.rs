@@ -16,8 +16,15 @@
 //! identical** to uncached ones (the cache only ever returns a clone of a
 //! previously computed [`TocEstimate`]); the conformance matrix in
 //! `tests/solver_conformance.rs` and the property suite assert exactly that.
+//!
+//! A session's [`Estimator`] also carries the session's
+//! [`PlanMemo`], so a cache miss plans each query once per placement of
+//! its own objects instead of re-planning the whole workload. Memoized
+//! estimates are bit-identical to [`estimate_toc`], which stays the
+//! memo-free reference (`tests/plan_memo_props.rs`).
 
 use crate::problem::Problem;
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::plan::PlanStats;
 use dot_dbms::{exec, Layout};
 use dot_workloads::spec::PerfMetric;
@@ -57,11 +64,20 @@ pub struct TocEstimate {
 
 impl TocEstimate {
     fn from_run(problem: &Problem<'_>, layout: &Layout, run: exec::RunResult) -> TocEstimate {
+        let per_query_ms = run.queries.iter().map(|q| q.time_ms).collect();
+        TocEstimate::from_times(problem, layout, run.stream_time_ms, per_query_ms, run.stats)
+    }
+
+    fn from_times(
+        problem: &Problem<'_>,
+        layout: &Layout,
+        stream_time_ms: f64,
+        per_query_ms: Vec<f64>,
+        plan_stats: PlanStats,
+    ) -> TocEstimate {
         let layout_cost = problem.layout_cost_cents_per_hour(layout);
-        let throughput = problem
-            .workload
-            .throughput_tasks_per_hour(run.stream_time_ms);
-        let hours = problem.workload.execution_hours(run.stream_time_ms);
+        let throughput = problem.workload.throughput_tasks_per_hour(stream_time_ms);
+        let hours = problem.workload.execution_hours(stream_time_ms);
         let toc_cents_per_pass = layout_cost * hours;
         let objective_cents = match problem.workload.metric {
             PerfMetric::ResponseTime => toc_cents_per_pass,
@@ -70,8 +86,8 @@ impl TocEstimate {
         };
         TocEstimate {
             layout_cost_cents_per_hour: layout_cost,
-            stream_time_ms: run.stream_time_ms,
-            per_query_ms: run.queries.iter().map(|q| q.time_ms).collect(),
+            stream_time_ms,
+            per_query_ms,
             throughput_tasks_per_hour: throughput,
             toc_cents_per_pass,
             toc_cents_per_task: if throughput > 0.0 {
@@ -80,7 +96,7 @@ impl TocEstimate {
                 f64::INFINITY
             },
             objective_cents,
-            plan_stats: run.stats,
+            plan_stats,
         }
     }
 
@@ -194,6 +210,44 @@ pub fn estimate_toc(problem: &Problem<'_>, layout: &Layout) -> TocEstimate {
         layout,
         problem.pool,
         &problem.cfg,
+    );
+    TocEstimate::from_run(problem, layout, run)
+}
+
+/// [`estimate_toc`] over memoized plans. Each plan's `est_time_ms` prices
+/// its ledger under a layout that agrees with `layout` on every object the
+/// ledger charges, so it is the very sum `exec::assemble` would compute,
+/// and the stream time accumulates in the same order: bit-identical.
+fn estimate_planned(problem: &Problem<'_>, layout: &Layout, plans: &PlanMemo<'_>) -> TocEstimate {
+    let n = problem.workload.queries.len();
+    let mut per_query_ms = Vec::with_capacity(n);
+    let mut stream_time_ms = 0.0;
+    let mut plan_stats = PlanStats::default();
+    for i in 0..n {
+        let plan = plans.plan(i, layout);
+        plan_stats.add(&plan);
+        per_query_ms.push(plan.est_time_ms);
+        stream_time_ms += plan.est_time_ms * plan.weight;
+    }
+    TocEstimate::from_times(problem, layout, stream_time_ms, per_query_ms, plan_stats)
+}
+
+/// [`measure_toc`] over memoized plans: the test run prices the same plans
+/// through the buffer pool, exactly as `exec::simulate_workload` does.
+fn measure_planned(
+    problem: &Problem<'_>,
+    layout: &Layout,
+    seed: u64,
+    plans: &PlanMemo<'_>,
+) -> TocEstimate {
+    let planned = plans.plan_workload(layout);
+    let run = exec::assemble(
+        &planned,
+        problem.schema,
+        layout,
+        problem.pool,
+        &problem.cfg,
+        Some(seed),
     );
     TocEstimate::from_run(problem, layout, run)
 }
@@ -437,13 +491,19 @@ impl CachedEstimator {
     pub fn estimate_view(&self, problem_fp: u64) -> Estimator<'_> {
         Estimator {
             cache: Some((self, problem_fp)),
+            plans: None,
         }
     }
 
-    /// Memoized [`estimate_toc`]: `problem_fp` must be
-    /// [`problem_fingerprint`]`(problem)` (precomputed by the caller so hot
-    /// loops don't re-serialize the problem).
-    pub fn estimate(&self, problem_fp: u64, problem: &Problem<'_>, layout: &Layout) -> TocEstimate {
+    /// The estimate cached under `(problem_fp, layout)`, or `compute()`'s
+    /// (inserted on the way out). `problem_fp` must be
+    /// [`problem_fingerprint`] of the problem `compute` estimates under.
+    fn get_or_compute(
+        &self,
+        problem_fp: u64,
+        layout: &Layout,
+        compute: impl FnOnce() -> TocEstimate,
+    ) -> TocEstimate {
         let mut hasher = DefaultHasher::new();
         (problem_fp, layout).hash(&mut hasher);
         let idx = hasher.finish() as usize % SHARD_COUNT;
@@ -458,7 +518,7 @@ impl CachedEstimator {
             return found.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed = estimate_toc(problem, layout);
+        let computed = compute();
         let mut shard = self.shards[idx].lock().expect("shard lock");
         let resident = shard
             .map
@@ -522,41 +582,92 @@ impl Default for CachedEstimator {
 
 /// How an optimizer obtains TOC estimates: straight through the planner
 /// ([`Estimator::direct`]) or memoized through a [`CachedEstimator`]
-/// ([`CachedEstimator::scope`]). `Copy`, and `Sync` when the underlying
-/// cache is, so ES's scoped worker threads can share one view.
+/// ([`CachedEstimator::scope`]), and in either case planning through a
+/// session's [`PlanMemo`] when one is attached
+/// ([`memoized`](Self::memoized)). `Copy`, and `Sync` (the cache and the
+/// memo are), so ES's scoped worker threads can share one view.
 #[derive(Clone, Copy)]
 pub struct Estimator<'c> {
     cache: Option<(&'c CachedEstimator, u64)>,
+    plans: Option<&'c PlanMemo<'c>>,
 }
 
 impl std::fmt::Debug for Estimator<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.cache {
-            Some((_, fp)) => write!(f, "Estimator::cached(problem_fp: {fp:#x})"),
-            None => write!(f, "Estimator::direct"),
+            Some((_, fp)) => write!(f, "Estimator::cached(problem_fp: {fp:#x})")?,
+            None => write!(f, "Estimator::direct")?,
         }
+        if self.plans.is_some() {
+            write!(f, ".memoized")?;
+        }
+        Ok(())
     }
 }
 
-impl Estimator<'_> {
-    /// The cache-blind estimator: every call runs the planner.
+impl<'c> Estimator<'c> {
+    /// The cache-blind, memo-free estimator: every call runs the planner
+    /// over the whole workload ([`estimate_toc`]).
     pub fn direct() -> Estimator<'static> {
-        Estimator { cache: None }
+        Estimator {
+            cache: None,
+            plans: None,
+        }
+    }
+
+    /// This view, planning through `plans` wherever it would run the
+    /// planner. The memo is used only for problems it
+    /// [serves](PlanMemo::serves); any other problem falls back to the
+    /// memo-free path, so a mismatched memo can never change an answer.
+    pub fn memoized<'m>(self, plans: &'m PlanMemo<'m>) -> Estimator<'m>
+    where
+        'c: 'm,
+    {
+        Estimator {
+            cache: self.cache,
+            plans: Some(plans),
+        }
     }
 
     /// Estimate `layout`'s TOC, consulting the cache when one is attached.
     /// `problem` must be the problem this view was scoped to (the
     /// fingerprint was computed from it).
     pub fn estimate(&self, problem: &Problem<'_>, layout: &Layout) -> TocEstimate {
-        match self.cache {
-            Some((cache, fp)) => cache.estimate(fp, problem, layout),
+        let compute = || match self.plans_for(problem) {
+            Some(plans) => estimate_planned(problem, layout, plans),
             None => estimate_toc(problem, layout),
+        };
+        match self.cache {
+            Some((cache, fp)) => cache.get_or_compute(fp, layout, compute),
+            None => compute(),
+        }
+    }
+
+    /// [`measure_toc`] through the attached memo: a validation run prices
+    /// the session's memoized plans through the buffer pool. Never cached
+    /// (a measurement depends on its seed), and bit-identical to
+    /// [`measure_toc`].
+    pub fn measure(&self, problem: &Problem<'_>, layout: &Layout, seed: u64) -> TocEstimate {
+        match self.plans_for(problem) {
+            Some(plans) => measure_planned(problem, layout, seed, plans),
+            None => measure_toc(problem, layout, seed),
         }
     }
 
     /// Whether a cache backs this view.
     pub fn is_cached(&self) -> bool {
         self.cache.is_some()
+    }
+
+    fn plans_for(&self, problem: &Problem<'_>) -> Option<&'c PlanMemo<'c>> {
+        self.plans.filter(|plans| {
+            plans.serves(
+                &problem.workload.queries,
+                problem.schema,
+                problem.pool,
+                &problem.cfg,
+            )
+        })
     }
 }
 

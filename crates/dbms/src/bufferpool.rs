@@ -58,23 +58,21 @@ impl BufferPool {
             .sum()
     }
 
-    /// Apply the cache model: returns a copy of `cost` with read I/O counts
-    /// reduced by the modelled hit rates. `touched_gb` should cover the whole
-    /// workload the pool is shared by, not just this query.
-    pub fn apply(&self, schema: &Schema, cost: &CostVector, touched_gb: f64) -> CostVector {
+    /// Apply the cache model in place: reduce `cost`'s read I/O counts by
+    /// the modelled hit rates. `touched_gb` should cover the whole workload
+    /// the pool is shared by, not just this query.
+    pub fn apply(&self, schema: &Schema, cost: &mut CostVector, touched_gb: f64) {
         let h = self.hit_rate(touched_gb);
         if h == 0.0 {
-            return cost.clone();
+            return;
         }
-        let mut out = cost.clone();
-        for (i, counts) in out.io.iter_mut().enumerate() {
+        for (i, counts) in cost.io.iter_mut().enumerate() {
             let obj = schema.object(ObjectId(i));
             counts[IoType::RandRead] *= 1.0 - h;
             if obj.size_gb <= self.size_gb * SCAN_CACHE_FRACTION {
                 counts[IoType::SeqRead] *= 1.0 - h;
             }
         }
-        out
     }
 }
 
@@ -112,7 +110,8 @@ mod tests {
         cv.charge(tiny.object, IoType::SeqRead, 100.0);
         cv.charge(big.object, IoType::RandWrite, 10.0);
         let touched = bp.touched_read_gb(&s, &cv);
-        let out = bp.apply(&s, &cv, touched);
+        let mut out = cv.clone();
+        bp.apply(&s, &mut out, touched);
         // Random reads on the big table shrink.
         assert!(out.io[big.object.0][IoType::RandRead] < 1000.0);
         // The big table does not fit in half the pool: its scans are intact.
@@ -133,7 +132,8 @@ mod tests {
             IoType::RandRead,
             7.0,
         );
-        let out = bp.apply(&s, &cv, 10.0);
+        let mut out = cv.clone();
+        bp.apply(&s, &mut out, 10.0);
         assert_eq!(out, cv);
     }
 

@@ -49,12 +49,14 @@ impl CostVector {
         self.cpu_ms += other.cpu_ms;
     }
 
-    /// Scale all counts and CPU by `factor` (query repetition).
-    pub fn scaled(&self, factor: f64) -> CostVector {
-        CostVector {
-            io: self.io.iter().map(|c| c.scaled(factor)).collect(),
-            cpu_ms: self.cpu_ms * factor,
+    /// Add `other` scaled by `factor` (query repetition) in place: each
+    /// count and the CPU time is multiplied by `factor`, then added.
+    pub fn absorb_scaled(&mut self, other: &CostVector, factor: f64) {
+        debug_assert_eq!(self.io.len(), other.io.len());
+        for (a, b) in self.io.iter_mut().zip(other.io.iter()) {
+            *a += b.scaled(factor);
         }
+        self.cpu_ms += other.cpu_ms * factor;
     }
 
     /// Total I/O service time in ms under `layout` at `concurrency`:
@@ -127,8 +129,10 @@ mod tests {
         let mut a = CostVector::zero(1);
         a.charge(ObjectId(0), IoType::RandRead, 10.0);
         a.charge_cpu_ms(1.0);
-        let b = a.scaled(3.0);
-        assert_eq!(b.io[0][IoType::RandRead], 30.0);
+        let mut b = CostVector::zero(1);
+        b.charge(ObjectId(0), IoType::RandRead, 1.0);
+        b.absorb_scaled(&a, 3.0);
+        assert_eq!(b.io[0][IoType::RandRead], 31.0);
         assert_eq!(b.cpu_ms, 3.0);
     }
 

@@ -23,6 +23,7 @@ use crate::query::QuerySpec;
 use crate::schema::Schema;
 use dot_storage::StoragePool;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Timing of one query within a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,7 +100,7 @@ pub fn estimate_workload(
     cfg: &EngineConfig,
 ) -> RunResult {
     let planned = planner::plan_workload(queries, schema, layout, pool, cfg);
-    assemble(&planned, schema, None, layout, pool, cfg, 0)
+    assemble(&planned, schema, layout, pool, cfg, None)
 }
 
 /// Simulate a test run: identical plans (a real DBMS's planner is equally
@@ -114,44 +115,60 @@ pub fn simulate_workload(
     seed: u64,
 ) -> RunResult {
     let planned = planner::plan_workload(queries, schema, layout, pool, cfg);
-    let bp = BufferPool::new(cfg.buffer_gb);
-    assemble(&planned, schema, Some(&bp), layout, pool, cfg, seed)
+    assemble(&planned, schema, layout, pool, cfg, Some(seed))
 }
 
-fn assemble(
-    planned: &[PlannedQuery],
+/// Price already-planned queries under `layout`: the shared pricing step of
+/// [`estimate_workload`] (`test_run: None`) and [`simulate_workload`]
+/// (`test_run: Some(seed)`, buffer pool and seeded noise engaged). Callers
+/// that hold plans already (a [`PlanMemo`](crate::memo::PlanMemo), the
+/// profiler) price them here instead of planning the layout again.
+pub fn assemble<P: Borrow<PlannedQuery>>(
+    planned: &[P],
     schema: &Schema,
-    bufferpool: Option<&BufferPool>,
     layout: &Layout,
     pool: &StoragePool,
     cfg: &EngineConfig,
-    seed: u64,
+    test_run: Option<u64>,
 ) -> RunResult {
     // The pool is shared across the whole stream: hit rates depend on the
-    // total volume touched by every query.
-    let touched_gb = bufferpool.map(|bp| {
-        let mut all = CostVector::zero(schema.object_count());
-        for q in planned {
-            all.absorb(&q.cost);
+    // total volume touched by every query. The summed ledger is then reused
+    // as the scratch that holds each query's cache-absorbed counts.
+    let (test_run, mut absorbed) = match test_run {
+        Some(seed) => {
+            let bp = BufferPool::new(cfg.buffer_gb);
+            let mut all = CostVector::zero(schema.object_count());
+            for q in planned {
+                all.absorb(&q.borrow().cost);
+            }
+            (
+                Some((bp, bp.touched_read_gb(schema, &all), seed)),
+                Some(all),
+            )
         }
-        bp.touched_read_gb(schema, &all)
-    });
+        None => (None, None),
+    };
 
     let mut total = CostVector::zero(schema.object_count());
     let mut runs = Vec::with_capacity(planned.len());
     let mut stream_time_ms = 0.0;
     let mut stats = PlanStats::default();
     for (i, q) in planned.iter().enumerate() {
+        let q = q.borrow();
         stats.add(q);
-        let effective = match (bufferpool, touched_gb) {
-            (Some(bp), Some(t)) => bp.apply(schema, &q.cost, t),
-            _ => q.cost.clone(),
+        let effective = match (test_run, absorbed.as_mut()) {
+            (Some((bp, touched_gb, _)), Some(absorbed)) => {
+                absorbed.clone_from(&q.cost);
+                bp.apply(schema, absorbed, touched_gb);
+                &*absorbed
+            }
+            _ => &q.cost,
         };
         let mut time_ms = effective.time_ms(layout, pool, cfg.concurrency);
-        if bufferpool.is_some() {
+        if let Some((_, _, seed)) = test_run {
             time_ms *= noise_factor(seed, i as u64);
         }
-        total.absorb(&effective.scaled(q.weight));
+        total.absorb_scaled(effective, q.weight);
         stream_time_ms += time_ms * q.weight;
         runs.push(QueryRun {
             name: q.name.clone(),

@@ -26,6 +26,8 @@
 //!   plus DML operations for OLTP transactions;
 //! * [`planner`] — cost-based physical planning per layout ([`plan`] holds
 //!   the chosen physical operators, [`cost`] the arithmetic);
+//! * [`memo`] — a per-session plan memo keyed by the placement of each
+//!   query's own objects, so a solve plans each query once per placement;
 //! * [`explain`] — EXPLAIN-style rendering of plans and per-object I/O;
 //! * [`exec`] — the execution simulator: turns a planned workload into
 //!   per-object I/O traces and elapsed time, optionally applying the
@@ -68,6 +70,7 @@ pub mod cost;
 pub mod exec;
 pub mod explain;
 pub mod layout;
+pub mod memo;
 pub mod object;
 pub mod plan;
 pub mod planner;

@@ -77,6 +77,16 @@ impl PlannedQuery {
             .count()
     }
 
+    /// Whether `other` chose the same physical operators as `self`: equal
+    /// access paths, join algorithms and spill flag. For two plans of the
+    /// same query this is exactly equality of their
+    /// [`describe`](Self::describe) signatures, without formatting them.
+    pub fn same_choices(&self, other: &PlannedQuery) -> bool {
+        self.access_paths == other.access_paths
+            && self.joins == other.joins
+            && self.spilled == other.spilled
+    }
+
     /// Compact plan signature, e.g. `Q3[seq,idx1,seq;HJ,INLJ]`. Two queries
     /// with equal signatures chose identical physical plans — the profiler's
     /// pruning test (§3.4).
@@ -152,6 +162,19 @@ mod tests {
     #[test]
     fn describe_is_stable_signature() {
         assert_eq!(sample().describe(), "Q3[seq,idx1;HJ,INLJ]*");
+    }
+
+    #[test]
+    fn same_choices_ignores_costs_but_not_operators() {
+        let mut cheaper = sample();
+        cheaper.est_time_ms = 1.0;
+        assert!(sample().same_choices(&cheaper));
+        let mut unspilled = sample();
+        unspilled.spilled = false;
+        assert!(!sample().same_choices(&unspilled));
+        let mut hashed = sample();
+        hashed.joins[1] = JoinAlgo::Hash;
+        assert!(!sample().same_choices(&hashed));
     }
 
     #[test]

@@ -21,8 +21,9 @@
 use crate::config::EngineConfig;
 use crate::cost::{yao_pages_fetched, CostVector};
 use crate::layout::Layout;
+use crate::object::ObjectId;
 use crate::plan::{AccessPath, JoinAlgo, PlanStats, PlannedQuery};
-use crate::query::{InsertOp, Op, QuerySpec, ReadOp, Rel, ScanSpec, UpdateOp};
+use crate::query::{InsertOp, JoinSpec, Op, QuerySpec, ReadOp, Rel, ScanSpec, UpdateOp};
 use crate::schema::Schema;
 use crate::PAGE_BYTES;
 use dot_storage::{IoType, StoragePool};
@@ -83,6 +84,88 @@ pub fn plan_workload(
         .collect()
 }
 
+/// The query's *footprint*: every object whose storage class
+/// [`plan_query`] can read, in ascending id order. That is each scanned
+/// table and its usable index, a join's inner index and heap, the temp
+/// object when a sort or hash-join build exceeds `work_mem`, and the
+/// indexes and log a DML operation maintains.
+///
+/// Plan choice and cost depend on the layout only through the classes of
+/// these objects (every candidate's I/O is charged to them, and pricing
+/// skips objects with zero counts), so two layouts that agree on the
+/// footprint yield the same [`PlannedQuery`] bit for bit. This is what
+/// lets [`crate::memo::PlanMemo`] plan a query once per placement of its
+/// own objects (Eq. 1 prices a query object by object).
+pub fn footprint(q: &QuerySpec, schema: &Schema, cfg: &EngineConfig) -> Vec<ObjectId> {
+    let mut objects = Vec::new();
+    let temp = schema.temp_object().map(|t| t.id);
+    for op in &q.ops {
+        match op {
+            Op::Read(r) => {
+                rel_footprint(&r.rel, schema, cfg, &mut objects);
+                if sort_spills(r, cfg) {
+                    objects.extend(temp);
+                }
+            }
+            Op::Insert(ins) => {
+                objects.push(schema.table(ins.table).object);
+                objects.extend(schema.indexes_of(ins.table).map(|idx| idx.object));
+                objects.extend(schema.log_object().map(|log| log.id));
+            }
+            Op::Update(upd) => {
+                objects.extend(upd.via.map(|idx| schema.index(idx).object));
+                objects.push(schema.table(upd.table).object);
+                if upd.updates_indexed_key {
+                    objects.extend(schema.primary_index_of(upd.table).map(|pk| pk.object));
+                }
+                objects.extend(schema.log_object().map(|log| log.id));
+            }
+        }
+    }
+    objects.sort_unstable();
+    objects.dedup();
+    objects
+}
+
+fn rel_footprint(rel: &Rel, schema: &Schema, cfg: &EngineConfig, objects: &mut Vec<ObjectId>) {
+    let scan_footprint = |scan: &ScanSpec, objects: &mut Vec<ObjectId>| {
+        objects.push(schema.table(scan.table).object);
+        objects.extend(scan.index.map(|idx| schema.index(idx).object));
+    };
+    match rel {
+        Rel::Scan(scan) => scan_footprint(scan, objects),
+        Rel::Join(join) => {
+            rel_footprint(&join.outer, schema, cfg, objects);
+            // Both join candidates are always costed: the hash join reads
+            // the inner through its own best access path (and may spill),
+            // the INLJ probes the inner index and fetches from its heap.
+            scan_footprint(&join.inner, objects);
+            if hash_build_spills(join, schema, cfg) {
+                objects.extend(schema.temp_object().map(|t| t.id));
+            }
+            objects.extend(join.inner_index.map(|idx| schema.index(idx).object));
+        }
+    }
+}
+
+/// Whether an operator holding `bytes` overflows `work_mem` and must spill
+/// to the temp object (when the schema declares one).
+fn exceeds_work_mem(bytes: f64, cfg: &EngineConfig) -> bool {
+    bytes > cfg.work_mem_gb * 1e9
+}
+
+/// Whether a hash join's build side (the filtered inner) spills: its rows
+/// are the inner scan's output rows whichever access path reads them.
+fn hash_build_spills(join: &JoinSpec, schema: &Schema, cfg: &EngineConfig) -> bool {
+    let inner = schema.table(join.inner.table);
+    exceeds_work_mem(inner.rows * join.inner.selectivity * inner.row_bytes, cfg)
+}
+
+/// Whether a read's top-level sort spills (external merge).
+fn sort_spills(r: &ReadOp, cfg: &EngineConfig) -> bool {
+    r.sort_rows > 1.0 && exceeds_work_mem(r.sort_rows * r.sort_row_bytes, cfg)
+}
+
 /// Aggregate plan statistics (INLJ share etc.) over planned queries.
 pub fn workload_plan_stats(planned: &[PlannedQuery]) -> PlanStats {
     let mut stats = PlanStats::default();
@@ -121,7 +204,7 @@ fn plan_read(
         plan.cost
             .charge_cpu_ms(n * n.log2().max(1.0) * cfg.cpu.sort_ns * 1e-6);
         let bytes = n * r.sort_row_bytes;
-        if bytes > cfg.work_mem_gb * 1e9 {
+        if sort_spills(r, cfg) {
             if let Some(temp) = schema.temp_object() {
                 let pages = bytes / PAGE_BYTES;
                 // One write pass + one read pass (single-level merge).
@@ -155,7 +238,7 @@ fn plan_rel(
                 .charge_cpu_ms((build_rows + outer.rows) * cfg.cpu.hash_ns * 1e-6);
             let build_bytes = build_rows * inner_table.row_bytes;
             let mut hash_spilled = false;
-            if build_bytes > cfg.work_mem_gb * 1e9 {
+            if hash_build_spills(join, schema, cfg) {
                 if let Some(temp) = schema.temp_object() {
                     // Grace hash join: both sides partitioned to temp and
                     // re-read once.

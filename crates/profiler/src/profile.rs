@@ -7,10 +7,12 @@
 //! move scores of §3.3.
 
 use crate::baseline::{baseline_layout, baseline_placements, group_arity, project_placement};
-use dot_dbms::{exec, planner, EngineConfig, ObjectId, Schema};
+use dot_dbms::memo::PlanMemo;
+use dot_dbms::plan::PlannedQuery;
+use dot_dbms::{exec, ObjectId};
 use dot_storage::{ClassId, IoCounts, StoragePool};
-use dot_workloads::Workload;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How profile counts are obtained (§3.4: "(a) an estimate computed by our
 /// extended query optimizer ... or (b) a sample test run").
@@ -61,7 +63,8 @@ impl GroupProfile {
 /// The complete profile of a workload over a storage pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
-    /// One entry per object group, in [`Schema::object_groups`] order.
+    /// One entry per object group, in
+    /// [`Schema::object_groups`](dot_dbms::Schema::object_groups) order.
     pub groups: Vec<GroupProfile>,
     /// Group arity `K` used for the baselines.
     pub arity: usize,
@@ -81,19 +84,21 @@ impl WorkloadProfile {
     }
 }
 
-/// Profile `workload` over every baseline layout of `pool` (§3.4), with
-/// plan-signature pruning: a baseline whose per-query physical plans are
-/// identical to an already-profiled baseline's reuses its counts instead of
-/// re-running. Since I/O counts are a pure function of the chosen plans,
-/// pruning is lossless for estimates and matches the paper's §4.5.1
-/// optimization for test runs (TPC-C collapses to one profiled layout).
-pub fn profile_workload(
-    workload: &Workload,
-    schema: &Schema,
-    pool: &StoragePool,
-    cfg: &EngineConfig,
-    source: ProfileSource,
-) -> WorkloadProfile {
+/// Profile the memo's workload over every baseline layout of its pool
+/// (§3.4), with plan-signature pruning: a baseline whose per-query physical
+/// plans are identical to an already-profiled baseline's reuses its counts
+/// instead of re-running. Since I/O counts are a pure function of the
+/// chosen plans, pruning is lossless for estimates and matches the paper's
+/// §4.5.1 optimization for test runs (TPC-C collapses to one profiled
+/// layout).
+///
+/// Baselines are planned through `plans`, so a query whose own objects sit
+/// on the same classes in two baselines is planned once, and the plans a
+/// session's solvers request later are already memoized. Each unseen
+/// baseline's plans are priced as they are ([`exec::assemble`]), never
+/// planned a second time.
+pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> WorkloadProfile {
+    let (schema, pool, cfg) = (plans.schema(), plans.pool(), plans.cfg());
     let arity = group_arity(schema);
     let placements = baseline_placements(pool, arity);
     let groups = schema.object_groups();
@@ -106,34 +111,26 @@ pub fn profile_workload(
         })
         .collect();
 
-    // signature of all plans -> per-object counts from the profiled run
-    let mut seen: HashMap<String, Vec<IoCounts>> = HashMap::new();
-    let mut profiled = 0usize;
+    // Each distinct set of plan choices, with the per-object counts of the
+    // one baseline run that priced it.
+    let mut seen: Vec<(Vec<Arc<PlannedQuery>>, Vec<IoCounts>)> = Vec::new();
+    let test_run = match source {
+        ProfileSource::Estimate => None,
+        ProfileSource::TestRun { seed } => Some(seed),
+    };
 
     for p in &placements {
         let layout = baseline_layout(schema, p);
-        let planned = planner::plan_workload(&workload.queries, schema, &layout, pool, cfg);
-        let signature: String = planned
+        let planned = plans.plan_workload(&layout);
+        let prior = seen
             .iter()
-            .map(|pl| pl.describe())
-            .collect::<Vec<_>>()
-            .join("|");
-        let io: Vec<IoCounts> = match seen.get(&signature) {
-            Some(io) => io.clone(),
-            None => {
-                profiled += 1;
-                let run = match source {
-                    ProfileSource::Estimate => {
-                        exec::estimate_workload(&workload.queries, schema, &layout, pool, cfg)
-                    }
-                    ProfileSource::TestRun { seed } => {
-                        exec::simulate_workload(&workload.queries, schema, &layout, pool, cfg, seed)
-                    }
-                };
-                seen.insert(signature, run.cost.io.clone());
-                run.cost.io
-            }
-        };
+            .position(|(choices, _)| choices.iter().zip(&planned).all(|(a, b)| a.same_choices(b)));
+        let at = prior.unwrap_or_else(|| {
+            let run = exec::assemble(&planned, schema, &layout, pool, cfg, test_run);
+            seen.push((planned, run.cost.io));
+            seen.len() - 1
+        });
+        let io = &seen[at].1;
         for gp in group_profiles.iter_mut() {
             let key = project_placement(p, gp.objects.len());
             let counts: Vec<IoCounts> = gp.objects.iter().map(|o| io[o.0]).collect();
@@ -145,15 +142,16 @@ pub fn profile_workload(
         groups: group_profiles,
         arity,
         baseline_count: placements.len(),
-        profiled_count: profiled,
+        profiled_count: seen.len(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dot_dbms::{EngineConfig, Schema};
     use dot_storage::catalog;
-    use dot_workloads::{synth, tpcc};
+    use dot_workloads::{synth, tpcc, Workload};
 
     fn synth_setup() -> (Schema, StoragePool, Workload, EngineConfig) {
         let s = synth::bench_schema(2_000_000.0, 120.0);
@@ -165,7 +163,10 @@ mod tests {
     #[test]
     fn profile_covers_every_group_placement() {
         let (s, pool, w, cfg) = synth_setup();
-        let prof = profile_workload(&w, &s, &pool, &cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &cfg),
+            ProfileSource::Estimate,
+        );
         assert_eq!(prof.groups.len(), s.object_groups().len());
         for g in &prof.groups {
             let expected = pool.len().pow(g.objects.len() as u32);
@@ -176,7 +177,10 @@ mod tests {
     #[test]
     fn io_time_share_prices_correctly() {
         let (s, pool, w, cfg) = synth_setup();
-        let prof = profile_workload(&w, &s, &pool, &cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &cfg),
+            ProfileSource::Estimate,
+        );
         let g = &prof.groups[0];
         let hdd = pool.class_by_name("HDD").unwrap().id;
         let hssd = pool.class_by_name("H-SSD").unwrap().id;
@@ -199,7 +203,10 @@ mod tests {
         let pool = catalog::box2();
         let w = tpcc::workload(&s);
         let cfg = EngineConfig::oltp();
-        let prof = profile_workload(&w, &s, &pool, &cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &cfg),
+            ProfileSource::Estimate,
+        );
         assert_eq!(prof.baseline_count, 27);
         assert!(
             prof.profiled_count <= prof.baseline_count / 2,
@@ -212,7 +219,10 @@ mod tests {
     #[test]
     fn group_lookup_by_object() {
         let (s, pool, w, cfg) = synth_setup();
-        let prof = profile_workload(&w, &s, &pool, &cfg, ProfileSource::Estimate);
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &cfg),
+            ProfileSource::Estimate,
+        );
         let heap = s.table_by_name("a").unwrap().object;
         let (gi, g) = prof.group_of(heap).unwrap();
         assert_eq!(g.objects[0], heap);
@@ -220,11 +230,90 @@ mod tests {
         assert!(prof.group_of(ObjectId(999)).is_none());
     }
 
+    /// Re-derive a profile the long way: plan every baseline, detect
+    /// repeated plans by their formatted signatures, and run each unseen
+    /// baseline through the planner again.
+    fn replanned_profile(
+        w: &Workload,
+        s: &Schema,
+        pool: &StoragePool,
+        cfg: &EngineConfig,
+        source: ProfileSource,
+    ) -> (HashMap<Vec<ClassId>, Vec<IoCounts>>, usize) {
+        let mut seen: HashMap<String, Vec<IoCounts>> = HashMap::new();
+        let mut by_baseline = HashMap::new();
+        for p in baseline_placements(pool, group_arity(s)) {
+            let layout = baseline_layout(s, &p);
+            let planned = dot_dbms::planner::plan_workload(&w.queries, s, &layout, pool, cfg);
+            let signature: Vec<String> = planned.iter().map(|q| q.describe()).collect();
+            let io = seen
+                .entry(signature.join("|"))
+                .or_insert_with(|| {
+                    let run = match source {
+                        ProfileSource::Estimate => {
+                            exec::estimate_workload(&w.queries, s, &layout, pool, cfg)
+                        }
+                        ProfileSource::TestRun { seed } => {
+                            exec::simulate_workload(&w.queries, s, &layout, pool, cfg, seed)
+                        }
+                    };
+                    run.cost.io
+                })
+                .clone();
+            by_baseline.insert(p, io);
+        }
+        (by_baseline, seen.len())
+    }
+
+    #[test]
+    fn memoized_profile_is_bit_identical_to_replanning_every_baseline() {
+        let (s, _, w, cfg) = synth_setup();
+        let tpcc_schema = tpcc::schema(20.0);
+        let tpcc_workload = tpcc::workload(&tpcc_schema);
+        let cases = [
+            (&s, &w, cfg, catalog::box2()),
+            (&s, &w, cfg, catalog::full_pool()),
+            (
+                &tpcc_schema,
+                &tpcc_workload,
+                EngineConfig::oltp(),
+                catalog::box1(),
+            ),
+        ];
+        for (schema, workload, cfg, pool) in cases {
+            for source in [ProfileSource::Estimate, ProfileSource::TestRun { seed: 9 }] {
+                let memo = PlanMemo::new(&workload.queries, schema, &pool, &cfg);
+                let prof = profile_workload(&memo, source);
+                let (by_baseline, distinct) =
+                    replanned_profile(workload, schema, &pool, &cfg, source);
+                assert_eq!(prof.profiled_count, distinct, "{source:?}");
+                for (p, io) in &by_baseline {
+                    for g in &prof.groups {
+                        let key = project_placement(p, g.objects.len());
+                        let counts = g.counts(&key).expect("profiled placement");
+                        for (o, c) in g.objects.iter().zip(counts) {
+                            for io_type in dot_storage::IO_TYPES {
+                                let (got, want) = (c[io_type], io[o.0][io_type]);
+                                assert_eq!(got.to_bits(), want.to_bits(), "{source:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn test_run_profile_is_reproducible() {
         let (s, pool, w, cfg) = synth_setup();
-        let a = profile_workload(&w, &s, &pool, &cfg, ProfileSource::TestRun { seed: 5 });
-        let b = profile_workload(&w, &s, &pool, &cfg, ProfileSource::TestRun { seed: 5 });
+        let a = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &cfg),
+            ProfileSource::TestRun { seed: 5 },
+        );
+        let b = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &cfg),
+            ProfileSource::TestRun { seed: 5 },
+        );
         assert_eq!(a, b);
     }
 }

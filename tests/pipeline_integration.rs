@@ -2,6 +2,7 @@
 //! workload models, spanning every crate in the workspace.
 
 use dot_core::{constraints, dot, exhaustive, problem::Problem, toc};
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::EngineConfig;
 use dot_profiler::{profile_workload, ProfileSource};
 use dot_storage::catalog;
@@ -52,10 +53,7 @@ fn tpch_dot_beats_premium_by_a_wide_margin_at_relaxed_sla() {
         );
         let cons = constraints::derive(&problem);
         let profile = profile_workload(
-            &workload,
-            &schema,
-            &pool,
-            &problem.cfg,
+            &PlanMemo::new(&workload.queries, &schema, &pool, &problem.cfg),
             ProfileSource::Estimate,
         );
         let outcome = dot::optimize(&problem, &profile, &cons);
@@ -80,10 +78,7 @@ fn tpch_subset_dot_close_to_exhaustive() {
     );
     let cons = constraints::derive(&problem);
     let profile = profile_workload(
-        &workload,
-        &schema,
-        &pool,
-        &problem.cfg,
+        &PlanMemo::new(&workload.queries, &schema, &pool, &problem.cfg),
         ProfileSource::Estimate,
     );
     let dot_out = dot::optimize(&problem, &profile, &cons);
@@ -106,7 +101,10 @@ fn tpcc_toc_decreases_as_sla_relaxes() {
     let workload = tpcc::workload(&schema);
     let pool = catalog::box2();
     let cfg = EngineConfig::oltp();
-    let profile = profile_workload(&workload, &schema, &pool, &cfg, ProfileSource::Estimate);
+    let profile = profile_workload(
+        &PlanMemo::new(&workload.queries, &schema, &pool, &cfg),
+        ProfileSource::Estimate,
+    );
     let mut last = f64::INFINITY;
     for ratio in [0.5, 0.25, 0.125] {
         let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(ratio), cfg);
@@ -131,7 +129,10 @@ fn tpcc_additive_es_close_to_dot_and_fast() {
     let cfg = EngineConfig::oltp();
     let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.25), cfg);
     let cons = constraints::derive(&problem);
-    let profile = profile_workload(&workload, &schema, &pool, &cfg, ProfileSource::Estimate);
+    let profile = profile_workload(
+        &PlanMemo::new(&workload.queries, &schema, &pool, &cfg),
+        ProfileSource::Estimate,
+    );
     let es = exhaustive::exhaustive_search_additive(&problem, &profile, &cons);
     let dot_out = dot::optimize(&problem, &profile, &cons);
     let es_obj = es.estimate.expect("es feasible").objective_cents;
@@ -151,7 +152,10 @@ fn capacity_limited_premium_forces_relaxation() {
     pool.set_capacity("H-SSD", schema.total_size_gb() * 0.7);
     let cfg = EngineConfig::oltp();
     let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.9), cfg);
-    let profile = profile_workload(&workload, &schema, &pool, &cfg, ProfileSource::Estimate);
+    let profile = profile_workload(
+        &PlanMemo::new(&workload.queries, &schema, &pool, &cfg),
+        ProfileSource::Estimate,
+    );
     let (outcome, final_sla) = dot::optimize_with_relaxation(&problem, &profile, 0.2, 0.01);
     let layout = outcome.layout.expect("relaxation recovers");
     assert!(final_sla.ratio < 0.9);

@@ -2,6 +2,7 @@
 //! invariants, using randomly generated schemas, workloads and pools.
 
 use dot_core::{constraints, dot, moves, problem::Problem, toc};
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::query::{QuerySpec, ReadOp, Rel, ScanSpec};
 use dot_dbms::{EngineConfig, Layout, SchemaBuilder};
 use dot_profiler::{baseline, profile_workload, ProfileSource};
@@ -102,7 +103,7 @@ proptest! {
         let pool = catalog::box2();
         let w = workload_for(&schema, &[sel]);
         let p = Problem::new(&schema, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
-        let prof = profile_workload(&w, &schema, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(&PlanMemo::new(&w.queries, &schema, &pool, &p.cfg), ProfileSource::Estimate);
         let l0 = p.premium_layout();
         let ms = moves::enumerate_moves(&p, &prof);
         let mut prev = f64::NEG_INFINITY;
@@ -133,7 +134,7 @@ proptest! {
         let w = workload_for(&schema, &[sel]);
         let p = Problem::new(&schema, &pool, &w, SlaSpec::relative(ratio), EngineConfig::dss());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &schema, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(&PlanMemo::new(&w.queries, &schema, &pool, &p.cfg), ProfileSource::Estimate);
         let out = dot::optimize(&p, &prof, &cons);
         if let (Some(layout), Some(est)) = (&out.layout, &out.estimate) {
             prop_assert!(layout.fits(&schema, &pool));

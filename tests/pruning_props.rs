@@ -8,6 +8,7 @@
 use dot_core::constraints;
 use dot_core::problem::Problem;
 use dot_core::{dot, exhaustive};
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::query::{Op, QuerySpec, ReadOp, Rel, ScanSpec, UpdateOp};
 use dot_dbms::{EngineConfig, SchemaBuilder};
 use dot_profiler::{profile_workload, ProfileSource};
@@ -97,7 +98,7 @@ proptest! {
         let w = mixed_workload(&schema, sel, &weights, false);
         let p = Problem::new(&schema, &pool, &w, SlaSpec::relative(sla), EngineConfig::dss());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &schema, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(&PlanMemo::new(&w.queries, &schema, &pool, &p.cfg), ProfileSource::Estimate);
         let toc = dot_core::toc::Estimator::direct();
         let with = dot::optimize_with_pruning(&p, &prof, &cons, &toc, true);
         let without = dot::optimize_with_pruning(&p, &prof, &cons, &toc, false);
@@ -117,7 +118,7 @@ proptest! {
         let w = mixed_workload(&schema, sel, &weights, true);
         let p = Problem::new(&schema, &pool, &w, SlaSpec::relative(sla), EngineConfig::oltp());
         let cons = constraints::derive(&p);
-        let prof = profile_workload(&w, &schema, &pool, &p.cfg, ProfileSource::Estimate);
+        let prof = profile_workload(&PlanMemo::new(&w.queries, &schema, &pool, &p.cfg), ProfileSource::Estimate);
         let toc = dot_core::toc::Estimator::direct();
         let with = dot::optimize_with_pruning(&p, &prof, &cons, &toc, true);
         let without = dot::optimize_with_pruning(&p, &prof, &cons, &toc, false);
@@ -174,7 +175,10 @@ fn pruning_fires_on_paper_workloads() {
     let w = dot_workloads::tpcc::workload(&s);
     let p = Problem::new(&s, &pool, &w, SlaSpec::relative(0.25), EngineConfig::oltp());
     let cons = constraints::derive(&p);
-    let prof = profile_workload(&w, &s, &pool, &p.cfg, ProfileSource::Estimate);
+    let prof = profile_workload(
+        &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
+        ProfileSource::Estimate,
+    );
     let es = exhaustive::exhaustive_search_additive(&p, &prof, &cons);
     assert!(es.layouts_pruned > 0, "additive ES pruned nothing on TPC-C");
     let dot_out = dot::optimize_with_pruning(&p, &prof, &cons, &toc, true);

@@ -5,6 +5,7 @@
 use dot_core::generalized::choose_configuration;
 use dot_core::problem::{LayoutCostModel, Problem};
 use dot_core::{constraints, dot, sweep};
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::EngineConfig;
 use dot_profiler::{profile_workload, ProfileSource};
 use dot_storage::catalog;
@@ -21,7 +22,10 @@ fn ycsb_c_read_only_moves_off_premium_at_loose_sla() {
     let cfg = EngineConfig::oltp();
     let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.05), cfg);
     let cons = constraints::derive(&problem);
-    let profile = profile_workload(&workload, &schema, &pool, &cfg, ProfileSource::Estimate);
+    let profile = profile_workload(
+        &PlanMemo::new(&workload.queries, &schema, &pool, &cfg),
+        ProfileSource::Estimate,
+    );
     let outcome = dot::optimize(&problem, &profile, &cons);
     let layout = outcome.layout.expect("feasible");
     let table = schema.table_by_name("usertable").unwrap();
@@ -43,7 +47,10 @@ fn ycsb_a_update_heavy_is_stickier_than_c() {
         let workload = ycsb::workload(&schema, mix, 300);
         let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(ratio), cfg);
         let cons = constraints::derive(&problem);
-        let profile = profile_workload(&workload, &schema, &pool, &cfg, ProfileSource::Estimate);
+        let profile = profile_workload(
+            &PlanMemo::new(&workload.queries, &schema, &pool, &cfg),
+            ProfileSource::Estimate,
+        );
         dot::optimize(&problem, &profile, &cons)
             .estimate
             .map(|e| e.layout_cost_cents_per_hour)
@@ -106,10 +113,7 @@ fn generalized_provisioning_is_consistent_with_per_box_runs() {
     );
     let cons = constraints::derive(&problem);
     let profile = profile_workload(
-        &workload,
-        &schema,
-        pool,
-        &problem.cfg,
+        &PlanMemo::new(&workload.queries, &schema, pool, &problem.cfg),
         ProfileSource::Estimate,
     );
     let direct = dot::optimize(&problem, &profile, &cons);
@@ -129,7 +133,10 @@ fn discrete_cost_model_consolidates_classes() {
     let workload = tpch::subset_workload(&schema);
     let pool = catalog::box2();
     let cfg = EngineConfig::dss();
-    let profile = profile_workload(&workload, &schema, &pool, &cfg, ProfileSource::Estimate);
+    let profile = profile_workload(
+        &PlanMemo::new(&workload.queries, &schema, &pool, &cfg),
+        ProfileSource::Estimate,
+    );
     let classes_used = |alpha: f64| -> usize {
         let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.25), cfg)
             .with_cost_model(LayoutCostModel::Discrete { alpha });
