@@ -2,6 +2,7 @@
 //! determines how large a move set DOT can evaluate interactively.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::{planner, EngineConfig, Layout};
 use dot_storage::catalog;
 use dot_workloads::{tpcc, tpch};
@@ -17,6 +18,11 @@ fn bench_planning(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("plan_workload", "tpch-22"), |b| {
         b.iter(|| planner::plan_workload(&workload.queries, &schema, &layout, &pool, &cfg))
     });
+    // A session prices compiled templates instead of planning.
+    let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+    group.bench_function(BenchmarkId::new("memo_estimate", "tpch-22"), |b| {
+        b.iter(|| memo.estimate(&layout))
+    });
 
     let cschema = tpcc::schema(300.0);
     let cworkload = tpcc::workload(&cschema);
@@ -24,6 +30,10 @@ fn bench_planning(c: &mut Criterion) {
     let ccfg = EngineConfig::oltp();
     group.bench_function(BenchmarkId::new("plan_workload", "tpcc-5txn"), |b| {
         b.iter(|| planner::plan_workload(&cworkload.queries, &cschema, &clayout, &pool, &ccfg))
+    });
+    let cmemo = PlanMemo::new(&cworkload.queries, &cschema, &pool, &ccfg);
+    group.bench_function(BenchmarkId::new("memo_estimate", "tpcc-5txn"), |b| {
+        b.iter(|| cmemo.estimate(&clayout))
     });
     group.finish();
 }

@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dot_core::{problem::Problem, toc};
+use dot_dbms::memo::PlanMemo;
 use dot_dbms::EngineConfig;
+use dot_profiler::{profile_workload, ProfileSource};
 use dot_storage::catalog;
 use dot_workloads::{tpch, SlaSpec};
 
@@ -26,6 +28,29 @@ fn bench_estimate(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("measure_toc", "tpch-original"), |b| {
         b.iter(|| toc::measure_toc(&problem, &premium, 7))
     });
+    // Paid once per cached session (every provision and replan tick).
+    let full = catalog::full_pool();
+    let full_problem = Problem::new(
+        &schema,
+        &full,
+        &workload,
+        SlaSpec::relative(0.5),
+        EngineConfig::dss(),
+    );
+    group.bench_function(
+        BenchmarkId::new("problem_fingerprint", "tpch-original/full"),
+        |b| b.iter(|| toc::problem_fingerprint(&full_problem)),
+    );
+    // Every session profiles its workload over the pool's baselines.
+    group.bench_function(
+        BenchmarkId::new("profile_workload", "tpch-original/full"),
+        |b| {
+            b.iter(|| {
+                let plans = PlanMemo::new(&workload.queries, &schema, &full, &full_problem.cfg);
+                profile_workload(&plans, ProfileSource::Estimate)
+            })
+        },
+    );
     group.finish();
 }
 

@@ -168,7 +168,9 @@ struct RestoreNumbers {
     restore_ms: f64,
 }
 
-/// One (conformance family, solver) cell of the pruning comparison.
+/// One (conformance family, solver) cell of the pruning comparison. The
+/// pruned and estimate-everything medians are per sweep, from samples
+/// taken interleaved ([`paired_median_ms`]).
 #[derive(Debug, Serialize, Deserialize)]
 struct PruningCell {
     family: String,
@@ -178,6 +180,46 @@ struct PruningCell {
     median_ms_pruned: f64,
     /// `None` for the additive ES, whose suffix bound has no off switch.
     median_ms_unpruned: Option<f64>,
+}
+
+/// Interleaved samples per pruned-vs-unpruned comparison.
+const PAIRED_SAMPLES: usize = 15;
+/// Each paired sample times a batch of sweeps lasting at least this long,
+/// so one sweep's thread start-up jitter (ES spawns a worker per class)
+/// averages out of sub-millisecond sweeps.
+const PAIRED_BATCH_MS: f64 = 5.0;
+
+/// Median per-sweep ms of `a` and of `b`, sampled interleaved: each sample
+/// times a batch of `a` and a batch of `b`, alternating which runs first,
+/// so a slow stretch of the machine lands on both sides of the comparison.
+fn paired_median_ms(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    fn batch_ms(f: &mut dyn FnMut(), reps: usize) -> f64 {
+        let start = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        start.elapsed().as_secs_f64() * 1e3 / reps as f64
+    }
+    // One warmup run each, which also sizes the batch.
+    let slower_ms = batch_ms(&mut a, 1).max(batch_ms(&mut b, 1));
+    let reps = (PAIRED_BATCH_MS / slower_ms.max(1e-6))
+        .ceil()
+        .clamp(1.0, 10_000.0) as usize;
+    let (mut a_ms, mut b_ms) = (Vec::new(), Vec::new());
+    for sample in 0..PAIRED_SAMPLES {
+        if sample % 2 == 0 {
+            a_ms.push(batch_ms(&mut a, reps));
+            b_ms.push(batch_ms(&mut b, reps));
+        } else {
+            b_ms.push(batch_ms(&mut b, reps));
+            a_ms.push(batch_ms(&mut a, reps));
+        }
+    }
+    let median = |mut samples: Vec<f64>| {
+        samples.sort_by(|x, y| x.partial_cmp(y).expect("finite sample"));
+        samples[samples.len() / 2]
+    };
+    (median(a_ms), median(b_ms))
 }
 
 fn median_ms<F: FnMut()>(mut f: F) -> f64 {
@@ -687,41 +729,49 @@ fn measure_pruning() -> Vec<PruningCell> {
         let estimator = Estimator::direct();
 
         let out = dot::optimize_with_pruning(&p, &prof, &cons, &estimator, true);
+        let (pruned_ms, unpruned_ms) = paired_median_ms(
+            || {
+                black_box(dot::optimize_with_pruning(
+                    &p, &prof, &cons, &estimator, true,
+                ));
+            },
+            || {
+                black_box(dot::optimize_with_pruning(
+                    &p, &prof, &cons, &estimator, false,
+                ));
+            },
+        );
         cells.push(PruningCell {
             family: (*family).to_owned(),
             solver: "dot".to_owned(),
             layouts_investigated: out.layouts_investigated,
             layouts_pruned: out.layouts_pruned,
-            median_ms_pruned: median_ms(|| {
-                black_box(dot::optimize_with_pruning(
-                    &p, &prof, &cons, &estimator, true,
-                ));
-            }),
-            median_ms_unpruned: Some(median_ms(|| {
-                black_box(dot::optimize_with_pruning(
-                    &p, &prof, &cons, &estimator, false,
-                ));
-            })),
+            median_ms_pruned: pruned_ms,
+            median_ms_unpruned: Some(unpruned_ms),
         });
 
         let space = (pool.len() as f64).powf(schema.object_count() as f64);
         if space <= ES_TIMED_LAYOUTS {
             let out = exhaustive::exhaustive_search_with_pruning(&p, &cons, &estimator, true);
+            let (pruned_ms, unpruned_ms) = paired_median_ms(
+                || {
+                    black_box(exhaustive::exhaustive_search_with_pruning(
+                        &p, &cons, &estimator, true,
+                    ));
+                },
+                || {
+                    black_box(exhaustive::exhaustive_search_with_pruning(
+                        &p, &cons, &estimator, false,
+                    ));
+                },
+            );
             cells.push(PruningCell {
                 family: (*family).to_owned(),
                 solver: "es".to_owned(),
                 layouts_investigated: out.layouts_investigated,
                 layouts_pruned: out.layouts_pruned,
-                median_ms_pruned: median_ms(|| {
-                    black_box(exhaustive::exhaustive_search_with_pruning(
-                        &p, &cons, &estimator, true,
-                    ));
-                }),
-                median_ms_unpruned: Some(median_ms(|| {
-                    black_box(exhaustive::exhaustive_search_with_pruning(
-                        &p, &cons, &estimator, false,
-                    ));
-                })),
+                median_ms_pruned: pruned_ms,
+                median_ms_unpruned: Some(unpruned_ms),
             });
         }
 

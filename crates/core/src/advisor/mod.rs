@@ -129,9 +129,9 @@ pub struct SolveContext<'s, 'a> {
     pub profile: &'s WorkloadProfile,
     /// Derived performance + capacity constraints, computed once.
     pub constraints: &'s Constraints,
-    /// The session's plan memo: every plan the session derives, keyed by
-    /// query and the placement of that query's own objects. Solvers that
-    /// re-profile (refinement) plan through it.
+    /// The session's plan memo: each query's compiled template, priced
+    /// under every layout the session looks at. Solvers that re-profile
+    /// (refinement) plan through it.
     pub plans: &'s PlanMemo<'a>,
     /// Maximum validation/refinement rounds for solvers that run the
     /// Figure 2 validation phase.
@@ -328,6 +328,20 @@ impl<'a> AdvisorBuilder<'a> {
         self.workload
             .validate(self.schema)
             .map_err(|reason| ProvisionError::InvalidRequest { reason })?;
+        let arity = dot_profiler::group_arity(self.schema);
+        if dot_profiler::baseline_count(self.pool.len(), arity)
+            .filter(|&n| n <= dot_profiler::MAX_BASELINE_LAYOUTS)
+            .is_none()
+        {
+            return Err(ProvisionError::InvalidRequest {
+                reason: format!(
+                    "profiling would enumerate {}^{arity} baseline layouts (limit {}); \
+                     use fewer storage classes or fewer indexes per table",
+                    self.pool.len(),
+                    dot_profiler::MAX_BASELINE_LAYOUTS
+                ),
+            });
+        }
         let required_gb = self.schema.total_size_gb();
         let available_gb: f64 = self.pool.capacity_vector().iter().sum();
         if required_gb > available_gb {
@@ -403,8 +417,8 @@ pub struct Advisor<'a> {
     /// The session's plan memo, created on first use (a session that never
     /// estimates, like a quiescent controller tick, never allocates one)
     /// and shared with [`with_sla`](Self::with_sla) and
-    /// [`with_cost_model`](Self::with_cost_model) siblings: plans depend on
-    /// neither SLA nor prices.
+    /// [`with_cost_model`](Self::with_cost_model) siblings: templates
+    /// depend on neither SLA nor prices.
     plans: OnceCell<Rc<PlanMemo<'a>>>,
 }
 
@@ -500,8 +514,8 @@ impl<'a> Advisor<'a> {
         view.memoized(self.plans())
     }
 
-    /// The session's plan memo (see [`dot_dbms::memo`]). Its maps are
-    /// allocated on the first planner call.
+    /// The session's plan memo (see [`dot_dbms::memo`]). Its templates
+    /// are compiled on the first planner call.
     pub fn plans(&self) -> &PlanMemo<'a> {
         self.plans.get_or_init(|| {
             let p = &self.problem;

@@ -135,6 +135,28 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_on_every_pool_profiles_within_the_baseline_bound() {
+        for preset in [
+            "tpch:1:original",
+            "tpch:1:modified",
+            "tpch-subset:1",
+            "tpcc:1",
+            "ycsb:1000:a",
+        ] {
+            let (schema, _) = database(preset).unwrap();
+            let arity = dot_profiler::group_arity(&schema);
+            for name in POOL_NAMES {
+                let classes = pool(name).unwrap().len();
+                let count = dot_profiler::baseline_count(classes, arity).unwrap();
+                assert!(
+                    count <= dot_profiler::MAX_BASELINE_LAYOUTS,
+                    "{preset} on {name}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn engine_defaults_follow_the_metric() {
         let (_, dss) = database("tpch-subset:1").unwrap();
         let (_, oltp) = database("tpcc:1").unwrap();

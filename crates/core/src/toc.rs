@@ -17,11 +17,11 @@
 //! previously computed [`TocEstimate`]); the conformance matrix in
 //! `tests/solver_conformance.rs` and the property suite assert exactly that.
 //!
-//! A session's [`Estimator`] also carries the session's
-//! [`PlanMemo`], so a cache miss plans each query once per placement of
-//! its own objects instead of re-planning the whole workload. Memoized
-//! estimates are bit-identical to [`estimate_toc`], which stays the
-//! memo-free reference (`tests/plan_memo_props.rs`).
+//! A session's [`Estimator`] also carries the session's [`PlanMemo`], so
+//! a cache miss prices each query's compiled template under the layout
+//! instead of planning the workload from scratch. Memoized estimates are
+//! bit-identical to [`estimate_toc`], which stays the memo-free reference
+//! (`tests/plan_memo_props.rs`).
 
 use crate::problem::Problem;
 use dot_dbms::memo::PlanMemo;
@@ -214,26 +214,22 @@ pub fn estimate_toc(problem: &Problem<'_>, layout: &Layout) -> TocEstimate {
     TocEstimate::from_run(problem, layout, run)
 }
 
-/// [`estimate_toc`] over memoized plans. Each plan's `est_time_ms` prices
-/// its ledger under a layout that agrees with `layout` on every object the
-/// ledger charges, so it is the very sum `exec::assemble` would compute,
-/// and the stream time accumulates in the same order: bit-identical.
+/// [`estimate_toc`] over the session's compiled templates: the choose
+/// step yields each query's `est_time_ms` — the very sum `exec::assemble`
+/// computes from the plan — and the stream time accumulates in the same
+/// order, so the estimate is bit-identical without materializing a plan.
 fn estimate_planned(problem: &Problem<'_>, layout: &Layout, plans: &PlanMemo<'_>) -> TocEstimate {
-    let n = problem.workload.queries.len();
-    let mut per_query_ms = Vec::with_capacity(n);
+    let (per_query_ms, plan_stats) = plans.estimate(layout);
     let mut stream_time_ms = 0.0;
-    let mut plan_stats = PlanStats::default();
-    for i in 0..n {
-        let plan = plans.plan(i, layout);
-        plan_stats.add(&plan);
-        per_query_ms.push(plan.est_time_ms);
-        stream_time_ms += plan.est_time_ms * plan.weight;
+    for (time_ms, q) in per_query_ms.iter().zip(&problem.workload.queries) {
+        stream_time_ms += time_ms * q.weight;
     }
     TocEstimate::from_times(problem, layout, stream_time_ms, per_query_ms, plan_stats)
 }
 
-/// [`measure_toc`] over memoized plans: the test run prices the same plans
-/// through the buffer pool, exactly as `exec::simulate_workload` does.
+/// [`measure_toc`] over the session's templates: the plans are
+/// materialized from them and the test run prices them through the buffer
+/// pool, exactly as `exec::simulate_workload` does.
 fn measure_planned(
     problem: &Problem<'_>,
     layout: &Layout,
@@ -382,17 +378,54 @@ impl ObjectiveBound {
 /// pool (prices, capacities, device profiles), workload, engine
 /// configuration, and cost model. The SLA is deliberately **excluded** —
 /// estimates do not depend on it, so SLA-sweep siblings share cache entries.
+///
+/// It hashes each component's serialized [`Value`](serde::Value) tree
+/// directly — numbers by their bits, every node tagged and every string and
+/// collection length-prefixed — so distinct inputs hash distinct streams
+/// without rendering any JSON text.
 pub fn problem_fingerprint(problem: &Problem<'_>) -> u64 {
-    // The vendored serde_json prints floats with shortest-round-trip
-    // precision, so distinct inputs serialize to distinct payloads.
-    let payload = serde_json::to_string(&(
-        (problem.schema, problem.pool),
-        (problem.workload, &problem.cfg, &problem.cost_model),
-    ))
-    .expect("problem components serialize");
     let mut hasher = DefaultHasher::new();
-    payload.hash(&mut hasher);
+    for component in [
+        problem.schema.to_value(),
+        problem.pool.to_value(),
+        problem.workload.to_value(),
+        problem.cfg.to_value(),
+        problem.cost_model.to_value(),
+    ] {
+        hash_value(&component, &mut hasher);
+    }
     hasher.finish()
+}
+
+fn hash_value(value: &serde::Value, hasher: &mut impl Hasher) {
+    use serde::Value;
+    match value {
+        Value::Null => hasher.write_u8(0),
+        Value::Bool(b) => hasher.write_u8(1 + u8::from(*b)),
+        Value::Number(n) => {
+            hasher.write_u8(3);
+            hasher.write_u64(n.to_bits());
+        }
+        Value::String(s) => {
+            hasher.write_u8(4);
+            s.hash(hasher);
+        }
+        Value::Array(items) => {
+            hasher.write_u8(5);
+            hasher.write_usize(items.len());
+            for item in items {
+                hash_value(item, hasher);
+            }
+        }
+        Value::Object(entries) => {
+            hasher.write_u8(6);
+            hasher.write_usize(entries.len());
+            for (key, item) in entries {
+                key.hash(hasher);
+                hash_value(item, hasher);
+            }
+        }
+    }
 }
 
 /// Snapshot of a [`CachedEstimator`]'s counters; serializable so fleet
@@ -644,9 +677,9 @@ impl<'c> Estimator<'c> {
     }
 
     /// [`measure_toc`] through the attached memo: a validation run prices
-    /// the session's memoized plans through the buffer pool. Never cached
-    /// (a measurement depends on its seed), and bit-identical to
-    /// [`measure_toc`].
+    /// plans chosen from the session's templates through the buffer pool.
+    /// Never cached (a measurement depends on its seed), and bit-identical
+    /// to [`measure_toc`].
     pub fn measure(&self, problem: &Problem<'_>, layout: &Layout, seed: u64) -> TocEstimate {
         match self.plans_for(problem) {
             Some(plans) => measure_planned(problem, layout, seed, plans),

@@ -121,8 +121,9 @@ pub fn simulate_workload(
 /// Price already-planned queries under `layout`: the shared pricing step of
 /// [`estimate_workload`] (`test_run: None`) and [`simulate_workload`]
 /// (`test_run: Some(seed)`, buffer pool and seeded noise engaged). Callers
-/// that hold plans already (a [`PlanMemo`](crate::memo::PlanMemo), the
-/// profiler) price them here instead of planning the layout again.
+/// that hold plans already (plans materialized from a
+/// [`PlanMemo`](crate::memo::PlanMemo)'s templates, the profiler) price
+/// them here instead of planning the layout again.
 pub fn assemble<P: Borrow<PlannedQuery>>(
     planned: &[P],
     schema: &Schema,

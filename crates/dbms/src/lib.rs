@@ -24,10 +24,12 @@
 //!   layout cost `C(L) = Σ p_j · S_j` (§2.1);
 //! * [`query`] — the query IR: left-deep join trees over filtered scans,
 //!   plus DML operations for OLTP transactions;
-//! * [`planner`] — cost-based physical planning per layout ([`plan`] holds
-//!   the chosen physical operators, [`cost`] the arithmetic);
-//! * [`memo`] — a per-session plan memo keyed by the placement of each
-//!   query's own objects, so a solve plans each query once per placement;
+//! * [`planner`] — cost-based physical planning per layout, in two steps:
+//!   compile a query's layout-free candidate ledgers once, then price them
+//!   under each layout ([`plan`] holds the chosen physical operators,
+//!   [`cost`] the arithmetic);
+//! * [`memo`] — a per-session plan memo holding each query's compiled
+//!   template, so a solve compiles once and afterwards only re-prices;
 //! * [`explain`] — EXPLAIN-style rendering of plans and per-object I/O;
 //! * [`exec`] — the execution simulator: turns a planned workload into
 //!   per-object I/O traces and elapsed time, optionally applying the

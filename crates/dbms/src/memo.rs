@@ -1,60 +1,55 @@
-//! A per-session plan memo: plan each query once per placement of its own
-//! objects.
+//! A per-session plan memo: compile each query once, then only re-price.
 //!
-//! Eq. 1 of the paper prices a query object by object, and the planner
-//! reads a layout only through the classes of the query's
-//! [footprint]. Every candidate layout a solve
-//! session looks at (profiling baselines, the DOT sweep, exhaustive search,
-//! validation) therefore re-derives the same per-query plans many times
-//! over: a layout change that moves one object re-plans only the queries
-//! that read it. [`PlanMemo`] keys each plan by `(query, mixed-radix code of
-//! its footprint's classes)` and hands back the memoized plan, bit-identical
-//! to what [`plan_query`] computes for that layout.
+//! Every candidate layout a solve session looks at (profiling baselines,
+//! the DOT sweep, exhaustive search, validation) asks for the same
+//! queries' plans under another placement. The candidates the planner
+//! chooses between never change with the layout — their ledgers are
+//! layout-free, and Eq. 1 only re-prices them — so [`PlanMemo`] compiles
+//! each query into a template on first use and answers every later
+//! request by pricing the template under the layout. Answers are
+//! bit-identical to [`plan_query`](crate::planner::plan_query)'s, which is
+//! itself compile then choose.
 //!
 //! The memo binds the session's planner inputs (queries, schema, pool,
-//! engine configuration), so a lookup only needs the query index and the
-//! layout. It grows for the life of its session and is dropped with it.
+//! engine configuration), so a request only needs the layout. It is
+//! dropped with its session.
 
 use crate::config::EngineConfig;
 use crate::layout::Layout;
-use crate::object::ObjectId;
-use crate::plan::PlannedQuery;
-use crate::planner::{footprint, plan_query};
+use crate::plan::{PlanStats, PlannedQuery};
+use crate::planner::{compile, Latencies, QueryTemplate};
 use crate::query::QuerySpec;
 use crate::schema::Schema;
 use dot_storage::StoragePool;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
-/// Memoized planning for one session's workload. `Sync`: the per-query
-/// maps are independently locked shards, and planning happens outside the
-/// lock, so exhaustive search's scoped workers share one memo without
-/// serializing. Two workers missing on the same key both plan it (the
-/// plans are identical) and the first insert wins.
+/// Compiled planning for one session's workload. `Sync`: once compiled,
+/// the templates are read-only, so exhaustive search's scoped workers
+/// share one template set without locking.
 pub struct PlanMemo<'a> {
     queries: &'a [QuerySpec],
     schema: &'a Schema,
     pool: &'a StoragePool,
     cfg: EngineConfig,
-    /// Footprints and maps, built on the first planner call so a session
-    /// that never plans allocates nothing here.
-    state: OnceLock<MemoState>,
+    /// Templates and the pool's service-time table, built on the first
+    /// request so a session that never plans compiles nothing.
+    compiled: OnceLock<Compiled>,
 }
 
-struct MemoState {
-    /// Per query: its footprint, or `None` when the footprint's code would
-    /// overflow the `u64` key (that query is planned directly every time).
-    footprints: Vec<Option<Vec<ObjectId>>>,
-    /// Per query: footprint code → plan. One lock per query is the shard.
-    plans: Vec<Mutex<PlansByCode>>,
+struct Compiled {
+    templates: Vec<QueryTemplate>,
+    latencies: Latencies,
 }
 
-type PlansByCode = HashMap<u64, Arc<PlannedQuery>, BuildHasherDefault<CodeHasher>>;
+/// A layout's plan choices over the whole workload: one code per access
+/// path and join decision. Two layouts of one session share a key exactly
+/// when every query's plans have [`PlannedQuery::same_choices`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ChoiceKey(Vec<u8>);
 
 impl<'a> PlanMemo<'a> {
     /// A memo over `queries` planned against `schema`, `pool` and `cfg`.
-    /// Allocates nothing until the first [`plan`](Self::plan).
+    /// Compiles nothing until the first request.
     pub fn new(
         queries: &'a [QuerySpec],
         schema: &'a Schema,
@@ -66,7 +61,7 @@ impl<'a> PlanMemo<'a> {
             schema,
             pool,
             cfg: *cfg,
-            state: OnceLock::new(),
+            compiled: OnceLock::new(),
         }
     }
 
@@ -87,7 +82,7 @@ impl<'a> PlanMemo<'a> {
 
     /// Whether this memo was built over exactly these planner inputs (the
     /// same instances, and an equal engine configuration), so its plans
-    /// may stand in for [`plan_query`]'s.
+    /// may stand in for [`plan_query`](crate::planner::plan_query)'s.
     pub fn serves(
         &self,
         queries: &[QuerySpec],
@@ -101,82 +96,57 @@ impl<'a> PlanMemo<'a> {
             && self.cfg == *cfg
     }
 
-    /// The plan of query `index` under `layout`: bit-identical to
-    /// [`plan_query`]`(&queries[index], schema, layout, pool, cfg)`.
-    pub fn plan(&self, index: usize, layout: &Layout) -> Arc<PlannedQuery> {
-        let state = self.state.get_or_init(|| self.build_state());
-        let Some(code) = state.footprints[index]
-            .as_deref()
-            .and_then(|objects| footprint_code(objects, layout, self.pool.len()))
-        else {
-            return Arc::new(self.plan_directly(index, layout));
-        };
-        let shard = &state.plans[index];
-        if let Some(hit) = shard.lock().expect("plan memo lock").get(&code) {
-            return Arc::clone(hit);
-        }
-        let planned = Arc::new(self.plan_directly(index, layout));
-        Arc::clone(
-            shard
-                .lock()
-                .expect("plan memo lock")
-                .entry(code)
-                .or_insert(planned),
-        )
-    }
-
-    /// Every query's plan under `layout`, in workload order.
-    pub fn plan_workload(&self, layout: &Layout) -> Vec<Arc<PlannedQuery>> {
-        (0..self.queries.len())
-            .map(|i| self.plan(i, layout))
+    /// Every query's plan under `layout`, in workload order: bit-identical
+    /// to [`plan_workload`](crate::planner::plan_workload)'s.
+    pub fn plan_workload(&self, layout: &Layout) -> Vec<PlannedQuery> {
+        let compiled = self.compiled();
+        compiled
+            .templates
+            .iter()
+            .map(|t| t.plan(&compiled.latencies, layout))
             .collect()
     }
 
-    /// Memoized plans currently held, over all queries.
-    pub fn len(&self) -> usize {
-        self.state.get().map_or(0, |state| {
-            state
-                .plans
-                .iter()
-                .map(|shard| shard.lock().expect("plan memo lock").len())
-                .sum()
-        })
-    }
-
-    /// True while no plan is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn plan_directly(&self, index: usize, layout: &Layout) -> PlannedQuery {
-        plan_query(
-            &self.queries[index],
-            self.schema,
-            layout,
-            self.pool,
-            &self.cfg,
-        )
-    }
-
-    fn build_state(&self) -> MemoState {
-        let radix = self.pool.len() as u64;
-        let footprints = self
-            .queries
+    /// What an estimate needs from the plans under `layout`, without
+    /// materializing them: every query's `est_time_ms`, in workload order,
+    /// and the plans' summed [`PlanStats`].
+    pub fn estimate(&self, layout: &Layout) -> (Vec<f64>, PlanStats) {
+        let compiled = self.compiled();
+        let mut slots = Vec::new();
+        let mut stats = PlanStats::default();
+        let times = compiled
+            .templates
             .iter()
-            .map(|q| {
-                let objects = footprint(q, self.schema, &self.cfg);
-                // Every code is below radix^len, so a footprint whose
-                // placements all fit in a u64 can never overflow its key.
-                u32::try_from(objects.len())
-                    .ok()
-                    .and_then(|len| radix.checked_pow(len))
-                    .map(|_| objects)
-            })
+            .map(|t| t.estimate(&compiled.latencies, layout, &mut slots, &mut stats))
             .collect();
-        MemoState {
-            footprints,
-            plans: self.queries.iter().map(|_| Mutex::default()).collect(),
+        (times, stats)
+    }
+
+    /// The plan choices every query makes under `layout`.
+    pub fn choice_key(&self, layout: &Layout) -> ChoiceKey {
+        let compiled = self.compiled();
+        let mut slots = Vec::new();
+        let mut codes = Vec::new();
+        for t in &compiled.templates {
+            t.choice_codes(&compiled.latencies, layout, &mut slots, &mut codes);
         }
+        ChoiceKey(codes)
+    }
+
+    /// Whether the templates have been compiled (by a first request).
+    pub fn is_compiled(&self) -> bool {
+        self.compiled.get().is_some()
+    }
+
+    fn compiled(&self) -> &Compiled {
+        self.compiled.get_or_init(|| Compiled {
+            templates: self
+                .queries
+                .iter()
+                .map(|q| compile(q, self.schema, &self.cfg))
+                .collect(),
+            latencies: Latencies::new(self.pool, self.cfg.concurrency),
+        })
     }
 }
 
@@ -184,87 +154,43 @@ impl std::fmt::Debug for PlanMemo<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanMemo")
             .field("queries", &self.queries.len())
-            .field("plans", &self.len())
+            .field("compiled", &self.is_compiled())
             .finish()
-    }
-}
-
-/// The mixed-radix code `Σ_k class(o_k) · radix^k` of the footprint's
-/// placement under `layout`, or `None` when some class id lies outside the
-/// pool (a foreign layout is planned directly, never keyed).
-fn footprint_code(objects: &[ObjectId], layout: &Layout, radix: usize) -> Option<u64> {
-    let mut code = 0u64;
-    for &object in objects.iter().rev() {
-        let class = layout.class_of(object).0;
-        if class >= radix {
-            return None;
-        }
-        code = code * radix as u64 + class as u64;
-    }
-    Some(code)
-}
-
-/// Hasher for footprint codes: one splitmix64 finalizer round over the
-/// `u64` key, cheap and well mixed in both the bits `HashMap` indexes by
-/// and the bits it tags with.
-#[derive(Default)]
-struct CodeHasher(u64);
-
-impl Hasher for CodeHasher {
-    fn finish(&self) -> u64 {
-        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{range_query, two_table_schema};
-    use dot_storage::{catalog, ClassId};
+    use crate::planner::plan_query;
+    use crate::testkit::{probe_join_query, range_query, two_table_schema};
+    use dot_storage::catalog;
 
     #[test]
     fn memoized_plans_match_the_planner_and_are_shared() {
         let schema = two_table_schema();
         let pool = catalog::box2();
         let cfg = EngineConfig::dss();
-        let queries = vec![range_query(&schema, 0.002), range_query(&schema, 0.3)];
+        let queries = vec![
+            range_query(&schema, 0.002),
+            range_query(&schema, 0.3),
+            probe_join_query(&schema, 0.001),
+        ];
         let memo = PlanMemo::new(&queries, &schema, &pool, &cfg);
-        assert!(memo.is_empty(), "lazy until the first plan");
+        assert!(!memo.is_compiled(), "lazy until the first request");
         for class in pool.ids() {
             let layout = Layout::uniform(class, schema.object_count());
+            let (times, stats) = memo.estimate(&layout);
+            let plans = memo.plan_workload(&layout);
+            let mut want_stats = PlanStats::default();
             for (i, q) in queries.iter().enumerate() {
                 let direct = plan_query(q, &schema, &layout, &pool, &cfg);
-                assert_eq!(*memo.plan(i, &layout), direct);
-                assert_eq!(*memo.plan(i, &layout), direct, "hit path");
+                assert_eq!(times[i].to_bits(), direct.est_time_ms.to_bits());
+                want_stats.add(&direct);
+                assert_eq!(plans[i], direct);
             }
+            assert_eq!(stats, want_stats);
         }
-        assert_eq!(memo.len(), queries.len() * pool.len());
-    }
-
-    #[test]
-    fn codes_are_distinct_per_placement_and_reject_foreign_classes() {
-        let objects = [ObjectId(0), ObjectId(2)];
-        let mut seen = std::collections::HashSet::new();
-        for a in 0..3 {
-            for b in 0..3 {
-                let layout = Layout::from_assignment(vec![ClassId(a), ClassId(0), ClassId(b)]);
-                assert!(seen.insert(footprint_code(&objects, &layout, 3).unwrap()));
-            }
-        }
-        let foreign = Layout::from_assignment(vec![ClassId(3), ClassId(0), ClassId(0)]);
-        assert_eq!(footprint_code(&objects, &foreign, 3), None);
+        assert!(memo.is_compiled());
     }
 }

@@ -14,6 +14,19 @@
 //!   the temp object) vs. indexed nested-loop join (per-probe random reads
 //!   against the inner's index and heap).
 //!
+//! Planning runs in two steps. Every candidate's ledger is layout-free
+//! ([`crate::cost`]): only Eq. 1's per-class service times change with the
+//! layout. So `compile` derives, once per query, everything that does not
+//! depend on the layout — each scan's sequential and index candidate
+//! ledgers, each join's hash ledger per inner access path and its INLJ
+//! ledger, the sort, aggregate and spill charges, the DML ledgers, and the
+//! row counts, widths, B+-tree heights and Yao estimates they are built
+//! from — into a `QueryTemplate`. The template's choose step prices those
+//! candidates under a layout and keeps the cheaper one at each decision.
+//! [`plan_query`] is compile then choose, so the cost model exists once; a
+//! [`PlanMemo`](crate::memo::PlanMemo) compiles each query once per session
+//! and afterwards only re-prices.
+//!
 //! The planner deliberately ignores buffer caching when estimating, like the
 //! paper ("we do not analyze the effect of cached data in the buffer pool");
 //! the execution simulator layers caching on top for test runs.
@@ -24,9 +37,9 @@ use crate::layout::Layout;
 use crate::object::ObjectId;
 use crate::plan::{AccessPath, JoinAlgo, PlanStats, PlannedQuery};
 use crate::query::{InsertOp, JoinSpec, Op, QuerySpec, ReadOp, Rel, ScanSpec, UpdateOp};
-use crate::schema::Schema;
+use crate::schema::{IndexId, Schema, TableId};
 use crate::PAGE_BYTES;
-use dot_storage::{IoType, StoragePool};
+use dot_storage::{ClassId, IoCounts, IoType, StoragePool};
 
 /// Heap-order correlation above which index-driven heap fetches are costed
 /// as sequential rather than random.
@@ -41,33 +54,7 @@ pub fn plan_query(
     pool: &StoragePool,
     cfg: &EngineConfig,
 ) -> PlannedQuery {
-    let mut cost = CostVector::zero(schema.object_count());
-    let mut paths = Vec::new();
-    let mut joins = Vec::new();
-    let mut spilled = false;
-    for op in &q.ops {
-        match op {
-            Op::Read(r) => {
-                let plan = plan_read(r, schema, layout, pool, cfg);
-                cost.absorb(&plan.cost);
-                paths.extend(plan.paths);
-                joins.extend(plan.joins);
-                spilled |= plan.spilled;
-            }
-            Op::Insert(ins) => cost.absorb(&cost_insert(ins, schema, cfg)),
-            Op::Update(upd) => cost.absorb(&cost_update(upd, schema, cfg)),
-        }
-    }
-    let est_time_ms = cost.time_ms(layout, pool, cfg.concurrency);
-    PlannedQuery {
-        name: q.name.clone(),
-        access_paths: paths,
-        joins,
-        spilled,
-        cost,
-        est_time_ms,
-        weight: q.weight,
-    }
+    compile(q, schema, cfg).plan(&Latencies::new(pool, cfg.concurrency), layout)
 }
 
 /// Plan every query of a workload stream under `layout`.
@@ -78,92 +65,11 @@ pub fn plan_workload(
     pool: &StoragePool,
     cfg: &EngineConfig,
 ) -> Vec<PlannedQuery> {
+    let latencies = Latencies::new(pool, cfg.concurrency);
     queries
         .iter()
-        .map(|q| plan_query(q, schema, layout, pool, cfg))
+        .map(|q| compile(q, schema, cfg).plan(&latencies, layout))
         .collect()
-}
-
-/// The query's *footprint*: every object whose storage class
-/// [`plan_query`] can read, in ascending id order. That is each scanned
-/// table and its usable index, a join's inner index and heap, the temp
-/// object when a sort or hash-join build exceeds `work_mem`, and the
-/// indexes and log a DML operation maintains.
-///
-/// Plan choice and cost depend on the layout only through the classes of
-/// these objects (every candidate's I/O is charged to them, and pricing
-/// skips objects with zero counts), so two layouts that agree on the
-/// footprint yield the same [`PlannedQuery`] bit for bit. This is what
-/// lets [`crate::memo::PlanMemo`] plan a query once per placement of its
-/// own objects (Eq. 1 prices a query object by object).
-pub fn footprint(q: &QuerySpec, schema: &Schema, cfg: &EngineConfig) -> Vec<ObjectId> {
-    let mut objects = Vec::new();
-    let temp = schema.temp_object().map(|t| t.id);
-    for op in &q.ops {
-        match op {
-            Op::Read(r) => {
-                rel_footprint(&r.rel, schema, cfg, &mut objects);
-                if sort_spills(r, cfg) {
-                    objects.extend(temp);
-                }
-            }
-            Op::Insert(ins) => {
-                objects.push(schema.table(ins.table).object);
-                objects.extend(schema.indexes_of(ins.table).map(|idx| idx.object));
-                objects.extend(schema.log_object().map(|log| log.id));
-            }
-            Op::Update(upd) => {
-                objects.extend(upd.via.map(|idx| schema.index(idx).object));
-                objects.push(schema.table(upd.table).object);
-                if upd.updates_indexed_key {
-                    objects.extend(schema.primary_index_of(upd.table).map(|pk| pk.object));
-                }
-                objects.extend(schema.log_object().map(|log| log.id));
-            }
-        }
-    }
-    objects.sort_unstable();
-    objects.dedup();
-    objects
-}
-
-fn rel_footprint(rel: &Rel, schema: &Schema, cfg: &EngineConfig, objects: &mut Vec<ObjectId>) {
-    let scan_footprint = |scan: &ScanSpec, objects: &mut Vec<ObjectId>| {
-        objects.push(schema.table(scan.table).object);
-        objects.extend(scan.index.map(|idx| schema.index(idx).object));
-    };
-    match rel {
-        Rel::Scan(scan) => scan_footprint(scan, objects),
-        Rel::Join(join) => {
-            rel_footprint(&join.outer, schema, cfg, objects);
-            // Both join candidates are always costed: the hash join reads
-            // the inner through its own best access path (and may spill),
-            // the INLJ probes the inner index and fetches from its heap.
-            scan_footprint(&join.inner, objects);
-            if hash_build_spills(join, schema, cfg) {
-                objects.extend(schema.temp_object().map(|t| t.id));
-            }
-            objects.extend(join.inner_index.map(|idx| schema.index(idx).object));
-        }
-    }
-}
-
-/// Whether an operator holding `bytes` overflows `work_mem` and must spill
-/// to the temp object (when the schema declares one).
-fn exceeds_work_mem(bytes: f64, cfg: &EngineConfig) -> bool {
-    bytes > cfg.work_mem_gb * 1e9
-}
-
-/// Whether a hash join's build side (the filtered inner) spills: its rows
-/// are the inner scan's output rows whichever access path reads them.
-fn hash_build_spills(join: &JoinSpec, schema: &Schema, cfg: &EngineConfig) -> bool {
-    let inner = schema.table(join.inner.table);
-    exceeds_work_mem(inner.rows * join.inner.selectivity * inner.row_bytes, cfg)
-}
-
-/// Whether a read's top-level sort spills (external merge).
-fn sort_spills(r: &ReadOp, cfg: &EngineConfig) -> bool {
-    r.sort_rows > 1.0 && exceeds_work_mem(r.sort_rows * r.sort_row_bytes, cfg)
 }
 
 /// Aggregate plan statistics (INLJ share etc.) over planned queries.
@@ -175,165 +81,605 @@ pub fn workload_plan_stats(planned: &[PlannedQuery]) -> PlanStats {
     stats
 }
 
-/// Intermediate result of planning a relational subtree.
-struct RelPlan {
-    cost: CostVector,
-    rows: f64,
-    row_bytes: f64,
-    paths: Vec<(crate::schema::TableId, AccessPath)>,
-    joins: Vec<JoinAlgo>,
+/// Every class's per-pattern service time (ms per I/O) at one degree of
+/// concurrency: the τ of Eq. 1 that the choose step prices ledgers with.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Latencies {
+    /// Indexed by `ClassId`, then by [`IoType::index`].
+    per_class: Vec<[f64; 4]>,
+}
+
+impl Latencies {
+    /// The pool's service times at `concurrency`.
+    pub(crate) fn new(pool: &StoragePool, concurrency: u32) -> Latencies {
+        Latencies {
+            per_class: pool
+                .classes()
+                .iter()
+                .map(|c| c.profile.latencies(concurrency))
+                .collect(),
+        }
+    }
+
+    /// `IoProfile::service_time_ms` of `counts` on `class`, from the table.
+    fn time_ms(&self, class: ClassId, counts: &IoCounts) -> f64 {
+        counts.time_ms(&self.per_class[class.0])
+    }
+}
+
+/// A layout-free cost ledger over the few objects one candidate charges: a
+/// run of its template's charges, one per object in ascending id order,
+/// plus CPU milliseconds. It is charged with the same `+=` steps a dense
+/// [`CostVector`] sees, so every entry equals that vector's bit for bit.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ledger {
+    /// `charges[start..end]` of the owning template.
+    start: usize,
+    end: usize,
+    cpu_ms: f64,
+}
+
+/// One object's counts within a [`Ledger`].
+#[derive(Debug, Clone, Copy)]
+struct Charge {
+    object: ObjectId,
+    /// Position of `object` in its template's object list.
+    slot: usize,
+    counts: IoCounts,
+}
+
+impl Ledger {
+    /// Eq. 1 under `layout`, summed exactly as [`CostVector::time_ms`]
+    /// sums it: objects in ascending id order, all-zero counts skipped, CPU
+    /// added last.
+    fn time_ms(self, charges: &[Charge], latencies: &Latencies, layout: &Layout) -> f64 {
+        let mut total = 0.0;
+        for c in &charges[self.start..self.end] {
+            if c.counts.is_zero() {
+                continue;
+            }
+            total += latencies.time_ms(layout.class_of(c.object), &c.counts);
+        }
+        total + self.cpu_ms
+    }
+
+    /// [`CostVector::absorb`] into a slot buffer: objects this ledger does
+    /// not charge would only have `+0.0` added, which changes no value.
+    fn absorb_into(self, charges: &[Charge], slots: &mut [IoCounts], cpu_ms: &mut f64) {
+        for c in &charges[self.start..self.end] {
+            slots[c.slot] += c.counts;
+        }
+        *cpu_ms += self.cpu_ms;
+    }
+}
+
+/// Builds one [`Ledger`] at the end of a template's charge list, so a
+/// whole query's ledgers share one allocation.
+struct LedgerBuilder<'c> {
+    charges: &'c mut Vec<Charge>,
+    start: usize,
+    cpu_ms: f64,
+}
+
+impl<'c> LedgerBuilder<'c> {
+    /// An empty ledger.
+    fn new(charges: &'c mut Vec<Charge>) -> LedgerBuilder<'c> {
+        let start = charges.len();
+        LedgerBuilder {
+            charges,
+            start,
+            cpu_ms: 0.0,
+        }
+    }
+
+    /// A copy of `base`, to be charged further.
+    fn extend(charges: &'c mut Vec<Charge>, base: Ledger) -> LedgerBuilder<'c> {
+        let start = charges.len();
+        charges.extend_from_within(base.start..base.end);
+        LedgerBuilder {
+            charges,
+            start,
+            cpu_ms: base.cpu_ms,
+        }
+    }
+
+    fn charge(&mut self, object: ObjectId, io: IoType, count: f64) {
+        let own = &self.charges[self.start..];
+        let at = self.start
+            + match own.binary_search_by_key(&object, |c| c.object) {
+                Ok(at) => at,
+                Err(at) => {
+                    let fresh = Charge {
+                        object,
+                        slot: 0,
+                        counts: IoCounts::ZERO,
+                    };
+                    self.charges.insert(self.start + at, fresh);
+                    at
+                }
+            };
+        self.charges[at].counts[io] += count;
+    }
+
+    fn charge_cpu_ms(&mut self, ms: f64) {
+        self.cpu_ms += ms;
+    }
+
+    fn finish(self) -> Ledger {
+        Ledger {
+            start: self.start,
+            end: self.charges.len(),
+            cpu_ms: self.cpu_ms,
+        }
+    }
+}
+
+/// A base-table scan's candidates: the sequential scan, and the index scan
+/// when the spec names a usable index.
+#[derive(Debug, Clone)]
+struct ScanTemplate {
+    table: TableId,
+    seq: Ledger,
+    index: Option<(IndexId, Ledger)>,
+}
+
+impl ScanTemplate {
+    /// The access path that runs under `layout`, with its ledger: the index
+    /// scan only when it is strictly cheaper.
+    fn choose(
+        &self,
+        charges: &[Charge],
+        latencies: &Latencies,
+        layout: &Layout,
+    ) -> (AccessPath, Ledger) {
+        match self.index {
+            Some((idx, index))
+                if index.time_ms(charges, latencies, layout)
+                    < self.seq.time_ms(charges, latencies, layout) =>
+            {
+                (AccessPath::IndexScan(idx), index)
+            }
+            _ => (AccessPath::SeqScan, self.seq),
+        }
+    }
+}
+
+/// A join's candidates.
+#[derive(Debug, Clone)]
+struct JoinTemplate {
+    /// The inner scan, whose own cheaper path the hash join reads it by.
+    inner: ScanTemplate,
+    /// The hash join's ledger when the inner is read sequentially, and
+    /// when it is read through its index (empty without an index).
+    hash: [Ledger; 2],
+    /// Whether the hash join partitions both sides to the temp object.
+    hash_spills: bool,
+    /// The indexed nested-loop join, when the inner join key is indexed.
+    inlj: Option<(IndexId, Ledger)>,
+}
+
+/// A read: a left-deep join tree plus its top-level aggregate and sort.
+#[derive(Debug, Clone)]
+struct ReadTemplate {
+    base: ScanTemplate,
+    /// Joins in execution order, innermost first.
+    joins: Vec<JoinTemplate>,
+    agg_cpu_ms: Option<f64>,
+    sort_cpu_ms: Option<f64>,
+    /// An external merge sort's temp-object charges.
+    sort_spill: Option<Ledger>,
+}
+
+impl ReadTemplate {
+    /// Add the chosen candidates into `op`, in the recursive planner's
+    /// order: the base scan, each join's cheaper candidate, then the
+    /// aggregate and sort charges. Returns whether a chosen operator spills.
+    fn choose(
+        &self,
+        charges: &[Charge],
+        latencies: &Latencies,
+        layout: &Layout,
+        op: &mut [IoCounts],
+        cpu_ms: &mut f64,
+        pick: &mut impl FnMut(TableId, AccessPath, Option<JoinAlgo>),
+    ) -> bool {
+        let (path, ledger) = self.base.choose(charges, latencies, layout);
+        ledger.absorb_into(charges, op, cpu_ms);
+        pick(self.base.table, path, None);
+        let mut spilled = false;
+        for join in &self.joins {
+            let (path, _) = join.inner.choose(charges, latencies, layout);
+            let hash = join.hash[usize::from(path != AccessPath::SeqScan)];
+            match join.inlj {
+                Some((idx, inlj))
+                    if inlj.time_ms(charges, latencies, layout)
+                        < hash.time_ms(charges, latencies, layout) =>
+                {
+                    inlj.absorb_into(charges, op, cpu_ms);
+                    // The INLJ reads the inner purely through its index;
+                    // the inner scan's access path is the index probe.
+                    let path = AccessPath::IndexScan(idx);
+                    pick(join.inner.table, path, Some(JoinAlgo::IndexedNlj));
+                }
+                _ => {
+                    hash.absorb_into(charges, op, cpu_ms);
+                    pick(join.inner.table, path, Some(JoinAlgo::Hash));
+                    spilled |= join.hash_spills;
+                }
+            }
+        }
+        if let Some(ms) = self.agg_cpu_ms {
+            *cpu_ms += ms;
+        }
+        if let Some(ms) = self.sort_cpu_ms {
+            *cpu_ms += ms;
+        }
+        if let Some(spill) = self.sort_spill {
+            spill.absorb_into(charges, op, cpu_ms);
+            spilled = true;
+        }
+        spilled
+    }
+}
+
+#[derive(Debug, Clone)]
+enum OpTemplate {
+    Read(ReadTemplate),
+    /// An insert or update: one fixed ledger.
+    Write(Ledger),
+}
+
+/// A query compiled for one schema and engine configuration: every
+/// candidate ledger the planner can choose between, ready to be priced
+/// under any layout. See the [module docs](self).
+#[derive(Debug, Clone)]
+pub(crate) struct QueryTemplate {
+    name: String,
+    weight: f64,
+    ops: Vec<OpTemplate>,
+    /// Every ledger's charges, each ledger a contiguous run.
+    charges: Vec<Charge>,
+    /// Every object some candidate charges, ascending: the slots chosen
+    /// ledgers are summed into.
+    objects: Vec<ObjectId>,
+    /// Objects in the schema, the length of a dense ledger.
+    object_count: usize,
+}
+
+/// What the choose step leaves beside the summed I/O slots.
+struct Chosen {
+    cpu_ms: f64,
     spilled: bool,
 }
 
-fn plan_read(
+/// Compile `q` against `schema` and `cfg` into its layout-free template.
+pub(crate) fn compile(q: &QuerySpec, schema: &Schema, cfg: &EngineConfig) -> QueryTemplate {
+    let mut charges = Vec::new();
+    let ops = q
+        .ops
+        .iter()
+        .map(|op| match op {
+            Op::Read(r) => OpTemplate::Read(compile_read(r, schema, cfg, &mut charges)),
+            Op::Insert(ins) => OpTemplate::Write(cost_insert(ins, schema, cfg, &mut charges)),
+            Op::Update(upd) => OpTemplate::Write(cost_update(upd, schema, cfg, &mut charges)),
+        })
+        .collect();
+    let mut objects: Vec<ObjectId> = charges.iter().map(|c| c.object).collect();
+    objects.sort_unstable();
+    objects.dedup();
+    for c in &mut charges {
+        c.slot = objects.binary_search(&c.object).unwrap_or_default();
+    }
+    QueryTemplate {
+        name: q.name.clone(),
+        weight: q.weight,
+        ops,
+        charges,
+        objects,
+        object_count: schema.object_count(),
+    }
+}
+
+impl QueryTemplate {
+    /// The query's plan under `layout`: the same [`PlannedQuery`], bit for
+    /// bit, as planning it from scratch there.
+    pub(crate) fn plan(&self, latencies: &Latencies, layout: &Layout) -> PlannedQuery {
+        let mut slots = Vec::new();
+        let mut access_paths = Vec::new();
+        let mut joins = Vec::new();
+        let chosen = self.choose(latencies, layout, &mut slots, |table, path, join| {
+            access_paths.push((table, path));
+            joins.extend(join);
+        });
+        let mut cost = CostVector::zero(self.object_count);
+        for (object, counts) in self.objects.iter().zip(&slots) {
+            cost.io[object.0] = *counts;
+        }
+        cost.cpu_ms = chosen.cpu_ms;
+        PlannedQuery {
+            name: self.name.clone(),
+            access_paths,
+            joins,
+            spilled: chosen.spilled,
+            est_time_ms: self.price(latencies, layout, &slots, chosen.cpu_ms),
+            cost,
+            weight: self.weight,
+        }
+    }
+
+    /// The plan's `est_time_ms` under `layout`, without materializing the
+    /// plan; its [`PlanStats`] are added into `stats`. `slots` is reusable
+    /// scratch.
+    pub(crate) fn estimate(
+        &self,
+        latencies: &Latencies,
+        layout: &Layout,
+        slots: &mut Vec<IoCounts>,
+        stats: &mut PlanStats,
+    ) -> f64 {
+        let chosen = self.choose(latencies, layout, slots, |_, path, join| {
+            stats.scans += 1;
+            stats.index_scans += usize::from(matches!(path, AccessPath::IndexScan(_)));
+            stats.joins += usize::from(join.is_some());
+            stats.inlj += usize::from(join == Some(JoinAlgo::IndexedNlj));
+        });
+        self.price(latencies, layout, slots, chosen.cpu_ms)
+    }
+
+    /// Append one code per decision the plan under `layout` makes (access
+    /// path, join algorithm). Two layouts append equal codes exactly when
+    /// their plans have [`PlannedQuery::same_choices`]: the spill flag
+    /// follows from the choices.
+    pub(crate) fn choice_codes(
+        &self,
+        latencies: &Latencies,
+        layout: &Layout,
+        slots: &mut Vec<IoCounts>,
+        codes: &mut Vec<u8>,
+    ) {
+        self.choose(latencies, layout, slots, |_, path, join| {
+            let index = u8::from(matches!(path, AccessPath::IndexScan(_)));
+            let inlj = u8::from(join == Some(JoinAlgo::IndexedNlj));
+            codes.push(index | inlj << 1);
+        });
+    }
+
+    /// The choose step: price every decision's candidates under `layout`,
+    /// report each pick, and sum the chosen ledgers into `slots[..n]` (and
+    /// the returned CPU time) with the recursive planner's nesting — each
+    /// read op is summed on its own, then added into the query's total —
+    /// because float addition is not associative.
+    fn choose(
+        &self,
+        latencies: &Latencies,
+        layout: &Layout,
+        slots: &mut Vec<IoCounts>,
+        mut pick: impl FnMut(TableId, AccessPath, Option<JoinAlgo>),
+    ) -> Chosen {
+        let n = self.objects.len();
+        slots.clear();
+        slots.resize(2 * n, IoCounts::ZERO);
+        let (query, op) = slots.split_at_mut(n);
+        let mut chosen = Chosen {
+            cpu_ms: 0.0,
+            spilled: false,
+        };
+        let charges = &self.charges;
+        for template in &self.ops {
+            match template {
+                OpTemplate::Write(ledger) => {
+                    ledger.absorb_into(charges, query, &mut chosen.cpu_ms);
+                }
+                OpTemplate::Read(read) => {
+                    op.fill(IoCounts::ZERO);
+                    let mut op_cpu_ms = 0.0;
+                    chosen.spilled |=
+                        read.choose(charges, latencies, layout, op, &mut op_cpu_ms, &mut pick);
+                    for (total, counts) in query.iter_mut().zip(op.iter()) {
+                        *total += *counts;
+                    }
+                    chosen.cpu_ms += op_cpu_ms;
+                }
+            }
+        }
+        slots.truncate(n);
+        chosen
+    }
+
+    /// Eq. 1 over the summed slots: [`CostVector::time_ms`] of the chosen
+    /// plan's ledger.
+    fn price(
+        &self,
+        latencies: &Latencies,
+        layout: &Layout,
+        slots: &[IoCounts],
+        cpu_ms: f64,
+    ) -> f64 {
+        let mut total = 0.0;
+        for (object, counts) in self.objects.iter().zip(slots) {
+            if counts.is_zero() {
+                continue;
+            }
+            total += latencies.time_ms(layout.class_of(*object), counts);
+        }
+        total + cpu_ms
+    }
+}
+
+/// Whether an operator holding `bytes` overflows `work_mem` and must spill
+/// to the temp object (when the schema declares one).
+fn exceeds_work_mem(bytes: f64, cfg: &EngineConfig) -> bool {
+    bytes > cfg.work_mem_gb * 1e9
+}
+
+/// A relational subtree's template and its output shape.
+struct RelTemplate {
+    base: ScanTemplate,
+    joins: Vec<JoinTemplate>,
+    rows: f64,
+    row_bytes: f64,
+}
+
+fn compile_read(
     r: &ReadOp,
     schema: &Schema,
-    layout: &Layout,
-    pool: &StoragePool,
     cfg: &EngineConfig,
-) -> RelPlan {
-    let mut plan = plan_rel(&r.rel, schema, layout, pool, cfg);
+    charges: &mut Vec<Charge>,
+) -> ReadTemplate {
+    let rel = compile_rel(&r.rel, schema, cfg, charges);
     // Top-level aggregate: CPU only.
-    if r.agg_rows > 0.0 {
-        plan.cost.charge_cpu_ms(r.agg_rows * cfg.cpu.agg_ns * 1e-6);
-    }
+    let agg_cpu_ms = (r.agg_rows > 0.0).then_some(r.agg_rows * cfg.cpu.agg_ns * 1e-6);
     // Top-level sort: external merge if it exceeds work_mem and a temp
     // object exists to spill into.
+    let mut sort_cpu_ms = None;
+    let mut sort_spill = None;
     if r.sort_rows > 1.0 {
         let n = r.sort_rows;
-        plan.cost
-            .charge_cpu_ms(n * n.log2().max(1.0) * cfg.cpu.sort_ns * 1e-6);
+        sort_cpu_ms = Some(n * n.log2().max(1.0) * cfg.cpu.sort_ns * 1e-6);
         let bytes = n * r.sort_row_bytes;
-        if sort_spills(r, cfg) {
-            if let Some(temp) = schema.temp_object() {
+        if exceeds_work_mem(bytes, cfg) {
+            sort_spill = schema.temp_object().map(|temp| {
                 let pages = bytes / PAGE_BYTES;
                 // One write pass + one read pass (single-level merge).
-                plan.cost.charge(temp.id, IoType::SeqWrite, n);
-                plan.cost.charge(temp.id, IoType::SeqRead, pages);
-                plan.spilled = true;
-            }
+                let mut spill = LedgerBuilder::new(charges);
+                spill.charge(temp.id, IoType::SeqWrite, n);
+                spill.charge(temp.id, IoType::SeqRead, pages);
+                spill.finish()
+            });
         }
     }
-    plan
+    ReadTemplate {
+        base: rel.base,
+        joins: rel.joins,
+        agg_cpu_ms,
+        sort_cpu_ms,
+        sort_spill,
+    }
 }
 
-fn plan_rel(
+fn compile_rel(
     rel: &Rel,
     schema: &Schema,
-    layout: &Layout,
-    pool: &StoragePool,
     cfg: &EngineConfig,
-) -> RelPlan {
+    charges: &mut Vec<Charge>,
+) -> RelTemplate {
     match rel {
-        Rel::Scan(scan) => plan_scan(scan, schema, layout, pool, cfg),
+        Rel::Scan(scan) => {
+            let table = schema.table(scan.table);
+            RelTemplate {
+                base: compile_scan(scan, schema, cfg, charges),
+                joins: Vec::new(),
+                rows: table.rows * scan.selectivity,
+                row_bytes: table.row_bytes,
+            }
+        }
         Rel::Join(join) => {
-            let outer = plan_rel(&join.outer, schema, layout, pool, cfg);
-            let inner_table = schema.table(join.inner.table);
-
-            // Candidate 1: hash join. Build the (filtered) inner via its own
-            // best access path, then hash both sides.
-            let mut hash = plan_scan(&join.inner, schema, layout, pool, cfg);
-            let build_rows = hash.rows;
-            hash.cost
-                .charge_cpu_ms((build_rows + outer.rows) * cfg.cpu.hash_ns * 1e-6);
-            let build_bytes = build_rows * inner_table.row_bytes;
-            let mut hash_spilled = false;
-            if hash_build_spills(join, schema, cfg) {
-                if let Some(temp) = schema.temp_object() {
-                    // Grace hash join: both sides partitioned to temp and
-                    // re-read once.
-                    let spill_bytes = build_bytes + outer.rows * outer.row_bytes;
-                    let pages = spill_bytes / PAGE_BYTES;
-                    hash.cost
-                        .charge(temp.id, IoType::SeqWrite, build_rows + outer.rows);
-                    hash.cost.charge(temp.id, IoType::SeqRead, pages);
-                    hash_spilled = true;
-                }
-            }
-            let hash_time = hash.cost.time_ms(layout, pool, cfg.concurrency);
-
-            // Candidate 2: indexed nested-loop join, when the inner join key
-            // is indexed. Per outer row: one leaf probe on the index plus
-            // expected heap fetches; upper B+-tree levels are costed once
-            // (they stay cached across probes).
-            let inlj = join.inner_index.map(|idx_id| {
-                let idx = schema.index(idx_id);
-                let heap_corr = idx.correlation >= CLUSTERED_THRESHOLD
-                    || (idx.primary && inner_table.clustered);
-                let mut cv = CostVector::zero(schema.object_count());
-                let probes = outer.rows.max(0.0);
-                let matches_per_probe = join.rows_per_outer.max(0.0);
-                // One-time descent of the upper levels.
-                cv.charge(idx.object, IoType::RandRead, idx.height());
-                // Per-probe leaf page.
-                cv.charge(idx.object, IoType::RandRead, probes);
-                // Heap fetches.
-                let heap_fetch_rows = probes * matches_per_probe;
-                if heap_corr {
-                    let pages = (heap_fetch_rows / (inner_table.rows / inner_table.pages()))
-                        .max(probes.min(heap_fetch_rows));
-                    cv.charge(inner_table.object, IoType::SeqRead, pages);
-                } else {
-                    cv.charge(inner_table.object, IoType::RandRead, heap_fetch_rows);
-                }
-                cv.charge_cpu_ms(
-                    probes * idx.height() * cfg.cpu.index_tuple_ns * 1e-6
-                        + heap_fetch_rows * cfg.cpu.tuple_ns * 1e-6,
-                );
-                cv
-            });
-            let inlj_time = inlj
-                .as_ref()
-                .map(|cv| cv.time_ms(layout, pool, cfg.concurrency));
-
-            let out_rows = outer.rows * join.rows_per_outer;
-            let out_bytes = outer.row_bytes + inner_table.row_bytes;
-            let mut result = outer;
-            match (inlj, inlj_time) {
-                (Some(cv), Some(t)) if t < hash_time => {
-                    result.cost.absorb(&cv);
-                    result.joins.push(JoinAlgo::IndexedNlj);
-                    // The INLJ reads the inner purely through its index; the
-                    // inner scan's access path is the index probe itself.
-                    result.paths.push((
-                        join.inner.table,
-                        AccessPath::IndexScan(join.inner_index.expect("inlj requires index")),
-                    ));
-                }
-                _ => {
-                    result.cost.absorb(&hash.cost);
-                    result.joins.push(JoinAlgo::Hash);
-                    result.paths.extend(hash.paths);
-                    result.spilled |= hash_spilled;
-                }
-            }
-            result.rows = out_rows;
-            result.row_bytes = out_bytes;
-            result
+            let mut outer = compile_rel(&join.outer, schema, cfg, charges);
+            let template = compile_join(join, outer.rows, outer.row_bytes, schema, cfg, charges);
+            outer.joins.push(template);
+            outer.rows *= join.rows_per_outer;
+            outer.row_bytes += schema.table(join.inner.table).row_bytes;
+            outer
         }
     }
 }
 
-fn plan_scan(
+fn compile_join(
+    join: &JoinSpec,
+    outer_rows: f64,
+    outer_row_bytes: f64,
+    schema: &Schema,
+    cfg: &EngineConfig,
+    charges: &mut Vec<Charge>,
+) -> JoinTemplate {
+    let inner_table = schema.table(join.inner.table);
+    let inner = compile_scan(&join.inner, schema, cfg, charges);
+
+    // Candidate 1: hash join. Build the (filtered) inner via its own best
+    // access path, then hash both sides.
+    let build_rows = inner_table.rows * join.inner.selectivity;
+    let hash_cpu_ms = (build_rows + outer_rows) * cfg.cpu.hash_ns * 1e-6;
+    let build_bytes = build_rows * inner_table.row_bytes;
+    let spill_temp = exceeds_work_mem(build_bytes, cfg)
+        .then(|| schema.temp_object())
+        .flatten();
+    let mut hash_over = |scan: Ledger| {
+        let mut ledger = LedgerBuilder::extend(charges, scan);
+        ledger.charge_cpu_ms(hash_cpu_ms);
+        if let Some(temp) = spill_temp {
+            // Grace hash join: both sides partitioned to temp and re-read
+            // once.
+            let spill_bytes = build_bytes + outer_rows * outer_row_bytes;
+            let pages = spill_bytes / PAGE_BYTES;
+            ledger.charge(temp.id, IoType::SeqWrite, build_rows + outer_rows);
+            ledger.charge(temp.id, IoType::SeqRead, pages);
+        }
+        ledger.finish()
+    };
+    let hash = [
+        hash_over(inner.seq),
+        inner
+            .index
+            .map_or_else(Ledger::default, |(_, index)| hash_over(index)),
+    ];
+
+    // Candidate 2: indexed nested-loop join, when the inner join key is
+    // indexed. Per outer row: one leaf probe on the index plus expected
+    // heap fetches; upper B+-tree levels are costed once (they stay cached
+    // across probes).
+    let inlj = join.inner_index.map(|idx_id| {
+        let idx = schema.index(idx_id);
+        let heap_corr =
+            idx.correlation >= CLUSTERED_THRESHOLD || (idx.primary && inner_table.clustered);
+        let mut cv = LedgerBuilder::new(charges);
+        let probes = outer_rows.max(0.0);
+        let matches_per_probe = join.rows_per_outer.max(0.0);
+        // One-time descent of the upper levels.
+        cv.charge(idx.object, IoType::RandRead, idx.height());
+        // Per-probe leaf page.
+        cv.charge(idx.object, IoType::RandRead, probes);
+        // Heap fetches.
+        let heap_fetch_rows = probes * matches_per_probe;
+        if heap_corr {
+            let pages = (heap_fetch_rows / (inner_table.rows / inner_table.pages()))
+                .max(probes.min(heap_fetch_rows));
+            cv.charge(inner_table.object, IoType::SeqRead, pages);
+        } else {
+            cv.charge(inner_table.object, IoType::RandRead, heap_fetch_rows);
+        }
+        cv.charge_cpu_ms(
+            probes * idx.height() * cfg.cpu.index_tuple_ns * 1e-6
+                + heap_fetch_rows * cfg.cpu.tuple_ns * 1e-6,
+        );
+        (idx_id, cv.finish())
+    });
+
+    JoinTemplate {
+        inner,
+        hash,
+        hash_spills: spill_temp.is_some(),
+        inlj,
+    }
+}
+
+fn compile_scan(
     scan: &ScanSpec,
     schema: &Schema,
-    layout: &Layout,
-    pool: &StoragePool,
     cfg: &EngineConfig,
-) -> RelPlan {
+    charges: &mut Vec<Charge>,
+) -> ScanTemplate {
     let table = schema.table(scan.table);
-    let out_rows = table.rows * scan.selectivity;
 
     // Candidate 1: sequential scan.
-    let mut seq = CostVector::zero(schema.object_count());
+    let mut seq = LedgerBuilder::new(charges);
     seq.charge(table.object, IoType::SeqRead, table.pages());
     seq.charge_cpu_ms(table.rows * cfg.cpu.tuple_ns * 1e-6 + cfg.cpu.operator_overhead_ms);
-    let seq_time = seq.time_ms(layout, pool, cfg.concurrency);
+    let seq = seq.finish();
 
     // Candidate 2: index scan, when the spec names a usable index.
-    let index_candidate = scan.index.map(|idx_id| {
+    let index = scan.index.map(|idx_id| {
         let idx = schema.index(idx_id);
-        let mut cv = CostVector::zero(schema.object_count());
+        let mut cv = LedgerBuilder::new(charges);
         let fetched = table.rows * scan.index_selectivity;
         // Descent plus the leaf range covering the matched entries.
         let leaf_pages = (scan.index_selectivity * idx.leaf_pages()).max(1.0);
@@ -351,38 +697,26 @@ fn plan_scan(
             fetched * (cfg.cpu.index_tuple_ns + cfg.cpu.tuple_ns) * 1e-6
                 + cfg.cpu.operator_overhead_ms,
         );
-        cv
+        (idx_id, cv.finish())
     });
-
-    match index_candidate {
-        Some(cv) if cv.time_ms(layout, pool, cfg.concurrency) < seq_time => RelPlan {
-            cost: cv,
-            rows: out_rows,
-            row_bytes: table.row_bytes,
-            paths: vec![(
-                scan.table,
-                AccessPath::IndexScan(scan.index.expect("index candidate requires index")),
-            )],
-            joins: Vec::new(),
-            spilled: false,
-        },
-        _ => RelPlan {
-            cost: seq,
-            rows: out_rows,
-            row_bytes: table.row_bytes,
-            paths: vec![(scan.table, AccessPath::SeqScan)],
-            joins: Vec::new(),
-            spilled: false,
-        },
+    ScanTemplate {
+        table: scan.table,
+        seq,
+        index,
     }
 }
 
 /// I/O and CPU charges for an insert: heap append, index maintenance, and a
 /// WAL record when the schema declares a log object. Write charges are per
 /// row, matching Table 1's ms/row write calibration.
-fn cost_insert(ins: &InsertOp, schema: &Schema, cfg: &EngineConfig) -> CostVector {
+fn cost_insert(
+    ins: &InsertOp,
+    schema: &Schema,
+    cfg: &EngineConfig,
+    charges: &mut Vec<Charge>,
+) -> Ledger {
     let table = schema.table(ins.table);
-    let mut cv = CostVector::zero(schema.object_count());
+    let mut cv = LedgerBuilder::new(charges);
     cv.charge(table.object, IoType::SeqWrite, ins.rows);
     for idx in schema.indexes_of(ins.table) {
         let io = if ins.sequential_keys && idx.primary {
@@ -396,15 +730,20 @@ fn cost_insert(ins: &InsertOp, schema: &Schema, cfg: &EngineConfig) -> CostVecto
         cv.charge(log.id, IoType::SeqWrite, ins.rows);
     }
     cv.charge_cpu_ms(ins.rows * cfg.cpu.tuple_ns * 1e-6);
-    cv
+    cv.finish()
 }
 
 /// I/O and CPU charges for an in-place update: locate (index leaf + heap
 /// random read), rewrite (heap random write), plus index maintenance when
 /// the updated column is indexed, plus WAL.
-fn cost_update(upd: &UpdateOp, schema: &Schema, cfg: &EngineConfig) -> CostVector {
+fn cost_update(
+    upd: &UpdateOp,
+    schema: &Schema,
+    cfg: &EngineConfig,
+    charges: &mut Vec<Charge>,
+) -> Ledger {
     let table = schema.table(upd.table);
-    let mut cv = CostVector::zero(schema.object_count());
+    let mut cv = LedgerBuilder::new(charges);
     if let Some(idx_id) = upd.via {
         let idx = schema.index(idx_id);
         // Leaf probe per row; upper levels once.
@@ -422,7 +761,7 @@ fn cost_update(upd: &UpdateOp, schema: &Schema, cfg: &EngineConfig) -> CostVecto
         cv.charge(log.id, IoType::SeqWrite, upd.rows);
     }
     cv.charge_cpu_ms(upd.rows * cfg.cpu.tuple_ns * 1e-6);
-    cv
+    cv.finish()
 }
 
 #[cfg(test)]
@@ -441,6 +780,18 @@ mod tests {
             .temp_space(8.0)
             .log(1.0)
             .build()
+    }
+
+    /// A DML ledger as the dense vector the recursive planner built.
+    fn dense(schema: &Schema, build: impl FnOnce(&mut Vec<Charge>) -> Ledger) -> CostVector {
+        let mut charges = Vec::new();
+        let ledger = build(&mut charges);
+        let mut cv = CostVector::zero(schema.object_count());
+        for c in &charges[ledger.start..ledger.end] {
+            cv.io[c.object.0] = c.counts;
+        }
+        cv.cpu_ms = ledger.cpu_ms;
+        cv
     }
 
     fn layouts(pool: &dot_storage::StoragePool, n: usize) -> (Layout, Layout) {
@@ -579,30 +930,36 @@ mod tests {
         let s = schema();
         let cfg = EngineConfig::oltp();
         let small = s.table_by_name("small").unwrap();
-        let cv = cost_insert(
-            &InsertOp {
-                table: small.id,
-                rows: 10.0,
-                sequential_keys: true,
-            },
-            &s,
-            &cfg,
-        );
+        let cv = dense(&s, |charges| {
+            cost_insert(
+                &InsertOp {
+                    table: small.id,
+                    rows: 10.0,
+                    sequential_keys: true,
+                },
+                &s,
+                &cfg,
+                charges,
+            )
+        });
         assert_eq!(cv.io[small.object.0][IoType::SeqWrite], 10.0);
         let pk = s.index_by_name("small_pkey").unwrap();
         assert_eq!(cv.io[pk.object.0][IoType::SeqWrite], 10.0);
         let log = s.log_object().unwrap();
         assert_eq!(cv.io[log.id.0][IoType::SeqWrite], 10.0);
         // Non-sequential keys force random index maintenance.
-        let cv2 = cost_insert(
-            &InsertOp {
-                table: small.id,
-                rows: 10.0,
-                sequential_keys: false,
-            },
-            &s,
-            &cfg,
-        );
+        let cv2 = dense(&s, |charges| {
+            cost_insert(
+                &InsertOp {
+                    table: small.id,
+                    rows: 10.0,
+                    sequential_keys: false,
+                },
+                &s,
+                &cfg,
+                charges,
+            )
+        });
         assert_eq!(cv2.io[pk.object.0][IoType::RandWrite], 10.0);
     }
 
@@ -612,16 +969,19 @@ mod tests {
         let cfg = EngineConfig::oltp();
         let small = s.table_by_name("small").unwrap();
         let pk = s.index_by_name("small_pkey").unwrap();
-        let cv = cost_update(
-            &UpdateOp {
-                table: small.id,
-                rows: 5.0,
-                via: Some(pk.id),
-                updates_indexed_key: false,
-            },
-            &s,
-            &cfg,
-        );
+        let cv = dense(&s, |charges| {
+            cost_update(
+                &UpdateOp {
+                    table: small.id,
+                    rows: 5.0,
+                    via: Some(pk.id),
+                    updates_indexed_key: false,
+                },
+                &s,
+                &cfg,
+                charges,
+            )
+        });
         assert_eq!(cv.io[small.object.0][IoType::RandRead], 5.0);
         assert_eq!(cv.io[small.object.0][IoType::RandWrite], 5.0);
         assert!(cv.io[pk.object.0][IoType::RandRead] >= 5.0);

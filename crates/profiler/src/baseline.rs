@@ -20,11 +20,30 @@ pub fn group_arity(schema: &Schema) -> usize {
         .unwrap_or(1)
 }
 
+/// The most baseline layouts (`M^K`) a profile may enumerate. Every
+/// built-in database preset on every built-in pool stays far below it (the
+/// largest is TPC-C on the full pool, 5^3 = 125), and profiling at the
+/// bound stays well under a second. Sessions refuse larger problems up
+/// front: a pool of 40 classes and a table with 14 indexes would otherwise
+/// enumerate 40^15 baselines.
+pub const MAX_BASELINE_LAYOUTS: usize = 1 << 14;
+
+/// `M^K`: how many placements [`baseline_placements`] enumerates for
+/// `classes` storage classes at group arity `arity`, or `None` when that
+/// overflows `usize`.
+pub fn baseline_count(classes: usize, arity: usize) -> Option<usize> {
+    u32::try_from(arity)
+        .ok()
+        .and_then(|k| classes.checked_pow(k))
+}
+
 /// All `M^K` position-wise placements `p ∈ D^K`, in lexicographic order.
+/// Callers bound `M^K` first (see [`MAX_BASELINE_LAYOUTS`]).
 pub fn baseline_placements(pool: &StoragePool, arity: usize) -> Vec<Vec<ClassId>> {
     assert!(arity >= 1, "arity must be at least 1");
     let ids: Vec<ClassId> = pool.ids().collect();
-    let mut out = Vec::with_capacity(ids.len().pow(arity as u32));
+    let count = baseline_count(ids.len(), arity).unwrap_or(usize::MAX);
+    let mut out = Vec::with_capacity(count.min(MAX_BASELINE_LAYOUTS));
     let mut current = vec![ids[0]; arity];
     fill(&ids, &mut current, 0, &mut out);
     out
@@ -106,6 +125,19 @@ mod tests {
         let p = baseline_placements(&pool, 2);
         let unique: std::collections::HashSet<_> = p.iter().cloned().collect();
         assert_eq!(unique.len(), 9);
+    }
+
+    #[test]
+    fn baseline_count_is_checked() {
+        assert_eq!(baseline_count(3, 2), Some(9));
+        assert_eq!(baseline_count(5, 3), Some(125));
+        assert_eq!(baseline_count(40, 15), None, "40^15 overflows a u64");
+        assert_eq!(baseline_count(2, usize::MAX), None);
+        let pool = catalog::box2();
+        assert_eq!(
+            baseline_placements(&pool, 3).len(),
+            baseline_count(pool.len(), 3).unwrap()
+        );
     }
 
     #[test]

@@ -26,5 +26,7 @@
 pub mod baseline;
 pub mod profile;
 
-pub use baseline::{baseline_layout, baseline_placements, group_arity};
+pub use baseline::{
+    baseline_count, baseline_layout, baseline_placements, group_arity, MAX_BASELINE_LAYOUTS,
+};
 pub use profile::{profile_workload, GroupProfile, ProfileSource, WorkloadProfile};

@@ -7,12 +7,10 @@
 //! move scores of §3.3.
 
 use crate::baseline::{baseline_layout, baseline_placements, group_arity, project_placement};
-use dot_dbms::memo::PlanMemo;
-use dot_dbms::plan::PlannedQuery;
+use dot_dbms::memo::{ChoiceKey, PlanMemo};
 use dot_dbms::{exec, ObjectId};
 use dot_storage::{ClassId, IoCounts, StoragePool};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// How profile counts are obtained (§3.4: "(a) an estimate computed by our
 /// extended query optimizer ... or (b) a sample test run").
@@ -92,11 +90,10 @@ impl WorkloadProfile {
 /// §4.5.1 optimization for test runs (TPC-C collapses to one profiled
 /// layout).
 ///
-/// Baselines are planned through `plans`, so a query whose own objects sit
-/// on the same classes in two baselines is planned once, and the plans a
-/// session's solvers request later are already memoized. Each unseen
-/// baseline's plans are priced as they are ([`exec::assemble`]), never
-/// planned a second time.
+/// Baselines are priced through `plans`' compiled templates. Two baselines
+/// with the same plan choices share a [`ChoiceKey`], and only the first
+/// baseline of each key materializes its plans, which are priced as they
+/// are ([`exec::assemble`]), never planned a second time.
 pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> WorkloadProfile {
     let (schema, pool, cfg) = (plans.schema(), plans.pool(), plans.cfg());
     let arity = group_arity(schema);
@@ -111,9 +108,9 @@ pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> Workload
         })
         .collect();
 
-    // Each distinct set of plan choices, with the per-object counts of the
+    // The per-object counts of each distinct set of plan choices, from the
     // one baseline run that priced it.
-    let mut seen: Vec<(Vec<Arc<PlannedQuery>>, Vec<IoCounts>)> = Vec::new();
+    let mut runs: HashMap<ChoiceKey, Vec<IoCounts>> = HashMap::new();
     let test_run = match source {
         ProfileSource::Estimate => None,
         ProfileSource::TestRun { seed } => Some(seed),
@@ -121,16 +118,12 @@ pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> Workload
 
     for p in &placements {
         let layout = baseline_layout(schema, p);
-        let planned = plans.plan_workload(&layout);
-        let prior = seen
-            .iter()
-            .position(|(choices, _)| choices.iter().zip(&planned).all(|(a, b)| a.same_choices(b)));
-        let at = prior.unwrap_or_else(|| {
-            let run = exec::assemble(&planned, schema, &layout, pool, cfg, test_run);
-            seen.push((planned, run.cost.io));
-            seen.len() - 1
+        let io = runs.entry(plans.choice_key(&layout)).or_insert_with(|| {
+            let planned = plans.plan_workload(&layout);
+            exec::assemble(&planned, schema, &layout, pool, cfg, test_run)
+                .cost
+                .io
         });
-        let io = &seen[at].1;
         for gp in group_profiles.iter_mut() {
             let key = project_placement(p, gp.objects.len());
             let counts: Vec<IoCounts> = gp.objects.iter().map(|o| io[o.0]).collect();
@@ -142,7 +135,7 @@ pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> Workload
         groups: group_profiles,
         arity,
         baseline_count: placements.len(),
-        profiled_count: seen.len(),
+        profiled_count: runs.len(),
     }
 }
 

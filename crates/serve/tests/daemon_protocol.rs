@@ -5,7 +5,8 @@
 
 use dot_serve::framing::write_frame;
 use dot_serve::protocol::{
-    ProblemSpec, ProtocolError, Request, RequestFrame, Response, ResponseFrame, PROTOCOL_VERSION,
+    DbSpec, PoolSpec, ProblemSpec, ProtocolError, Request, RequestFrame, Response, ResponseFrame,
+    PROTOCOL_VERSION,
 };
 use dot_serve::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -278,6 +279,84 @@ fn unknown_tenants_and_provisioning_failures_are_scoped_typed_errors() {
         Response::ShuttingDown { tenants } => assert!(tenants.is_empty()),
         other => panic!("{other:?}"),
     }
+    handle.join().unwrap();
+}
+
+/// An inline problem whose profile would enumerate 40^15 baseline layouts:
+/// a pool of 40 classes and a table with 14 indexes.
+fn oversized_baseline_problem() -> ProblemSpec {
+    use dot_dbms::query::{InsertOp, Op, QuerySpec};
+    use dot_storage::{catalog, StoragePool};
+    let classes = (0..40)
+        .map(|k| {
+            let mut class = catalog::all_classes()[k % 5].clone();
+            class.name = format!("class-{k}");
+            class
+        })
+        .collect();
+    let mut builder = dot_dbms::SchemaBuilder::new("wide")
+        .table("events", 2_000_000.0, 120.0)
+        .primary_index(8.0);
+    for i in 0..13 {
+        builder = builder.index(&format!("events_k{i}"), 8.0);
+    }
+    let schema = builder.log(1.0).build();
+    let events = schema.table_by_name("events").expect("events").id;
+    let ingest = QuerySpec::transaction(
+        "ingest",
+        vec![Op::Insert(InsertOp {
+            table: events,
+            rows: 10.0,
+            sequential_keys: false,
+        })],
+    );
+    ProblemSpec {
+        pool: PoolSpec::Custom(StoragePool::new("wide", classes)),
+        database: DbSpec::Custom {
+            schema,
+            workload: dot_workloads::Workload::oltp("wide", vec![ingest], 8, 1000.0),
+        },
+        sla: 0.5,
+        engine: None,
+        refinements: None,
+    }
+}
+
+#[test]
+fn oversized_baseline_enumerations_get_a_prompt_typed_reject() {
+    let (addr, handle) = start(small_config());
+    let mut client = Client::connect(addr);
+    for (id, solver) in [(1, None), (2, Some("es".to_owned()))] {
+        let started = std::time::Instant::now();
+        client.send(
+            id,
+            Request::Provision {
+                problem: oversized_baseline_problem(),
+                solver,
+            },
+        );
+        let frame = client.recv();
+        assert_eq!(frame.id, id);
+        match frame.response {
+            Response::Error {
+                error: ProtocolError::Provision { error },
+            } => {
+                assert_eq!(error.kind(), "invalid-request");
+                assert!(error.to_string().contains("baseline"), "{error}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "refused after {:?}",
+            started.elapsed()
+        );
+    }
+    client.send(3, Request::Shutdown);
+    assert!(matches!(
+        client.recv().response,
+        Response::ShuttingDown { .. }
+    ));
     handle.join().unwrap();
 }
 

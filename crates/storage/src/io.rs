@@ -125,6 +125,12 @@ impl IoCounts {
         IO_TYPES.iter().map(move |&t| (t, self[t]))
     }
 
+    /// Service time of these counts at the given per-operation times
+    /// (`latencies[io.index()]`, ms): `Σ_r χ_r · τ_r`.
+    pub fn time_ms(&self, latencies: &[f64; 4]) -> f64 {
+        self.iter().map(|(io, n)| n * latencies[io.index()]).sum()
+    }
+
     /// Component-wise scale by `factor` (e.g. query repetition counts).
     pub fn scaled(&self, factor: f64) -> IoCounts {
         IoCounts {

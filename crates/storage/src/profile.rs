@@ -73,10 +73,14 @@ impl IoProfile {
     /// concurrency: `Σ_r χ_r · τ_r(c)` — the paper's I/O time share (Eq. 1)
     /// restricted to a single device.
     pub fn service_time_ms(&self, counts: &IoCounts, concurrency: u32) -> f64 {
-        counts
-            .iter()
-            .map(|(io, n)| n * self.latency_ms(io, concurrency))
-            .sum()
+        counts.time_ms(&self.latencies(concurrency))
+    }
+
+    /// [`latency_ms`](Self::latency_ms) of every pattern at `concurrency`,
+    /// indexed by [`IoType::index`]: the table a caller that prices many
+    /// ledgers against this device computes once.
+    pub fn latencies(&self, concurrency: u32) -> [f64; 4] {
+        crate::io::IO_TYPES.map(|io| self.latency_ms(io, concurrency))
     }
 
     /// Ratio of random-read to sequential-read latency — the "random access

@@ -1,23 +1,31 @@
-//! Property suite for the session plan memo (`dot_dbms::memo::PlanMemo`):
+//! Property suite for compiled plan templates and the session plan memo
+//! (`dot_dbms::planner::compile`, `dot_dbms::memo::PlanMemo`):
 //!
+//! - every plan the templates choose equals, bit for bit, the plan a frozen
+//!   copy of the recursive planner derives from scratch
+//!   (`tests/reference_planner`): operators, dense ledger, `est_time_ms`.
+//!   This holds on random and uniform layouts of every preset family and a
+//!   join/sort testkit database that spills, over box1, box2, full and a
+//!   40-class pool, under dss, oltp and an interpolated concurrency, at
+//!   normal and tiny `work_mem`;
 //! - a session's estimates and measurements equal the memo-free reference
-//!   (`toc::estimate_toc`, `toc::measure_toc`) bit for bit, on random
-//!   layouts of every preset family (and a join/sort testkit database that
-//!   spills) over every built-in pool, with the TOC
+//!   (`toc::estimate_toc`, `toc::measure_toc`) bit for bit, with the TOC
 //!   cache off, cold and warm, and under exhaustive search's threads;
-//! - a query's plan never changes when an object outside its footprint
-//!   moves, and every object its plan charges lies inside the footprint;
-//! - footprints whose key would overflow are planned directly and still
-//!   answer correctly.
+//! - choice keys group layouts exactly by `PlannedQuery::same_choices`;
+//! - SLA and cost-model siblings share one template set.
+
+mod reference_planner;
 
 use dot_core::advisor::{presets, Advisor};
 use dot_core::problem::Problem;
 use dot_core::toc::{self, CachedEstimator, TocEstimate};
 use dot_dbms::memo::PlanMemo;
-use dot_dbms::planner::{footprint, plan_query};
-use dot_dbms::query::{InsertOp, Op, QuerySpec, ReadOp, Rel, ScanSpec};
-use dot_dbms::{testkit, EngineConfig, Layout, ObjectId, Schema, SchemaBuilder};
-use dot_storage::{catalog, ClassId, StoragePool};
+use dot_dbms::plan::{PlanStats, PlannedQuery};
+use dot_dbms::planner::plan_query;
+use dot_dbms::query::{InsertOp, Op, QuerySpec, ReadOp, Rel, ScanSpec, UpdateOp};
+use dot_dbms::{exec, testkit, EngineConfig, Layout, Schema, SchemaBuilder};
+use dot_profiler::{baseline_layout, baseline_placements, group_arity};
+use dot_storage::{catalog, ClassId, StoragePool, IO_TYPES};
 use dot_workloads::{SlaSpec, Workload};
 use std::sync::Arc;
 
@@ -47,11 +55,15 @@ fn random_layout(objects: usize, pool: &StoragePool, rng: &mut u64) -> Layout {
 }
 
 /// The testkit schema with a join and a sort that each touch the temp
-/// object on their own (a hash build, a sort), plus a layout-sensitive
-/// range scan.
+/// object on their own (a hash build, a sort), a layout-sensitive range
+/// scan, a hash join whose inner may be read through its index, and
+/// transactions whose later read ops re-charge objects and CPU that
+/// earlier ops already charged (so summing each op on its own matters).
 fn testkit_database() -> (Schema, Workload) {
     let schema = testkit::two_table_schema();
     let dim = schema.table_by_name("dim").expect("dim").id;
+    let fact = schema.table_by_name("fact").expect("fact").id;
+    let fact_pk = schema.index_by_name("fact_pkey").expect("pk").id;
     let queries = vec![
         testkit::range_query(&schema, 0.002),
         testkit::probe_join_query(&schema, 0.001),
@@ -60,24 +72,128 @@ fn testkit_database() -> (Schema, Workload) {
             "sorted_dim",
             ReadOp::of(Rel::Scan(ScanSpec::full(dim))).with_sort(200_000.0, 150.0),
         ),
+        QuerySpec::read(
+            "hash_over_index",
+            ReadOp::of(Rel::join(
+                Rel::Scan(ScanSpec::filtered(dim, 0.3)),
+                ScanSpec::indexed(fact, 0.0005, fact_pk),
+                0.01,
+                None,
+            )),
+        ),
+        QuerySpec::transaction(
+            "write_then_report",
+            vec![
+                Op::Insert(InsertOp {
+                    table: fact,
+                    rows: 7.3,
+                    sequential_keys: false,
+                }),
+                Op::Read(
+                    ReadOp::of(Rel::join(
+                        Rel::join(
+                            Rel::Scan(ScanSpec::indexed(fact, 0.0003, fact_pk)),
+                            ScanSpec::filtered(dim, 0.7),
+                            0.37,
+                            None,
+                        ),
+                        ScanSpec::indexed(fact, 0.011, fact_pk),
+                        1.3,
+                        Some(fact_pk),
+                    ))
+                    .with_agg(1_234.5)
+                    .with_sort(91_000.7, 33.3),
+                ),
+                Op::Update(UpdateOp {
+                    table: fact,
+                    rows: 3.1,
+                    via: Some(fact_pk),
+                    updates_indexed_key: false,
+                }),
+            ],
+        )
+        .with_weight(2.7),
+        QuerySpec::transaction(
+            "write_then_probe",
+            vec![
+                Op::Insert(InsertOp {
+                    table: fact,
+                    rows: 3.0,
+                    sequential_keys: true,
+                }),
+                Op::Read(ReadOp::of(Rel::Scan(ScanSpec::indexed(
+                    fact, 0.0001, fact_pk,
+                )))),
+                Op::Update(UpdateOp {
+                    table: fact,
+                    rows: 2.0,
+                    via: Some(fact_pk),
+                    updates_indexed_key: true,
+                }),
+            ],
+        ),
     ];
     (schema, Workload::dss("testkit", queries))
 }
 
-/// Every (family, pool) pair with its engine, plus a `work_mem` so small
-/// that every sort and hash build spills, exercising the temp object.
-fn cases() -> Vec<(String, Schema, Workload, StoragePool, EngineConfig)> {
-    let mut databases: Vec<(&str, Schema, Workload)> = FAMILIES
+/// Every preset family plus the testkit database.
+fn databases() -> Vec<(String, Schema, Workload)> {
+    let mut out: Vec<(String, Schema, Workload)> = FAMILIES
         .iter()
         .map(|&family| {
             let (schema, workload) = presets::database(family).expect("preset");
-            (family, schema, workload)
+            (family.to_owned(), schema, workload)
         })
         .collect();
     let (schema, workload) = testkit_database();
-    databases.push(("testkit", schema, workload));
+    out.push(("testkit".to_owned(), schema, workload));
+    out
+}
+
+/// A pool of 40 classes cycling through the catalog's devices, each priced
+/// a little differently.
+fn forty_class_pool() -> StoragePool {
+    let classes = (0..40)
+        .map(|k| {
+            let mut class = catalog::all_classes()[k % 5].clone();
+            class.name = format!("class-{k}");
+            class.price_cents_per_gb_hour *= 1.0 + k as f64 / 100.0;
+            class
+        })
+        .collect();
+    StoragePool::new("forty", classes)
+}
+
+/// The built-in pools and the 40-class pool.
+fn pools() -> Vec<(String, StoragePool)> {
+    let mut out: Vec<(String, StoragePool)> = presets::POOL_NAMES
+        .iter()
+        .map(|&name| (name.to_owned(), presets::pool(name).expect("pool")))
+        .collect();
+    out.push(("forty".to_owned(), forty_class_pool()));
+    out
+}
+
+/// dss, oltp and a concurrency between the two anchors (interpolated
+/// service times), each also with a `work_mem` so small that every sort
+/// and hash build spills.
+fn engines() -> Vec<EngineConfig> {
+    let mut interpolated = EngineConfig::dss();
+    interpolated.concurrency = 16;
     let mut out = Vec::new();
-    for (family, schema, workload) in databases {
+    for cfg in [EngineConfig::dss(), EngineConfig::oltp(), interpolated] {
+        let mut spilling = cfg;
+        spilling.work_mem_gb = 1e-6;
+        out.extend([cfg, spilling]);
+    }
+    out
+}
+
+/// Every (database, built-in pool) pair under its default engine and a
+/// spilling one: the session suites' cases.
+fn session_cases() -> Vec<(String, Schema, Workload, StoragePool, EngineConfig)> {
+    let mut out = Vec::new();
+    for (family, schema, workload) in databases() {
         for pool_name in presets::POOL_NAMES {
             let pool = presets::pool(pool_name).expect("pool");
             let cfg = presets::engine(None, &workload).expect("engine");
@@ -90,6 +206,30 @@ fn cases() -> Vec<(String, Schema, Workload, StoragePool, EngineConfig)> {
         }
     }
     out
+}
+
+fn assert_same_plan(label: &str, got: &PlannedQuery, want: &PlannedQuery) {
+    assert_eq!(
+        got.est_time_ms.to_bits(),
+        want.est_time_ms.to_bits(),
+        "{label}: est_time_ms"
+    );
+    assert_eq!(
+        got.cost.cpu_ms.to_bits(),
+        want.cost.cpu_ms.to_bits(),
+        "{label}: cpu_ms"
+    );
+    assert_eq!(got.cost.io.len(), want.cost.io.len(), "{label}: objects");
+    for (object, (a, b)) in got.cost.io.iter().zip(&want.cost.io).enumerate() {
+        for io in IO_TYPES {
+            assert_eq!(
+                a[io].to_bits(),
+                b[io].to_bits(),
+                "{label}: object {object} {io}"
+            );
+        }
+    }
+    assert_eq!(got, want, "{label}");
 }
 
 fn assert_bit_identical(label: &str, got: &TocEstimate, want: &TocEstimate) {
@@ -113,187 +253,78 @@ fn assert_bit_identical(label: &str, got: &TocEstimate, want: &TocEstimate) {
     assert_eq!(got, want, "{label}");
 }
 
-#[test]
-fn session_estimates_equal_the_reference_with_cache_off_cold_and_warm() {
-    let mut rng = 0x5EED_0001u64;
-    for (label, schema, workload, pool, cfg) in cases() {
-        let layouts: Vec<Layout> = (0..8)
-            .map(|_| random_layout(schema.object_count(), &pool, &mut rng))
-            .chain(
-                pool.ids()
-                    .map(|c| Layout::uniform(c, schema.object_count())),
-            )
-            .collect();
-        let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
-        let reference: Vec<TocEstimate> = layouts
-            .iter()
-            .map(|l| toc::estimate_toc(&problem, l))
-            .collect();
-
-        let cache = Arc::new(CachedEstimator::new());
-        for mode in ["off", "cold", "warm"] {
-            let mut builder = Advisor::builder(&schema, &pool, &workload).engine(cfg);
-            if mode != "off" {
-                builder = builder.toc_cache(Arc::clone(&cache));
-            }
-            let advisor = builder.build().expect("session");
-            let estimator = advisor.estimator();
-            for (layout, want) in layouts.iter().zip(&reference) {
-                let got = estimator.estimate(advisor.problem(), layout);
-                assert_bit_identical(&format!("{label} cache {mode}"), &got, want);
-            }
-            if mode == "warm" {
-                assert!(cache.stats().hits >= layouts.len() as u64, "{label}");
-            } else {
-                assert!(
-                    !advisor.plans().is_empty(),
-                    "{label}: misses plan via the memo"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn session_measurements_equal_the_reference() {
-    let mut rng = 0x5EED_0002u64;
-    for (label, schema, workload, pool, cfg) in cases() {
-        let advisor = Advisor::builder(&schema, &pool, &workload)
-            .engine(cfg)
-            .build()
-            .expect("session");
-        let estimator = advisor.estimator();
-        for seed in 0..3 {
-            let layout = random_layout(schema.object_count(), &pool, &mut rng);
-            let want = toc::measure_toc(advisor.problem(), &layout, seed);
-            let got = estimator.measure(advisor.problem(), &layout, seed);
-            assert_bit_identical(&format!("{label} seed {seed}"), &got, &want);
-        }
-    }
-}
-
-#[test]
-fn session_estimates_equal_the_reference_under_shared_worker_threads() {
-    let mut rng = 0x5EED_0003u64;
-    for (label, schema, workload, pool, cfg) in cases() {
-        let layouts: Vec<Layout> = (0..12)
-            .map(|_| random_layout(schema.object_count(), &pool, &mut rng))
-            .collect();
-        let cache = CachedEstimator::new();
-        let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
-        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
-        for estimator in [
-            toc::Estimator::direct().memoized(&memo),
-            cache.scope(&problem).memoized(&memo),
-        ] {
-            // Exhaustive search's workers share one Copy view across scoped
-            // threads; several threads missing on the same plans race to
-            // insert them.
-            let results: Vec<Vec<TocEstimate>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..3)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            layouts
-                                .iter()
-                                .map(|l| estimator.estimate(&problem, l))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker"))
-                    .collect()
-            });
-            assert!(
-                !memo.is_empty(),
-                "{label}: the workers planned via the memo"
-            );
-            for per_thread in results {
-                for (layout, got) in layouts.iter().zip(&per_thread) {
-                    let want = toc::estimate_toc(&problem, layout);
-                    assert_bit_identical(&format!("{label} threaded"), got, &want);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn moving_an_object_outside_the_footprint_never_changes_the_plan() {
-    let mut rng = 0x5EED_0004u64;
-    for (label, schema, workload, pool, cfg) in cases() {
-        for q in &workload.queries {
-            let fp = footprint(q, &schema, &cfg);
-            let outside: Vec<ObjectId> = schema
-                .objects()
-                .iter()
-                .map(|o| o.id)
-                .filter(|o| !fp.contains(o))
-                .collect();
-            if outside.is_empty() {
-                continue;
-            }
-            for _ in 0..3 {
-                let base = random_layout(schema.object_count(), &pool, &mut rng);
-                let planned = plan_query(q, &schema, &base, &pool, &cfg);
-                let mut moved = base.clone();
-                for &o in &outside {
-                    moved.place(o, ClassId(splitmix(&mut rng) as usize % pool.len()));
-                }
-                let replanned = plan_query(q, &schema, &moved, &pool, &cfg);
-                assert_eq!(
-                    replanned.est_time_ms.to_bits(),
-                    planned.est_time_ms.to_bits(),
-                    "{label} {}",
-                    q.name
-                );
-                assert_eq!(replanned, planned, "{label} {}", q.name);
-            }
-        }
-    }
-}
-
-#[test]
-fn every_charged_object_lies_inside_the_footprint() {
-    let mut rng = 0x5EED_0005u64;
-    for (label, schema, workload, pool, cfg) in cases() {
-        for q in &workload.queries {
-            let fp = footprint(q, &schema, &cfg);
-            assert!(
-                fp.windows(2).all(|w| w[0] < w[1]),
-                "{label}: sorted, distinct"
-            );
-            for _ in 0..3 {
-                let layout = random_layout(schema.object_count(), &pool, &mut rng);
-                let planned = plan_query(q, &schema, &layout, &pool, &cfg);
-                for (i, counts) in planned.cost.io.iter().enumerate() {
-                    if !counts.is_zero() {
-                        assert!(
-                            fp.contains(&ObjectId(i)),
-                            "{label} {}: charges {} outside its footprint",
-                            q.name,
-                            schema.objects()[i].name
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A pool of 40 classes and a table with 14 indexes: an insert's footprint
-/// (heap, every index, the log) has 40^16 placements, beyond a u64 key.
-fn wide_problem() -> (Schema, StoragePool, Workload) {
-    let classes = (0..40)
-        .map(|k| {
-            let mut class = catalog::all_classes()[k % 5].clone();
-            class.name = format!("class-{k}");
-            class.price_cents_per_gb_hour *= 1.0 + k as f64 / 100.0;
-            class
-        })
+/// Check every query of `workload` on `layout`: `plan_query`, the memo's
+/// materialized plan and its estimate-only price all match the frozen
+/// recursive planner, and so does `estimate_toc`'s stream.
+fn check_against_reference(
+    label: &str,
+    memo: &PlanMemo<'_>,
+    problem: &Problem<'_>,
+    layout: &Layout,
+) {
+    let (schema, pool, cfg) = (problem.schema, problem.pool, &problem.cfg);
+    let reference: Vec<PlannedQuery> = problem
+        .workload
+        .queries
+        .iter()
+        .map(|q| reference_planner::plan_query(q, schema, layout, pool, cfg))
         .collect();
-    let pool = StoragePool::new("wide", classes);
+    let (times, stats) = memo.estimate(layout);
+    let memoized = memo.plan_workload(layout);
+    let mut want_stats = PlanStats::default();
+    for (i, (q, want)) in problem.workload.queries.iter().zip(&reference).enumerate() {
+        let label = format!("{label} {}", q.name);
+        assert_same_plan(&label, &plan_query(q, schema, layout, pool, cfg), want);
+        assert_same_plan(&label, &memoized[i], want);
+        assert_eq!(
+            times[i].to_bits(),
+            want.est_time_ms.to_bits(),
+            "{label}: estimate"
+        );
+        want_stats.add(want);
+    }
+    assert_eq!(stats, want_stats, "{label}: plan stats");
+    let want_run = exec::assemble(&reference, schema, layout, pool, cfg, None);
+    let got = toc::estimate_toc(problem, layout);
+    assert_eq!(
+        got.stream_time_ms.to_bits(),
+        want_run.stream_time_ms.to_bits(),
+        "{label}: stream time"
+    );
+}
+
+#[test]
+fn templates_plan_exactly_as_the_recursive_planner() {
+    let mut rng = 0x5EED_0004u64;
+    let mut checked = 0usize;
+    for (family, schema, workload) in databases() {
+        for (pool_name, pool) in pools() {
+            for cfg in engines() {
+                let label = format!(
+                    "{family}/{pool_name}/c={}/work_mem={}",
+                    cfg.concurrency, cfg.work_mem_gb
+                );
+                let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
+                let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+                let layouts = (0..6)
+                    .map(|_| random_layout(schema.object_count(), &pool, &mut rng))
+                    .chain(
+                        pool.ids()
+                            .map(|c| Layout::uniform(c, schema.object_count())),
+                    );
+                for layout in layouts {
+                    check_against_reference(&label, &memo, &problem, &layout);
+                    checked += workload.queries.len();
+                }
+            }
+        }
+    }
+    assert!(checked > 10_000, "{checked} plans checked");
+}
+
+/// A pool of 40 classes and a table with 14 indexes: an insert touches the
+/// heap, every index and the log, so its plan reads 16 objects' classes.
+fn wide_problem() -> (Schema, StoragePool, Workload) {
     let mut builder = SchemaBuilder::new("wide")
         .table("events", 2_000_000.0, 120.0)
         .primary_index(8.0);
@@ -322,51 +353,198 @@ fn wide_problem() -> (Schema, StoragePool, Workload) {
             ReadOp::of(Rel::Scan(ScanSpec::indexed(lookup.id, 0.001, pk))),
         ),
     ];
-    (schema, pool, Workload::oltp("wide", queries, 8, 1000.0))
+    (
+        schema,
+        forty_class_pool(),
+        Workload::oltp("wide", queries, 8, 1000.0),
+    )
 }
 
 #[test]
-fn overflowing_footprints_are_planned_directly_and_answer_correctly() {
+fn forty_class_pool_plans_match_the_recursive_planner() {
     let (schema, pool, workload) = wide_problem();
     let cfg = EngineConfig::oltp();
-    assert!(footprint(&workload.queries[0], &schema, &cfg).len() >= 16);
     let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
     let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
     let estimator = toc::Estimator::direct().memoized(&memo);
     let mut rng = 0x5EED_0006u64;
     for _ in 0..20 {
         let layout = random_layout(schema.object_count(), &pool, &mut rng);
-        for (i, q) in workload.queries.iter().enumerate() {
-            assert_eq!(
-                *memo.plan(i, &layout),
-                plan_query(q, &schema, &layout, &pool, &cfg)
-            );
-        }
+        check_against_reference("wide", &memo, &problem, &layout);
         assert_bit_identical(
             "wide",
             &estimator.estimate(&problem, &layout),
             &toc::estimate_toc(&problem, &layout),
         );
     }
-    // Only the small read's plans are memoized; the insert is re-planned.
-    assert!(memo.len() <= 20, "{} plans held", memo.len());
-    // A session over the same problem estimates through its own memo.
-    let advisor = Advisor::builder(&schema, &pool, &workload)
+    // Profiling it would enumerate 40^15 baselines: sessions refuse it.
+    let refused = Advisor::builder(&schema, &pool, &workload)
         .engine(cfg)
-        .build()
-        .expect("session");
-    let premium = advisor.problem().premium_layout();
-    assert_bit_identical(
-        "wide reference",
-        &advisor.constraints().reference,
-        &toc::estimate_toc(advisor.problem(), &premium),
+        .build();
+    assert!(
+        matches!(
+            refused,
+            Err(dot_core::advisor::ProvisionError::InvalidRequest { .. })
+        ),
+        "{:?}",
+        refused.err()
     );
-    let layout = random_layout(schema.object_count(), &pool, &mut rng);
-    assert_bit_identical(
-        "wide session",
-        &advisor.estimator().estimate(advisor.problem(), &layout),
-        &toc::estimate_toc(advisor.problem(), &layout),
+}
+
+#[test]
+fn choice_keys_group_layouts_exactly_by_same_choices() {
+    let (mut shared, mut distinct) = (0usize, 0usize);
+    for (family, schema, workload) in databases() {
+        for pool_name in presets::POOL_NAMES {
+            let pool = presets::pool(pool_name).expect("pool");
+            for cfg in engines() {
+                let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+                let layouts: Vec<Layout> = baseline_placements(&pool, group_arity(&schema))
+                    .iter()
+                    .map(|p| baseline_layout(&schema, p))
+                    .collect();
+                let plans: Vec<Vec<PlannedQuery>> = layouts
+                    .iter()
+                    .map(|l| {
+                        workload
+                            .queries
+                            .iter()
+                            .map(|q| reference_planner::plan_query(q, &schema, l, &pool, &cfg))
+                            .collect()
+                    })
+                    .collect();
+                let keys: Vec<_> = layouts.iter().map(|l| memo.choice_key(l)).collect();
+                for a in 0..layouts.len() {
+                    for b in a + 1..layouts.len() {
+                        let same = plans[a]
+                            .iter()
+                            .zip(&plans[b])
+                            .all(|(x, y)| x.same_choices(y));
+                        assert_eq!(
+                            keys[a] == keys[b],
+                            same,
+                            "{family}/{pool_name}: baselines {a} and {b}"
+                        );
+                        if same {
+                            shared += 1;
+                        } else {
+                            distinct += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        shared > 0 && distinct > 0,
+        "{shared} shared, {distinct} distinct"
     );
+}
+
+#[test]
+fn session_estimates_equal_the_reference_with_cache_off_cold_and_warm() {
+    let mut rng = 0x5EED_0001u64;
+    for (label, schema, workload, pool, cfg) in session_cases() {
+        let layouts: Vec<Layout> = (0..8)
+            .map(|_| random_layout(schema.object_count(), &pool, &mut rng))
+            .chain(
+                pool.ids()
+                    .map(|c| Layout::uniform(c, schema.object_count())),
+            )
+            .collect();
+        let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
+        let reference: Vec<TocEstimate> = layouts
+            .iter()
+            .map(|l| toc::estimate_toc(&problem, l))
+            .collect();
+
+        let cache = Arc::new(CachedEstimator::new());
+        for mode in ["off", "cold", "warm"] {
+            let mut builder = Advisor::builder(&schema, &pool, &workload).engine(cfg);
+            if mode != "off" {
+                builder = builder.toc_cache(Arc::clone(&cache));
+            }
+            let advisor = builder.build().expect("session");
+            let estimator = advisor.estimator();
+            for (layout, want) in layouts.iter().zip(&reference) {
+                let got = estimator.estimate(advisor.problem(), layout);
+                assert_bit_identical(&format!("{label} cache {mode}"), &got, want);
+            }
+            if mode == "warm" {
+                assert!(cache.stats().hits >= layouts.len() as u64, "{label}");
+                assert!(
+                    !advisor.plans().is_compiled(),
+                    "{label}: a warm cache answers without compiling"
+                );
+            } else {
+                assert!(
+                    advisor.plans().is_compiled(),
+                    "{label}: misses price the session's templates"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn session_measurements_equal_the_reference() {
+    let mut rng = 0x5EED_0002u64;
+    for (label, schema, workload, pool, cfg) in session_cases() {
+        let advisor = Advisor::builder(&schema, &pool, &workload)
+            .engine(cfg)
+            .build()
+            .expect("session");
+        let estimator = advisor.estimator();
+        for seed in 0..3 {
+            let layout = random_layout(schema.object_count(), &pool, &mut rng);
+            let want = toc::measure_toc(advisor.problem(), &layout, seed);
+            let got = estimator.measure(advisor.problem(), &layout, seed);
+            assert_bit_identical(&format!("{label} seed {seed}"), &got, &want);
+        }
+    }
+}
+
+#[test]
+fn session_estimates_equal_the_reference_under_shared_worker_threads() {
+    let mut rng = 0x5EED_0003u64;
+    for (label, schema, workload, pool, cfg) in session_cases() {
+        let layouts: Vec<Layout> = (0..12)
+            .map(|_| random_layout(schema.object_count(), &pool, &mut rng))
+            .collect();
+        let cache = CachedEstimator::new();
+        let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        for estimator in [
+            toc::Estimator::direct().memoized(&memo),
+            cache.scope(&problem).memoized(&memo),
+        ] {
+            // Exhaustive search's workers share one Copy view across scoped
+            // threads; the first of them compiles the shared templates.
+            let results: Vec<Vec<TocEstimate>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..3)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            layouts
+                                .iter()
+                                .map(|l| estimator.estimate(&problem, l))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker"))
+                    .collect()
+            });
+            assert!(memo.is_compiled(), "{label}: the workers priced templates");
+            for per_thread in results {
+                for (layout, got) in layouts.iter().zip(&per_thread) {
+                    let want = toc::estimate_toc(&problem, layout);
+                    assert_bit_identical(&format!("{label} threaded"), got, &want);
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -376,21 +554,26 @@ fn siblings_share_the_memo_and_quiet_sessions_allocate_none() {
     let advisor = Advisor::builder(&schema, &pool, &workload)
         .build()
         .expect("session");
-    assert!(advisor.plans().is_empty(), "nothing planned before a solve");
+    assert!(
+        !advisor.plans().is_compiled(),
+        "nothing compiled before a solve"
+    );
     let rec = advisor.recommend("dot").expect("dot");
-    let held = advisor.plans().len();
-    assert!(held > 0);
+    assert!(advisor.plans().is_compiled());
     let sibling = advisor.with_sla(0.25);
     assert!(std::ptr::eq(sibling.plans(), advisor.plans()));
     let priced =
         advisor.with_cost_model(dot_core::problem::LayoutCostModel::Discrete { alpha: 0.5 });
     assert!(std::ptr::eq(priced.plans(), advisor.plans()));
-    // Re-estimating the recommended layout from a sibling plans nothing new.
+    // A sibling prices the recommended layout from the shared templates.
     let again = sibling.estimator().estimate(sibling.problem(), &rec.layout);
-    assert_eq!(advisor.plans().len(), held);
     assert_bit_identical(
         "sibling",
         &again,
         &toc::estimate_toc(sibling.problem(), &rec.layout),
+    );
+    assert_eq!(
+        sibling.recommend("dot").expect("sibling dot").layout,
+        advisor.with_sla(0.25).recommend("dot").expect("dot").layout
     );
 }

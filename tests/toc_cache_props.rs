@@ -83,6 +83,138 @@ fn splitmix(state: &mut u64) -> u64 {
 /// `capacity / keys`. The old flush-the-world eviction cleared an entire
 /// shard every time it filled, sawtoothing occupancy and halving the hit
 /// rate — this test fails against it.
+/// Every copy of `value` with exactly one leaf of its serialized tree
+/// changed (a number moved, a flag flipped, a string extended) that still
+/// deserializes and re-serializes to the changed tree.
+fn one_field_variants<T: serde::Serialize + serde::Deserialize>(value: &T) -> Vec<T> {
+    use serde::Value;
+    /// Perturb leaf number `target` (depth-first) of `v`; `seen` counts
+    /// leaves visited so far. Returns whether the leaf was found.
+    fn perturb(v: &mut Value, target: usize, seen: &mut usize) -> bool {
+        match v {
+            Value::Array(items) => items.iter_mut().any(|i| perturb(i, target, seen)),
+            Value::Object(entries) => entries.iter_mut().any(|(_, i)| perturb(i, target, seen)),
+            leaf => {
+                *seen += 1;
+                if *seen - 1 != target {
+                    return false;
+                }
+                match leaf {
+                    Value::Number(n) if n.abs() > 1e15 => *n *= 2.0,
+                    Value::Number(n) => *n += 1.0,
+                    Value::Bool(b) => *b = !*b,
+                    Value::String(s) => s.push('x'),
+                    _ => {}
+                }
+                true
+            }
+        }
+    }
+    let original = value.to_value();
+    let mut variants = Vec::new();
+    for target in 0.. {
+        let mut changed = original.clone();
+        if !perturb(&mut changed, target, &mut 0) {
+            break;
+        }
+        if changed == original {
+            continue;
+        }
+        if let Ok(variant) = T::from_value(&changed) {
+            if variant.to_value() == changed {
+                variants.push(variant);
+            }
+        }
+    }
+    variants
+}
+
+#[test]
+fn fingerprint_changes_with_every_estimate_input_and_ignores_sla() {
+    use dot_core::advisor::presets;
+    for family in ["tpch-subset:1", "tpcc:10"] {
+        let (schema, workload) = presets::database(family).expect("preset");
+        let pool = catalog::box2();
+        let cfg = presets::engine(None, &workload).expect("engine");
+        let base = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
+        let fp = toc::problem_fingerprint(&base);
+        for sla in [0.1, 0.25, 1.0] {
+            let sibling = base.clone().with_sla(SlaSpec::relative(sla));
+            assert_eq!(
+                toc::problem_fingerprint(&sibling),
+                fp,
+                "{family}: SLA {sla}"
+            );
+        }
+        let changed = |what: &str, variant: Problem<'_>| {
+            assert_ne!(toc::problem_fingerprint(&variant), fp, "{family}: {what}");
+        };
+        let schemas = one_field_variants(&schema);
+        let pools = one_field_variants(&pool);
+        let workloads = one_field_variants(&workload);
+        let cfgs = one_field_variants(&cfg);
+        let models = one_field_variants(&LayoutCostModel::Discrete { alpha: 0.5 });
+        for (what, n) in [
+            ("schema", schemas.len()),
+            ("pool", pools.len()),
+            ("workload", workloads.len()),
+            ("cfg", cfgs.len()),
+            ("cost model", models.len()),
+        ] {
+            assert!(n > 0, "{family}: no {what} field was varied");
+        }
+        for s in &schemas {
+            changed(
+                "schema",
+                Problem {
+                    schema: s,
+                    ..base.clone()
+                },
+            );
+        }
+        for p in &pools {
+            changed(
+                "pool",
+                Problem {
+                    pool: p,
+                    ..base.clone()
+                },
+            );
+        }
+        for w in &workloads {
+            changed(
+                "workload",
+                Problem {
+                    workload: w,
+                    ..base.clone()
+                },
+            );
+        }
+        for c in &cfgs {
+            changed(
+                "cfg",
+                Problem {
+                    cfg: *c,
+                    ..base.clone()
+                },
+            );
+        }
+        let discrete = base
+            .clone()
+            .with_cost_model(LayoutCostModel::Discrete { alpha: 0.5 });
+        changed("cost model", discrete.clone());
+        let discrete_fp = toc::problem_fingerprint(&discrete);
+        for m in models {
+            let variant = base.clone().with_cost_model(m);
+            assert_ne!(
+                toc::problem_fingerprint(&variant),
+                discrete_fp,
+                "{family}: cost model"
+            );
+        }
+    }
+}
+
 #[test]
 fn warm_cache_at_capacity_sustains_hit_rate_under_churn() {
     // 6 objects over box2's 3 classes = 729 distinct layouts, so every
