@@ -6,18 +6,16 @@
 //! the deployed layout) plus a pure signature distance — no workload
 //! profiling, no optimizer sweep — while the naive alternative re-runs the
 //! whole pipeline on every observation. `controller/tick-quiescent` times
-//! the watch path on a shared TOC cache (the fleet configuration);
-//! `controller/reprovision-cold` times the full pipeline it avoids.
+//! the watch path; `controller/reprovision-cold` times the full pipeline
+//! it avoids.
 //!
 //! Run with: `cargo bench --bench controller`
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dot_core::advisor::Advisor;
 use dot_core::controller::{Controller, ControllerConfig};
-use dot_core::toc::CachedEstimator;
 use dot_storage::catalog;
 use dot_workloads::{drift, tpcc};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn bench_controller(c: &mut Criterion) {
@@ -34,7 +32,6 @@ fn bench_controller(c: &mut Criterion) {
 
     // A below-threshold observation: the tick scores it and stays quiet.
     let noisy = drift::shift_read_write(&baseline, 0.05);
-    let cache = Arc::new(CachedEstimator::new());
     let controller = || {
         Controller::new(
             &schema,
@@ -45,7 +42,6 @@ fn bench_controller(c: &mut Criterion) {
             ControllerConfig::default(),
         )
         .expect("controller opens")
-        .with_toc_cache(Arc::clone(&cache))
     };
 
     // One-shot headline numbers before the timed samples.

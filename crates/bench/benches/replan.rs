@@ -4,18 +4,16 @@
 //! The planner's pitch is operational (it answers *whether and in what
 //! order* to migrate, not just *where to*), but it must not cost more than
 //! the naive alternative it extends. `replan/warm-session` reuses one
-//! drifted Advisor session (profile + constraints computed once) with a
-//! shared TOC cache across repeated replans — the fleet path — while
+//! drifted Advisor session (profile, constraints and plan templates
+//! computed once) across repeated replans while
 //! `reprovision/cold` pays the whole pipeline every time.
 //!
 //! Run with: `cargo bench --bench replan`
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dot_core::advisor::Advisor;
-use dot_core::toc::CachedEstimator;
 use dot_storage::catalog;
 use dot_workloads::{drift, tpcc};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn bench_replan(c: &mut Criterion) {
@@ -41,10 +39,8 @@ fn bench_replan(c: &mut Criterion) {
     let fresh = cold_advisor.recommend("dot").expect("cold re-provision");
     let cold_elapsed = start.elapsed();
 
-    let cache = Arc::new(CachedEstimator::new());
     let warm_advisor = Advisor::builder(&schema, &pool, &night)
         .sla(0.5)
-        .toc_cache(Arc::clone(&cache))
         .build()
         .expect("warm session");
     let first = warm_advisor.replan(&deployed).expect("first replan");

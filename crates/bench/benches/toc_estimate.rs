@@ -28,7 +28,6 @@ fn bench_estimate(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("measure_toc", "tpch-original"), |b| {
         b.iter(|| toc::measure_toc(&problem, &premium, 7))
     });
-    // Paid once per cached session (every provision and replan tick).
     let full = catalog::full_pool();
     let full_problem = Problem::new(
         &schema,
@@ -36,10 +35,6 @@ fn bench_estimate(c: &mut Criterion) {
         &workload,
         SlaSpec::relative(0.5),
         EngineConfig::dss(),
-    );
-    group.bench_function(
-        BenchmarkId::new("problem_fingerprint", "tpch-original/full"),
-        |b| b.iter(|| toc::problem_fingerprint(&full_problem)),
     );
     // Every session profiles its workload over the pool's baselines.
     group.bench_function(

@@ -2,8 +2,8 @@
 //!
 //! Re-measures the repo's headline hot paths with the same fixtures the
 //! criterion benches use — cold solve, warm replan, quiescent controller
-//! tick (against the two-full-estimate tick it replaced), fleet cache hit
-//! rate, the `dot-serve` daemon's concurrent observe-tick throughput, the
+//! tick (against the two-full-estimate tick it replaced), replan reuse on a
+//! supervised fleet, the `dot-serve` daemon's concurrent observe-tick throughput, the
 //! registry restore latency from a persisted multi-tenant snapshot, the
 //! scripted vs. measured telemetry observe tick, the scheduled-vs-
 //! sequential migration makespan on the tiered-downgrade family, and the
@@ -15,14 +15,15 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dot-bench --bin distill                 # write BENCH_10.json
+//! cargo run --release -p dot-bench --bin distill                 # write BENCH_16.json
 //! cargo run --release -p dot-bench --bin distill -- --out <path> # write elsewhere
 //! cargo run --release -p dot-bench --bin distill -- --check <path> # validate a file
 //! ```
 //!
 //! `--check` parses the file and fails (exit 1) when the trajectory breaks
 //! an invariant the code promises: the quiescent tick must undercut the
-//! two-full-estimate tick it replaced, the daemon must sustain a positive
+//! two-full-estimate tick it replaced, a supervised fleet whose traces
+//! repeat must reuse some replans, the daemon must sustain a positive
 //! concurrent tick rate, a persisted registry must restore its tenants in
 //! bounded time, the scheduled migration makespan must never exceed the
 //! sequential copy it packs, every conformance family must prune a nonzero
@@ -31,9 +32,9 @@
 
 use dot_core::advisor::Advisor;
 use dot_core::controller::{Controller, ControllerConfig, TraceStep};
-use dot_core::fleet::{provision_fleet, FleetConfig, TenantRequest};
+use dot_core::fleet::{supervise_fleet, FleetConfig, SuperviseTenantRequest};
 use dot_core::problem::Problem;
-use dot_core::toc::{self, CachedEstimator, Estimator};
+use dot_core::toc::{self, Estimator};
 use dot_core::{constraints, dot, exhaustive};
 use dot_dbms::memo::PlanMemo;
 use dot_dbms::EngineConfig;
@@ -42,11 +43,10 @@ use dot_storage::catalog;
 use dot_workloads::{drift, synth, tpcc, tpch, ycsb, PerfMetric, SlaSpec};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Where the trajectory for this PR lives, relative to the repo root.
-const DEFAULT_PATH: &str = "BENCH_10.json";
+const DEFAULT_PATH: &str = "BENCH_16.json";
 /// Timed samples per measurement (a warmup run precedes them).
 const SAMPLES: usize = 5;
 /// `--check`: a pruned sweep may be up to this factor slower than the
@@ -86,7 +86,8 @@ struct Trajectory {
 struct HotPaths {
     /// Full pipeline on a fresh session (profile + constraints + sweep).
     cold_solve_ms: f64,
-    /// Replan on a warm session with a shared TOC cache.
+    /// Replan on a warm session (profile, constraints and plan templates
+    /// already built).
     warm_replan_ms: f64,
     /// Quiescent controller tick — incremental delta re-estimation.
     tick_quiescent_ms: f64,
@@ -133,16 +134,20 @@ struct SchedulerNumbers {
     replan_scheduled_ms: f64,
 }
 
+/// Replan reuse on a supervised fleet whose flash-crowd traces repeat
+/// their `scale` steps: triggered ticks answered from a controller's
+/// replan memo (`hits`) against replans solved (`misses`).
 #[derive(Debug, Serialize, Deserialize)]
 struct FleetNumbers {
     tenants: usize,
+    triggers: usize,
     hit_rate: f64,
     hits: u64,
     misses: u64,
 }
 
 /// `dot-serve` daemon throughput: concurrent quiescent observe ticks over
-/// TCP, every tenant on its own connection against one shared estimator.
+/// TCP, every tenant on its own connection.
 #[derive(Debug, Serialize, Deserialize)]
 struct DaemonNumbers {
     /// Concurrently attached tenants (one connection and thread each).
@@ -236,7 +241,7 @@ fn median_ms<F: FnMut()>(mut f: F) -> f64 {
 }
 
 /// The hot-path medians, on the controller/replan bench fixture (TPC-C,
-/// day/night phase flip, shared TOC cache).
+/// day/night phase flip).
 fn measure_hot_paths() -> HotPaths {
     let schema = tpcc::schema(4.0);
     let pool = catalog::box2();
@@ -261,10 +266,8 @@ fn measure_hot_paths() -> HotPaths {
         );
     });
 
-    let cache = Arc::new(CachedEstimator::new());
     let warm_advisor = Advisor::builder(&schema, &pool, &night)
         .sla(0.5)
-        .toc_cache(Arc::clone(&cache))
         .build()
         .expect("warm session");
     let warm_replan_ms = median_ms(|| {
@@ -284,8 +287,7 @@ fn measure_hot_paths() -> HotPaths {
         0.5,
         ControllerConfig::default(),
     )
-    .expect("controller opens")
-    .with_toc_cache(Arc::clone(&cache));
+    .expect("controller opens");
     let first = supervisor.observe(&noisy).expect("first tick");
     assert!(!first.triggered(), "noise must not trigger");
     let tick_quiescent_ms = median_ms(|| {
@@ -473,31 +475,55 @@ fn measure_scheduler() -> SchedulerNumbers {
     }
 }
 
-/// The fleet bench's 16 synthetic tenants, provisioned once on the
-/// machine-sized worker pool; the shared-cache hit rate is the number the
-/// fleet subsystem exists to move.
+/// Four TPC-C tenants, each supervised over a flash crowd that recurs
+/// three times: a crowd that returns at a scale a tenant already replanned
+/// for, on the layout it then ran, is answered from the controller's
+/// replan memo instead of being re-solved.
 fn measure_fleet() -> FleetNumbers {
-    let mut tenants = Vec::new();
-    for shape in 0..4 {
-        let schema = tpch::subset_schema(shape as f64 + 1.0);
-        let workload = tpch::subset_workload(&schema);
-        for t in 0..4 {
-            tenants.push(TenantRequest {
-                name: format!("shape{shape}-tenant{t}"),
-                pool: catalog::box2(),
+    let schema = tpcc::schema(2.0);
+    let pool = catalog::box2();
+    let workload = tpcc::workload(&schema);
+    let deployed = Advisor::builder(&schema, &pool, &workload)
+        .sla(0.5)
+        .build()
+        .expect("baseline session")
+        .recommend("dot")
+        .expect("baseline layout")
+        .layout;
+    let tenants: Vec<SuperviseTenantRequest> = [3.0, 4.0, 6.0, 8.0]
+        .iter()
+        .enumerate()
+        .map(|(t, &peak)| {
+            let crowd = dot_core::traces::flash_crowd(peak, 4, 2, 2).expect("valid crowd");
+            SuperviseTenantRequest {
+                name: format!("crowd-{t}"),
+                pool: pool.clone(),
                 schema: schema.clone(),
                 workload: workload.clone(),
-                sla: if t % 2 == 0 { 0.5 } else { 0.25 },
+                sla: 0.5,
                 solver: None,
                 engine: None,
                 refinements: None,
-            });
-        }
-    }
-    let report = provision_fleet(&tenants, &FleetConfig::default());
-    assert_eq!(report.aggregate.tenants_provisioned, tenants.len());
+                current_layout: deployed.clone(),
+                trace: crowd
+                    .iter()
+                    .cloned()
+                    .cycle()
+                    .take(3 * crowd.len())
+                    .collect(),
+                controller: None,
+            }
+        })
+        .collect();
+    let report = supervise_fleet(
+        &tenants,
+        &FleetConfig::default(),
+        &ControllerConfig::default(),
+    );
+    assert_eq!(report.totals.tenants_supervised, tenants.len());
     FleetNumbers {
         tenants: tenants.len(),
+        triggers: report.totals.triggers,
         hit_rate: report.cache.hit_rate(),
         hits: report.cache.hits,
         misses: report.cache.misses,
@@ -507,8 +533,8 @@ fn measure_fleet() -> FleetNumbers {
 /// Concurrent observe-tick throughput through the `dot-serve` daemon: an
 /// in-process server on an ephemeral port, 8 tenants on 8 connections,
 /// each replaying sub-threshold drift ticks (the steady-state serving
-/// regime — quiescent incremental re-estimation, no migrations) while
-/// sharing the daemon's one TOC cache. The clock covers the full stack:
+/// regime — quiescent incremental re-estimation, no migrations). The
+/// clock covers the full stack:
 /// JSON framing, the worker pool, per-tenant locking, and the tick itself.
 fn measure_daemon() -> DaemonNumbers {
     use dot_serve::framing::write_frame;
@@ -665,8 +691,9 @@ fn measure_restore() -> RestoreNumbers {
             .attach(Some(format!("restore-{i}")), &spec, None, None)
             .expect("attach");
     }
-    let flushed = registry.flush_all();
+    let (flushed, durability) = registry.flush_all();
     assert_eq!(flushed.len(), TENANTS);
+    durability.expect("the snapshot reaches the disk");
     drop(registry);
 
     let restore_ms = median_ms(|| {
@@ -796,8 +823,8 @@ fn measure_pruning() -> Vec<PruningCell> {
 
 fn distill(path: &str) {
     let trajectory = Trajectory {
-        schema_version: 5,
-        pr: 10,
+        schema_version: 6,
+        pr: 16,
         samples: SAMPLES,
         hot_paths: measure_hot_paths(),
         telemetry: measure_telemetry(),
@@ -844,7 +871,9 @@ fn summarize(t: &Trajectory) {
         s.replan_scheduled_ms,
     );
     println!(
-        "distill: fleet hit rate {:.1}% over {} tenants",
+        "distill: fleet replan reuse {} of {} triggers ({:.1}%) over {} tenants",
+        t.fleet.hits,
+        t.fleet.triggers,
         t.fleet.hit_rate * 100.0,
         t.fleet.tenants
     );
@@ -962,8 +991,19 @@ fn check(path: &str) {
             s.sla_waves, s.waves
         ));
     }
-    if !t.fleet.hit_rate.is_finite() || t.fleet.hit_rate <= 0.0 {
-        fail(&format!("{path}: fleet hit rate must be positive"));
+    // The replan memo's whole promise: a trace that repeats its inputs
+    // reuses answers, and every trigger is either reused or solved.
+    let f = &t.fleet;
+    if f.hits == 0 {
+        fail(&format!(
+            "{path}: a supervised fleet repeating its traces reused no replans"
+        ));
+    }
+    if f.hits + f.misses != f.triggers as u64 {
+        fail(&format!(
+            "{path}: {} reused + {} solved replans do not add up to {} triggers",
+            f.hits, f.misses, f.triggers
+        ));
     }
     let d = &t.daemon;
     if d.tenants == 0 || d.ticks == 0 {

@@ -154,10 +154,8 @@ pub fn optimize_ablated(
     optimize_ablated_with(problem, profile, cons, config, &Estimator::direct())
 }
 
-/// [`optimize_ablated`] with an explicit TOC estimator, so sessions backed
-/// by a [`CachedEstimator`](crate::toc::CachedEstimator) memoize the
-/// ablated sweeps too (all eight grid cells investigate heavily-overlapping
-/// layout sets).
+/// [`optimize_ablated`] with an explicit TOC estimator, so the ablated
+/// sweeps price from a session's compiled templates too.
 pub fn optimize_ablated_with(
     problem: &Problem<'_>,
     profile: &WorkloadProfile,

@@ -140,10 +140,8 @@ pub struct SolveContext<'s, 'a> {
     /// infeasibility diagnostics (the suggested-SLA search), answering with
     /// the optimization phase alone — what the figure harness times.
     pub diagnostics: bool,
-    /// How solvers obtain TOC estimates: planned through the session's
-    /// [`PlanMemo`], and memoized when the session carries a
-    /// [`CachedEstimator`]. Cached, memoized and direct estimates are bit
-    /// identical, so this never changes a recommendation.
+    /// How solvers obtain TOC estimates: priced from the session's
+    /// [`PlanMemo`] templates, bit-identical to planning from scratch.
     pub toc: Estimator<'s>,
 }
 
@@ -246,7 +244,6 @@ pub struct AdvisorBuilder<'a> {
     diagnostics: bool,
     per_query_slas: Option<Vec<f64>>,
     registry: Option<Registry>,
-    toc_cache: Option<Arc<CachedEstimator>>,
 }
 
 impl<'a> AdvisorBuilder<'a> {
@@ -310,15 +307,10 @@ impl<'a> AdvisorBuilder<'a> {
         self
     }
 
-    /// Attach a shared, memoized TOC cache. Every estimate the session's
-    /// solvers request is then routed through the cache, keyed by the
-    /// problem's [fingerprint](crate::toc::problem_fingerprint) and the
-    /// candidate layout — so repeated estimates (across solvers, SLA-sweep
-    /// siblings, or identically-shaped fleet tenants sharing the same
-    /// `Arc`) are computed once. Recommendations are bit-identical with and
-    /// without a cache; the conformance matrix asserts this.
-    pub fn toc_cache(mut self, cache: Arc<CachedEstimator>) -> Self {
-        self.toc_cache = Some(cache);
+    /// Kept only for source compatibility: sessions price every estimate
+    /// from their own compiled templates, so there is no shared estimate
+    /// cache to attach and the argument is ignored.
+    pub fn toc_cache(self, _cache: Arc<CachedEstimator>) -> Self {
         self
     }
 
@@ -387,8 +379,6 @@ impl<'a> AdvisorBuilder<'a> {
             profile: OnceCell::new(),
             constraints: OnceCell::new(),
             profile_builds: Rc::new(Cell::new(0)),
-            toc_cache: self.toc_cache,
-            problem_fp: OnceCell::new(),
             plans: OnceCell::new(),
         })
     }
@@ -409,11 +399,6 @@ pub struct Advisor<'a> {
     /// Shared with sessions derived via [`with_sla`](Self::with_sla), so a
     /// whole sweep can assert "profiled once".
     profile_builds: Rc<Cell<usize>>,
-    /// Memoized TOC estimation, shared across siblings (and, through the
-    /// `Arc`, across whole fleets of sessions on other threads).
-    toc_cache: Option<Arc<CachedEstimator>>,
-    /// The problem's cache fingerprint, computed at most once per session.
-    problem_fp: OnceCell<u64>,
     /// The session's plan memo, created on first use (a session that never
     /// estimates, like a quiescent controller tick, never allocates one)
     /// and shared with [`with_sla`](Self::with_sla) and
@@ -441,7 +426,6 @@ impl<'a> Advisor<'a> {
             diagnostics: true,
             per_query_slas: None,
             registry: None,
-            toc_cache: None,
         }
     }
 
@@ -457,8 +441,6 @@ impl<'a> Advisor<'a> {
             profile: OnceCell::new(),
             constraints: OnceCell::new(),
             profile_builds: Rc::new(Cell::new(0)),
-            toc_cache: None,
-            problem_fp: OnceCell::new(),
             plans: OnceCell::new(),
         }
     }
@@ -498,20 +480,10 @@ impl<'a> Advisor<'a> {
         self.profile_builds.get()
     }
 
-    /// The session's TOC estimator: planning through the session's
-    /// [`PlanMemo`], and cached when a cache is attached (the fingerprint
-    /// is computed once per session).
+    /// The session's TOC estimator: pricing from the session's
+    /// [`PlanMemo`] templates.
     pub fn estimator(&self) -> Estimator<'_> {
-        let view = match &self.toc_cache {
-            Some(cache) => {
-                let fp = *self
-                    .problem_fp
-                    .get_or_init(|| crate::toc::problem_fingerprint(&self.problem));
-                cache.estimate_view(fp)
-            }
-            None => Estimator::direct(),
-        };
-        view.memoized(self.plans())
+        Estimator::direct().memoized(self.plans())
     }
 
     /// The session's plan memo (see [`dot_dbms::memo`]). Its templates
@@ -521,11 +493,6 @@ impl<'a> Advisor<'a> {
             let p = &self.problem;
             Rc::new(PlanMemo::new(&p.workload.queries, p.schema, p.pool, &p.cfg))
         })
-    }
-
-    /// The attached TOC cache, if any — e.g. to read its hit-rate stats.
-    pub fn toc_cache(&self) -> Option<&CachedEstimator> {
-        self.toc_cache.as_deref()
     }
 
     /// The derived constraints, computed on first use and cached. With
@@ -644,8 +611,8 @@ impl<'a> Advisor<'a> {
 
     /// Evaluate an arbitrary labelled layout against this session's
     /// constraints — the figure-bar path of the experiment harness, which
-    /// needs numbers even for layouts that violate the SLA. Routed through
-    /// the session's estimator, so an attached TOC cache is reused.
+    /// needs numbers even for layouts that violate the SLA. Priced through
+    /// the session's estimator, so its compiled templates are reused.
     pub fn evaluate_layout(&self, label: &str, layout: &Layout) -> LayoutEvaluation {
         report::evaluate_with(
             &self.problem,
@@ -685,11 +652,6 @@ impl<'a> Advisor<'a> {
             profile: self.profile.clone(),
             constraints: OnceCell::new(),
             profile_builds: Rc::clone(&self.profile_builds),
-            // Siblings share the cache but re-fingerprint lazily: an SLA
-            // sibling would hash identically (estimates ignore the SLA),
-            // but a cost-model sibling must not share entries.
-            toc_cache: self.toc_cache.clone(),
-            problem_fp: OnceCell::new(),
             plans: self.plans.clone(),
         }
     }
@@ -723,24 +685,6 @@ mod tests {
         let _ = sibling.recommend("dot").unwrap();
         assert_eq!(advisor.profile_builds(), 1);
         assert_eq!(sibling.profile_builds(), 1);
-    }
-
-    #[test]
-    fn evaluate_layout_reuses_the_attached_cache() {
-        let (s, pool, w) = setup();
-        let cache = Arc::new(CachedEstimator::new());
-        let advisor = Advisor::builder(&s, &pool, &w)
-            .toc_cache(Arc::clone(&cache))
-            .build()
-            .unwrap();
-        let premium = advisor.problem().premium_layout();
-        let first = advisor.evaluate_layout("premium", &premium);
-        let before = cache.stats();
-        let second = advisor.evaluate_layout("premium", &premium);
-        let after = cache.stats();
-        assert_eq!(first, second);
-        assert_eq!(after.misses, before.misses, "repeat must not recompute");
-        assert!(after.hits > before.hits, "repeat must hit the cache");
     }
 
     #[test]

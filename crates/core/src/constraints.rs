@@ -61,9 +61,8 @@ pub fn derive_with_sla(problem: &Problem<'_>, sla: SlaSpec) -> Constraints {
 }
 
 /// Derive constraints for an explicit SLA, obtaining the premium-layout
-/// reference through `toc` — so sessions backed by a
-/// [`CachedEstimator`](crate::toc::CachedEstimator) share the reference
-/// estimate with the optimizers' own `L_0` evaluation.
+/// reference through `toc` — so sessions price it from their compiled
+/// templates like every other estimate.
 pub fn derive_with_estimator(
     problem: &Problem<'_>,
     sla: SlaSpec,

@@ -36,14 +36,21 @@
 //! Every step emits typed [`ControlEvent`]s (`Observed` / `Triggered` /
 //! `Planned` / `Deferred` / `Applied`) into an append-only log. The
 //! controller is pure over its injected profile trace — no wall clock, no
-//! randomness — so a scripted trajectory always yields the same event log,
-//! with or without a shared [`CachedEstimator`]; the scenario-simulator
-//! test suite replays committed trajectories and pins the logs bit for bit.
+//! randomness — so a scripted trajectory always yields the same event log;
+//! the scenario-simulator test suite replays committed trajectories and
+//! pins the logs bit for bit.
+//!
+//! A replan is a pure function of the observed workload and the deployed
+//! layout (everything else the solve reads is fixed when the controller is
+//! built), so each controller remembers its last [`REPLAN_MEMO`] finished
+//! replans keyed by exact equality of that pair, and a triggered tick that
+//! repeats one — a flash crowd cycling through the same `scale` steps —
+//! reuses the answer instead of re-solving. Controllers of one host count
+//! that reuse in a shared [`CachedEstimator`].
 //!
 //! [`fleet::supervise_fleet`](crate::fleet::supervise_fleet) runs one
-//! controller per tenant over a shared TOC cache; `dot-cli supervise`
-//! drives a single controller from a problem file plus a [`TraceStep`]
-//! script.
+//! controller per tenant; `dot-cli supervise` drives a single controller
+//! from a problem file plus a [`TraceStep`] script.
 //!
 //! ```
 //! use dot_core::controller::{Controller, ControllerConfig};
@@ -73,13 +80,15 @@ use crate::advisor::{Advisor, ProvisionError};
 use crate::constraints;
 use crate::problem::{LayoutCostModel, Problem};
 use crate::replan::{MigrationBudget, MigrationDecision, ReplanRecommendation};
-use crate::toc::{CachedEstimator, ProblemDelta, TocEstimate};
+use crate::toc::{ProblemDelta, TocEstimate};
 use dot_dbms::{EngineConfig, Layout, Schema};
 use dot_storage::StoragePool;
 use dot_workloads::drift::{self, WorkloadSignature};
 use dot_workloads::telemetry::TelemetrySource;
 use dot_workloads::Workload;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Trigger thresholds and replan policy of a [`Controller`].
@@ -208,8 +217,8 @@ pub enum DeferReason {
 }
 
 /// One entry of the controller's append-only event log. Events carry no
-/// wall-clock and no cache statistics, so a scripted trace produces the
-/// identical log on every run (cache off, cold, or warm).
+/// wall-clock and no reuse statistics, so a scripted trace produces the
+/// identical log on every run, whether a replan was solved or reused.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ControlEvent {
     /// One profile observation was ingested and scored.
@@ -430,6 +439,122 @@ struct DeltaAnchor {
     reference_estimate: TocEstimate,
 }
 
+/// Finished replans each controller keeps for reuse.
+pub const REPLAN_MEMO: usize = 8;
+
+/// Replan-reuse counters shared, through an `Arc`, by the controllers of
+/// one host (a `dot-serve` registry, a supervised fleet). The name is that
+/// of the whole-layout TOC estimate cache these counters replaced, kept
+/// for source compatibility.
+#[derive(Debug, Default)]
+pub struct CachedEstimator {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    entries: AtomicUsize,
+}
+
+/// Snapshot of a [`CachedEstimator`]'s counters; serializable so fleet
+/// reports and the daemon's `Stats` frame can carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CacheStats {
+    /// Triggered ticks answered from a controller's replan memo.
+    pub hits: u64,
+    /// Replans actually solved.
+    pub misses: u64,
+    /// Answers resident across the controllers (never more than `misses`).
+    pub entries: usize,
+}
+
+impl CacheStats {
+    /// `hits / (hits + misses)`, or 0 when no controller ever replanned.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+impl CachedEstimator {
+    /// Zeroed counters.
+    pub fn new() -> CachedEstimator {
+        CachedEstimator::default()
+    }
+
+    /// Zeroed counters. Kept only for source compatibility: the memo each
+    /// controller keeps has no setting to size it, so the argument is
+    /// ignored.
+    pub fn with_capacity(_max_entries: usize) -> CachedEstimator {
+        CachedEstimator::default()
+    }
+
+    /// Counter snapshot (atomics only, so it never contends with a tick).
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.entries.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A controller's last [`REPLAN_MEMO`] finished replans, oldest first,
+/// keyed by the exact (observed workload, deployed layout) they answered.
+/// Never persisted: a resumed controller starts empty.
+#[derive(Default)]
+struct ReplanMemo {
+    answers: VecDeque<(Workload, Layout, ReplanRecommendation)>,
+    counters: Option<Arc<CachedEstimator>>,
+}
+
+impl ReplanMemo {
+    fn get(&self, observed: &Workload, deployed: &Layout) -> Option<ReplanRecommendation> {
+        let (_, _, rec) = self
+            .answers
+            .iter()
+            .find(|(w, l, _)| l == deployed && w == observed)?;
+        if let Some(c) = &self.counters {
+            c.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(rec.clone())
+    }
+
+    /// Count a solve, and keep its answer (evicting the oldest if full).
+    fn solved(
+        &mut self,
+        observed: &Workload,
+        deployed: &Layout,
+        rec: &Result<ReplanRecommendation, ProvisionError>,
+    ) {
+        if let Some(c) = &self.counters {
+            c.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        let Ok(rec) = rec else { return };
+        if self.answers.len() == REPLAN_MEMO {
+            self.answers.pop_front();
+        } else if let Some(c) = &self.counters {
+            c.entries.fetch_add(1, Ordering::Relaxed);
+        }
+        self.answers
+            .push_back((observed.clone(), deployed.clone(), rec.clone()));
+    }
+
+    fn clear(&mut self) {
+        if let Some(c) = &self.counters {
+            c.entries.fetch_sub(self.answers.len(), Ordering::Relaxed);
+        }
+        self.answers.clear();
+    }
+}
+
+impl Drop for ReplanMemo {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
 /// The serializable control-loop state of a [`Controller`]: everything a
 /// restarted host needs to resume a session bit-identically, given the
 /// same problem inputs (schema, pool, SLA, config) it was opened with.
@@ -504,7 +629,7 @@ pub struct Controller {
     sla: f64,
     engine: Option<EngineConfig>,
     config: ControllerConfig,
-    cache: Option<Arc<CachedEstimator>>,
+    replans: ReplanMemo,
     baseline: WorkloadSignature,
     deployed: Layout,
     anchor: Option<DeltaAnchor>,
@@ -542,7 +667,7 @@ impl Controller {
             sla,
             engine: None,
             config,
-            cache: None,
+            replans: ReplanMemo::default(),
             baseline: drift::signature(baseline),
             deployed,
             anchor: None,
@@ -556,11 +681,12 @@ impl Controller {
         })
     }
 
-    /// Attach a shared memoized TOC cache: every per-tick estimate and
-    /// every triggered replan routes through it (estimates are bit
-    /// identical with and without a cache, so the event log never changes).
-    pub fn with_toc_cache(mut self, cache: Arc<CachedEstimator>) -> Self {
-        self.cache = Some(cache);
+    /// Count this controller's replan reuse in `counters`, shared with the
+    /// other controllers of its host. The memo starts over, so every
+    /// resident answer is one `counters` saw solved.
+    pub fn with_toc_cache(mut self, counters: Arc<CachedEstimator>) -> Self {
+        self.replans.clear();
+        self.replans.counters = Some(counters);
         self
     }
 
@@ -569,6 +695,7 @@ impl Controller {
     /// [`Advisor::builder`] does).
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = Some(engine);
+        self.replans.clear();
         self
     }
 
@@ -578,6 +705,7 @@ impl Controller {
     /// as it does under `provision` and `replan`.
     pub fn with_refinements(mut self, rounds: usize) -> Self {
         self.refinements = Some(rounds);
+        self.replans.clear();
         self
     }
 
@@ -609,12 +737,13 @@ impl Controller {
     }
 
     /// Resume from a [`checkpoint`](Self::checkpoint) taken by an earlier
-    /// incarnation over the same problem inputs. The delta anchor is *not*
-    /// restored — the first resumed tick rebuilds it through the full
-    /// estimation path, with bit-identical events (the anchor only caches
-    /// estimator outputs). The checkpoint's deployed layout is validated
-    /// like a constructor argument, so a corrupted snapshot is a typed
-    /// error, not a latent panic.
+    /// incarnation over the same problem inputs. Neither the delta anchor
+    /// nor the replan memo is restored — the first resumed tick rebuilds
+    /// the anchor through the full estimation path, and the first repeated
+    /// trigger re-solves, with bit-identical events (both only hold
+    /// outputs of pure functions). The checkpoint's deployed layout is
+    /// validated like a constructor argument, so a corrupted snapshot is a
+    /// typed error, not a latent panic.
     pub fn with_checkpoint(
         mut self,
         checkpoint: &ControllerCheckpoint,
@@ -628,6 +757,7 @@ impl Controller {
         self.deployed = checkpoint.deployed.clone();
         self.pending_rollout = checkpoint.pending_rollout;
         self.anchor = None;
+        self.replans.clear();
         self.events.clear();
         Ok(self)
     }
@@ -700,9 +830,6 @@ impl Controller {
         }
         if let Some(rounds) = self.refinements {
             builder = builder.refinements(rounds);
-        }
-        if let Some(cache) = &self.cache {
-            builder = builder.toc_cache(Arc::clone(cache));
         }
         // A rejected observation is not a tick: the counter only advances
         // once the session opens, so ticks() always equals the number of
@@ -824,11 +951,19 @@ impl Controller {
                 };
                 events.push(ControlEvent::Triggered { tick, reason });
                 self.last_trigger = Some(tick);
-                let rec = match advisor.replan_with(
-                    &self.deployed,
-                    &self.config.solver,
-                    &self.config.budget,
-                ) {
+                let solved = match self.replans.get(observed, &self.deployed) {
+                    Some(reused) => Ok(reused),
+                    None => {
+                        let solved = advisor.replan_with(
+                            &self.deployed,
+                            &self.config.solver,
+                            &self.config.budget,
+                        );
+                        self.replans.solved(observed, &self.deployed, &solved);
+                        solved
+                    }
+                };
+                let rec = match solved {
                     Ok(rec) => rec,
                     Err(e) => {
                         // The observation and the trigger happened: keep
@@ -1047,7 +1182,6 @@ mod tests {
     fn quiescent_ticks_reuse_the_anchor_instead_of_estimating() {
         let (schema, pool, baseline) = setup();
         let deployed = deployed_for(&schema, &pool, &baseline);
-        let cache = Arc::new(CachedEstimator::new());
         let mut c = Controller::new(
             &schema,
             &pool,
@@ -1056,28 +1190,26 @@ mod tests {
             0.5,
             ControllerConfig::default(),
         )
-        .unwrap()
-        .with_toc_cache(Arc::clone(&cache));
-        // The first tick anchors through the estimator (cache traffic).
+        .unwrap();
+        let anchored = |c: &Controller| c.anchor.as_ref().map(|a| a.workload.clone());
+        // The first tick anchors through the estimator.
         c.observe(&baseline).unwrap();
-        let first = cache.stats();
-        assert!(first.misses > 0, "the anchor tick estimates in full");
+        assert_eq!(anchored(&c), Some(baseline.clone()), "full path anchors");
         // Quiescent and representably-drifted ticks ride the delta path:
-        // zero estimator traffic, identical scoring.
+        // the full path would have re-anchored on the new observation.
         c.observe(&baseline).unwrap();
         c.observe(&drift::shift_read_write(&baseline, 0.05))
             .unwrap();
-        let after = cache.stats();
         assert_eq!(
-            (after.hits, after.misses),
-            (first.hits, first.misses),
-            "in-envelope ticks must not consult the estimator"
+            anchored(&c),
+            Some(baseline.clone()),
+            "in-envelope ticks must not run the full estimate"
         );
         // A phase change exceeds the validity bound: the estimator runs
-        // again (and a replan may add its own traffic on top).
-        c.observe(&drift::analytical_phase(&schema)).unwrap();
-        let flipped = cache.stats();
-        assert!(flipped.hits + flipped.misses > first.hits + first.misses);
+        // again and re-anchors on the new phase.
+        let phase = drift::analytical_phase(&schema);
+        c.observe(&phase).unwrap();
+        assert_eq!(anchored(&c), Some(phase));
     }
 
     #[test]

@@ -54,10 +54,9 @@ pub fn optimize(
     optimize_with(problem, profile, cons, &Estimator::direct())
 }
 
-/// [`optimize`] with an explicit TOC estimator, so a
-/// [`CachedEstimator`](crate::toc::CachedEstimator) scope can memoize the
-/// sweep's inner-loop estimates (the advisory facade wires this up when a
-/// cache is attached to the session).
+/// [`optimize`] with an explicit TOC estimator, so the sweep's inner-loop
+/// estimates price from a session's compiled templates (the advisory
+/// facade passes its session's [`Estimator`]).
 pub fn optimize_with(
     problem: &Problem<'_>,
     profile: &WorkloadProfile,

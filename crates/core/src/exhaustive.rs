@@ -34,12 +34,16 @@ pub struct EsOutcome {
     pub layout: Option<Layout>,
     /// Its estimate.
     pub estimate: Option<TocEstimate>,
-    /// Complete layouts evaluated (pruned candidates included: they were
-    /// enumerated, just not estimated).
+    /// What the search visited. Literal enumeration: complete layouts
+    /// enumerated (pruned ones included: enumerated, just not estimated).
+    /// Additive search: search-tree nodes entered, partial group
+    /// placements included, over every cap-tightening round.
     pub layouts_investigated: usize,
-    /// Candidates skipped without estimating: dominance cuts in the literal
-    /// enumeration, suffix-bound subtree cuts in the additive search.
-    /// Defaults to 0 when parsing pre-pruning serializations.
+    /// The visited units cut without estimating, so never more than
+    /// `layouts_investigated`: dominance cuts of complete layouts in the
+    /// literal enumeration, cost-bound cuts of search-tree nodes (each one
+    /// a whole subtree) in the additive search. Defaults to 0 when parsing
+    /// pre-pruning serializations.
     #[serde(default)]
     pub layouts_pruned: usize,
     /// Wall-clock time.
@@ -56,10 +60,9 @@ pub fn exhaustive_search(problem: &Problem<'_>, cons: &Constraints) -> EsOutcome
     exhaustive_search_with(problem, cons, &Estimator::direct())
 }
 
-/// [`exhaustive_search`] with an explicit TOC estimator. The estimator view
-/// is `Copy` and thread-safe, so every enumeration worker shares the same
-/// [`CachedEstimator`](crate::toc::CachedEstimator) shards when one is
-/// attached.
+/// [`exhaustive_search`] with an explicit TOC estimator. The estimator is
+/// `Copy` and thread-safe, so every enumeration worker prices from the
+/// same session templates.
 pub fn exhaustive_search_with(
     problem: &Problem<'_>,
     cons: &Constraints,
@@ -74,8 +77,7 @@ pub fn exhaustive_search_with(
 /// lower bound already meets the branch's incumbent; see
 /// [`ObjectiveBound`]) — the perf-trajectory distillation measures the two
 /// against each other. Each enumeration thread prunes against its own
-/// incumbent, so the pruned count is deterministic and independent of any
-/// attached estimate cache.
+/// incumbent, so the pruned count is deterministic.
 pub fn exhaustive_search_with_pruning(
     problem: &Problem<'_>,
     cons: &Constraints,
@@ -312,11 +314,12 @@ pub fn exhaustive_search_additive_with(
         best_toc: f64,
         best_choice: Vec<usize>,
         choice: Vec<usize>,
-        leaves: usize,
+        nodes: usize,
         pruned: usize,
     }
     impl Search<'_> {
         fn dfs(&mut self, i: usize, cost: f64, time: f64, space: &mut [f64]) {
+            self.nodes += 1;
             if time + self.min_time_rest[i] + self.cpu_ms > self.time_cap_ms {
                 return;
             }
@@ -328,7 +331,6 @@ pub fn exhaustive_search_additive_with(
                 return;
             }
             if i == self.options.len() {
-                self.leaves += 1;
                 self.best_toc = cost;
                 self.best_choice = self.choice.clone();
                 return;
@@ -359,7 +361,7 @@ pub fn exhaustive_search_additive_with(
     // the optimum onto the time-cap boundary, verify the winner with the
     // planner and tighten the cap slightly if it overshoots.
     let mut cap = time_cap_ms;
-    let mut leaves_total = 0usize;
+    let mut nodes_total = 0usize;
     let mut pruned_total = 0usize;
     let mut result: (Option<Layout>, Option<TocEstimate>) = (None, None);
     for _ in 0..10 {
@@ -373,12 +375,12 @@ pub fn exhaustive_search_additive_with(
             best_toc: f64::INFINITY,
             best_choice: Vec::new(),
             choice: Vec::new(),
-            leaves: 0,
+            nodes: 0,
             pruned: 0,
         };
         let mut space = vec![0.0; pool.len()];
         search.dfs(0, 0.0, 0.0, &mut space);
-        leaves_total += search.leaves;
+        nodes_total += search.nodes;
         pruned_total += search.pruned;
         if search.best_choice.len() != n_groups {
             break; // infeasible under this cap
@@ -403,7 +405,7 @@ pub fn exhaustive_search_additive_with(
     EsOutcome {
         layout,
         estimate,
-        layouts_investigated: leaves_total,
+        layouts_investigated: nodes_total,
         layouts_pruned: pruned_total,
         elapsed: start.elapsed(),
     }
@@ -428,6 +430,7 @@ mod tests {
         let cons = constraints::derive(&p);
         let es = exhaustive_search(&p, &cons);
         assert_eq!(es.layouts_investigated, 9); // 3^2 objects
+        assert!(es.layouts_pruned <= es.layouts_investigated);
         let es_toc = es.estimate.as_ref().unwrap().toc_cents_per_pass;
 
         let prof = profile_workload(
@@ -452,6 +455,7 @@ mod tests {
         let p = crate::Problem::new(&s, &pool, &w, SlaSpec::relative(0.01), EngineConfig::dss());
         let cons = constraints::derive(&p);
         let es = exhaustive_search(&p, &cons);
+        assert!(es.layouts_pruned <= es.layouts_investigated);
         let layout = es.layout.expect("loose SLA admits something");
         assert!(layout.fits(&s, &pool));
         let hssd = pool.class_by_name("H-SSD").unwrap().id;
@@ -477,6 +481,9 @@ mod tests {
             ProfileSource::Estimate,
         );
         let es = exhaustive_search_additive(&p, &prof, &cons);
+        // Cuts are a subset of the search-tree nodes entered.
+        assert!(es.layouts_pruned > 0);
+        assert!(es.layouts_pruned <= es.layouts_investigated);
         let est = es.estimate.expect("feasible");
         // The optimum satisfies the constraints...
         assert!(cons.satisfied(&p, es.layout.as_ref().unwrap(), &est));

@@ -1,18 +1,16 @@
 //! Fleet provisioning: batch-advise N tenant databases concurrently.
 //!
 //! The paper's advisor answers for one database at a time. A production
-//! service provisions *fleets* — hundreds of tenant databases, many of them
-//! identically shaped (the same SaaS schema at a handful of sizes) — and
-//! the single-tenant loop wastes most of its time recomputing TOC
-//! estimates another tenant already paid for. [`provision_fleet`] runs one
-//! [`Advisor`] session per tenant over a scoped-thread worker pool, every
-//! session sharing one [`CachedEstimator`], and folds the answers into a
-//! [`FleetReport`]: per-tenant recommendations (or typed errors), an
-//! aggregate bill across the fleet, and the cache's hit-rate stats.
+//! service provisions *fleets* — hundreds of tenant databases.
+//! [`provision_fleet`] runs one [`Advisor`] session per tenant over a
+//! scoped-thread worker pool and folds the answers into a [`FleetReport`]:
+//! per-tenant recommendations (or typed errors) and an aggregate bill
+//! across the fleet. [`supervise_fleet`] runs one [`Controller`] per
+//! tenant and counts their replan reuse in one shared
+//! [`CachedEstimator`].
 //!
 //! Determinism: recommendations are bit-identical whether the fleet runs
-//! serially or on any number of workers, and with the cache warm or cold —
-//! cached estimates are clones of computed ones, and
+//! serially or on any number of workers —
 //! [`measure_toc`](crate::toc::measure_toc)'s seed contract keeps
 //! validation runs thread-independent. Only wall-clock fields differ.
 //!
@@ -36,8 +34,7 @@
 //!     .collect();
 //! let report = fleet::provision_fleet(&tenants, &FleetConfig::default());
 //! assert_eq!(report.aggregate.tenants_provisioned, 4);
-//! // Identically-shaped tenants hit the shared TOC cache.
-//! assert!(report.cache.hits > 0);
+//! assert_eq!(report.aggregate.tenants_failed, 0);
 //! ```
 
 use crate::advisor::{Advisor, ProvisionError, Recommendation};
@@ -45,8 +42,8 @@ use crate::controller::{
     expand_trace, ControlEvent, ControlProvenance, Controller, ControllerConfig, TraceStep,
     TriggerReason,
 };
+use crate::controller::{CacheStats, CachedEstimator};
 use crate::replan::{MigrationBudget, MigrationDecision, ReplanRecommendation};
-use crate::toc::{CacheStats, CachedEstimator};
 use dot_dbms::Layout;
 use dot_dbms::{EngineConfig, Schema};
 use dot_storage::StoragePool;
@@ -96,8 +93,6 @@ pub struct FleetConfig {
     /// Worker threads; `0` sizes the pool to the machine's available
     /// parallelism. The pool never exceeds the tenant count.
     pub workers: usize,
-    /// Shared TOC-cache capacity in entries.
-    pub cache_capacity: usize,
     /// Validation/refinement rounds per tenant (as
     /// [`AdvisorBuilder::refinements`](crate::advisor::AdvisorBuilder::refinements));
     /// a tenant's own [`TenantRequest::refinements`] wins over this.
@@ -108,7 +103,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             workers: 0,
-            cache_capacity: 1 << 16,
             refinements: 1,
         }
     }
@@ -154,48 +148,42 @@ pub struct AggregateBill {
 }
 
 /// Everything a fleet run produced: per-tenant outcomes (in request
-/// order), the aggregate bill, the shared cache's stats, and wall-clock.
+/// order), the aggregate bill, and wall-clock.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// One outcome per tenant, in request order.
     pub tenants: Vec<TenantOutcome>,
     /// The fleet-wide bill over the provisioned tenants.
     pub aggregate: AggregateBill,
-    /// Hit/miss counters of the shared TOC cache.
-    pub cache: CacheStats,
     /// Wall-clock time of the whole batch in integer milliseconds.
     pub wall_ms: u64,
 }
 
-/// Provision every tenant in `tenants`, concurrently, over one shared
-/// memoized TOC cache. Per-tenant failures (infeasible SLA, oversized
+/// Provision every tenant in `tenants`, concurrently. Per-tenant failures (infeasible SLA, oversized
 /// database, unknown solver id, ...) are typed outcomes in the report, not
 /// errors of the batch: a fleet run always returns a full report.
 pub fn provision_fleet(tenants: &[TenantRequest], config: &FleetConfig) -> FleetReport {
-    let (outcomes, cache, wall_ms) = run_pool(tenants, config, |tenant, cache| {
-        provision_one(tenant, cache, config.refinements)
+    let (outcomes, wall_ms) = run_pool(tenants, config, |tenant| {
+        provision_one(tenant, config.refinements)
     });
     let aggregate = aggregate_bill(&outcomes);
     FleetReport {
         aggregate,
-        cache,
         wall_ms,
         tenants: outcomes,
     }
 }
 
-/// The shared batch machinery of [`provision_fleet`] and [`replan_fleet`]:
-/// run `work` over every item on a scoped-thread worker pool sized by
-/// `config`, every call sharing one memoized TOC cache. Outcomes come back
-/// in item order, with the cache's stats and the batch wall clock.
-fn run_pool<T, O, F>(items: &[T], config: &FleetConfig, work: F) -> (Vec<O>, CacheStats, u64)
+/// The shared batch machinery of the three fleet runs: run `work` over
+/// every item on a scoped-thread worker pool sized by `config`. Outcomes
+/// come back in item order, with the batch wall clock.
+fn run_pool<T, O, F>(items: &[T], config: &FleetConfig, work: F) -> (Vec<O>, u64)
 where
     T: Sync,
     O: Send,
-    F: Fn(&T, &Arc<CachedEstimator>) -> O + Sync,
+    F: Fn(&T) -> O + Sync,
 {
     let start = Instant::now();
-    let cache = Arc::new(CachedEstimator::with_capacity(config.cache_capacity.max(1)));
     let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = effective_workers(config.workers, items.len());
@@ -204,7 +192,7 @@ where
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                *slots[i].lock().expect("outcome slot") = Some(work(item, &cache));
+                *slots[i].lock().expect("outcome slot") = Some(work(item));
             });
         }
     });
@@ -216,7 +204,7 @@ where
                 .expect("every index was claimed by a worker")
         })
         .collect();
-    (outcomes, cache.stats(), start.elapsed().as_millis() as u64)
+    (outcomes, start.elapsed().as_millis() as u64)
 }
 
 fn effective_workers(requested: usize, tenant_count: usize) -> usize {
@@ -227,9 +215,8 @@ fn effective_workers(requested: usize, tenant_count: usize) -> usize {
     workers.clamp(1, tenant_count.max(1))
 }
 
-/// Validate the SLA and open a cache-sharing session — the per-tenant
-/// front half shared by both batch paths.
-#[allow(clippy::too_many_arguments)] // mirrors the tenant-request surface
+/// Validate the SLA and open a session — the per-tenant front half shared
+/// by both batch paths.
 fn tenant_advisor<'a>(
     name: &str,
     schema: &'a Schema,
@@ -238,24 +225,18 @@ fn tenant_advisor<'a>(
     sla: f64,
     refinements: usize,
     engine: Option<EngineConfig>,
-    cache: &Arc<CachedEstimator>,
 ) -> Result<Advisor<'a>, ProvisionError> {
     ProvisionError::check_sla(sla, &format!("tenant {name:?}"))?;
     let mut builder = Advisor::builder(schema, pool, workload)
         .sla(sla)
-        .refinements(refinements)
-        .toc_cache(Arc::clone(cache));
+        .refinements(refinements);
     if let Some(engine) = engine {
         builder = builder.engine(engine);
     }
     builder.build()
 }
 
-fn provision_one(
-    tenant: &TenantRequest,
-    cache: &Arc<CachedEstimator>,
-    refinements: usize,
-) -> TenantOutcome {
+fn provision_one(tenant: &TenantRequest, refinements: usize) -> TenantOutcome {
     let solver = tenant.solver_id().to_owned();
     let result = tenant_advisor(
         &tenant.name,
@@ -265,7 +246,6 @@ fn provision_one(
         tenant.sla,
         tenant.refinements.unwrap_or(refinements),
         tenant.engine,
-        cache,
     )
     .and_then(|advisor| advisor.recommend(&solver));
     let (recommendation, error) = match result {
@@ -398,33 +378,26 @@ pub struct ReplanFleetReport {
     pub tenants: Vec<ReplanOutcome>,
     /// Fleet-wide migration totals.
     pub totals: MigrationTotals,
-    /// Hit/miss counters of the shared TOC cache.
-    pub cache: CacheStats,
     /// Wall-clock time of the whole batch in integer milliseconds.
     pub wall_ms: u64,
 }
 
-/// Re-provision every tenant concurrently over one shared memoized TOC
-/// cache — the drift-time sibling of [`provision_fleet`]. Per-tenant
-/// failures are typed outcomes, never errors of the batch.
+/// Re-provision every tenant concurrently — the drift-time sibling of
+/// [`provision_fleet`]. Per-tenant failures are typed outcomes, never
+/// errors of the batch.
 pub fn replan_fleet(tenants: &[ReplanTenantRequest], config: &FleetConfig) -> ReplanFleetReport {
-    let (outcomes, cache, wall_ms) = run_pool(tenants, config, |tenant, cache| {
-        replan_one(tenant, cache, config.refinements)
+    let (outcomes, wall_ms) = run_pool(tenants, config, |tenant| {
+        replan_one(tenant, config.refinements)
     });
     let totals = migration_totals(&outcomes);
     ReplanFleetReport {
         totals,
-        cache,
         wall_ms,
         tenants: outcomes,
     }
 }
 
-fn replan_one(
-    tenant: &ReplanTenantRequest,
-    cache: &Arc<CachedEstimator>,
-    refinements: usize,
-) -> ReplanOutcome {
+fn replan_one(tenant: &ReplanTenantRequest, refinements: usize) -> ReplanOutcome {
     let solver = tenant.solver_id().to_owned();
     let budget = tenant.budget.unwrap_or_default();
     let result = tenant_advisor(
@@ -435,7 +408,6 @@ fn replan_one(
         tenant.sla,
         tenant.refinements.unwrap_or(refinements),
         tenant.engine,
-        cache,
     )
     .and_then(|advisor| advisor.replan_with(&tenant.current_layout, &solver, &budget));
     let (replan, error) = match result {
@@ -577,30 +549,33 @@ pub struct SuperviseFleetReport {
     pub tenants: Vec<SuperviseOutcome>,
     /// Fleet-wide totals.
     pub totals: SuperviseTotals,
-    /// Hit/miss counters of the shared TOC cache.
+    /// Replan reuse across the fleet's controllers: triggered ticks
+    /// answered from a controller's memo (`hits`) and replans solved
+    /// (`misses`).
     pub cache: CacheStats,
     /// Wall-clock time of the whole batch in integer milliseconds.
     pub wall_ms: u64,
 }
 
 /// Supervise every tenant concurrently — one [`Controller`] per tenant
-/// replaying its trace, all sessions sharing one memoized TOC cache — the
-/// closed-loop sibling of [`provision_fleet`] / [`replan_fleet`]. Event
-/// logs are deterministic (bit-identical with the cache off, cold, or
-/// warm, and at any worker count); only wall-clock fields differ between
-/// runs. Per-tenant failures are typed outcomes, never errors of the batch.
+/// replaying its trace, all counting replan reuse in one
+/// [`CachedEstimator`] — the closed-loop sibling of [`provision_fleet`] /
+/// [`replan_fleet`]. Event logs are deterministic at any worker count;
+/// only wall-clock fields differ between runs. Per-tenant failures are
+/// typed outcomes, never errors of the batch.
 pub fn supervise_fleet(
     tenants: &[SuperviseTenantRequest],
     config: &FleetConfig,
     controller: &ControllerConfig,
 ) -> SuperviseFleetReport {
-    let (outcomes, cache, wall_ms) = run_pool(tenants, config, |tenant, cache| {
-        supervise_one(tenant, cache, controller, config.refinements)
+    let reuse = Arc::new(CachedEstimator::new());
+    let (outcomes, wall_ms) = run_pool(tenants, config, |tenant| {
+        supervise_one(tenant, &reuse, controller, config.refinements)
     });
     let totals = supervise_totals(&outcomes);
     SuperviseFleetReport {
         totals,
-        cache,
+        cache: reuse.stats(),
         wall_ms,
         tenants: outcomes,
     }
@@ -608,7 +583,7 @@ pub fn supervise_fleet(
 
 fn supervise_one(
     tenant: &SuperviseTenantRequest,
-    cache: &Arc<CachedEstimator>,
+    reuse: &Arc<CachedEstimator>,
     fleet_controller: &ControllerConfig,
     fleet_refinements: usize,
 ) -> SuperviseOutcome {
@@ -648,7 +623,7 @@ fn supervise_one(
         tenant.sla,
         config,
     ) {
-        Ok(c) => c.with_toc_cache(Arc::clone(cache)),
+        Ok(c) => c.with_toc_cache(Arc::clone(reuse)),
         Err(e) => return failed(e),
     };
     if let Some(engine) = tenant.engine {
@@ -772,13 +747,6 @@ mod tests {
                 rec.provenance.elapsed_ms = 0;
             }
         }
-        // Hit rates differ between serial/parallel runs (racy double
-        // computes) and are not part of the determinism contract.
-        report.cache = CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-        };
         report
     }
 
@@ -800,32 +768,6 @@ mod tests {
             },
         );
         assert_eq!(normalized(serial), normalized(parallel));
-    }
-
-    #[test]
-    fn identical_shapes_share_cache_entries() {
-        let tenants = mixed_fleet();
-        // One worker makes the hit/miss split deterministic: with parallel
-        // workers, same-shape siblings can race the same cold key and both
-        // miss (allowed — values stay identical, only counters move).
-        let report = provision_fleet(
-            &tenants,
-            &FleetConfig {
-                workers: 1,
-                ..FleetConfig::default()
-            },
-        );
-        assert_eq!(report.aggregate.tenants_provisioned, 6);
-        assert_eq!(report.aggregate.tenants_failed, 1);
-        // The second tenant of each shape re-requests every estimate the
-        // first already computed (the SLA is not part of the cache key).
-        assert!(
-            report.cache.hits >= report.cache.misses,
-            "hits {} < misses {}",
-            report.cache.hits,
-            report.cache.misses
-        );
-        assert!(report.cache.hit_rate() > 0.0);
     }
 
     #[test]
@@ -901,7 +843,7 @@ mod tests {
     }
 
     /// A replan fleet over one drifting shape: tenants share the schema
-    /// and drifted workload (so the cache can help), each deployed on the
+    /// and drifted workload, each deployed on the
     /// layout the *analytical* phase recommended, plus one broken tenant.
     fn replan_fleet_requests() -> Vec<ReplanTenantRequest> {
         use dot_workloads::{drift, tpcc};
@@ -961,7 +903,7 @@ mod tests {
         assert!((report.totals.total_cents - by_hand).abs() < 1e-9);
         assert!(report.totals.total_bytes > 0.0);
         assert!(report.totals.total_savings_cents_per_hour > 0.0);
-        // Identically-shaped tenants answer each other's estimates.
+        // The batch is deterministic across worker counts.
         let serial = replan_fleet(
             &tenants,
             &FleetConfig {
@@ -969,15 +911,8 @@ mod tests {
                 ..FleetConfig::default()
             },
         );
-        assert!(serial.cache.hits > 0, "shared cache must hit");
-        // And the batch is deterministic across worker counts.
         let strip = |mut r: ReplanFleetReport| {
             r.wall_ms = 0;
-            r.cache = CacheStats {
-                hits: 0,
-                misses: 0,
-                entries: 0,
-            };
             for o in &mut r.tenants {
                 if let Some(rec) = &mut o.replan {
                     rec.target.provenance.elapsed_ms = 0;
@@ -1040,11 +975,6 @@ mod tests {
 
     fn strip_supervise(mut report: SuperviseFleetReport) -> SuperviseFleetReport {
         report.wall_ms = 0;
-        report.cache = CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-        };
         for outcome in &mut report.tenants {
             outcome.provenance.elapsed_ms = 0;
         }
@@ -1090,7 +1020,7 @@ mod tests {
 
         assert!(report.totals.total_bytes_moved > 0.0);
 
-        // Bit-identical event logs across worker counts (and cache reuse).
+        // Bit-identical event logs and reuse counts across worker counts.
         let serial = supervise_fleet(
             &tenants,
             &FleetConfig {

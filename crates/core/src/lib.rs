@@ -71,9 +71,9 @@
 //!   enumeration through the planner, and an additive branch-and-bound
 //!   variant for throughput workloads whose plans are placement-stable;
 //! * [`fleet`] — batch provisioning: N tenant databases advised
-//!   concurrently over a scoped-thread worker pool, sharing one memoized
-//!   TOC cache ([`toc::CachedEstimator`]), with an aggregate bill and
-//!   cache hit-rate in the report;
+//!   concurrently over a scoped-thread worker pool, with an aggregate bill
+//!   in the report (supervised fleets also count their controllers'
+//!   replan reuse, [`controller::CachedEstimator`]);
 //! * [`replan`] — online re-provisioning under workload drift: diff a
 //!   deployed layout against the drifted recommendation, price each
 //!   object-group move (bytes, transfer time, cents), and emit a
@@ -81,7 +81,10 @@
 //! * [`controller`] — the closed loop over `replan`: ingest observed
 //!   workload profiles, score drift distance and graded SLA pressure,
 //!   trigger replans past configurable thresholds (with hysteresis and a
-//!   cool-down so the loop never flaps), and log typed `ControlEvent`s;
+//!   cool-down so the loop never flaps), and log typed `ControlEvent`s; a
+//!   triggered tick that repeats one of the controller's recent (observed
+//!   workload, deployed layout) pairs reuses that replan instead of
+//!   re-solving;
 //! * [`baselines`] — the six simple layouts of §4.2 and the Object Advisor
 //!   of Canim et al. as characterized in §6;
 //! * [`ablation`] — switchable design choices (group vs. object moves,

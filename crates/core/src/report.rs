@@ -65,9 +65,8 @@ pub fn evaluate(
     evaluate_with(problem, cons, label, layout, &Estimator::direct())
 }
 
-/// [`evaluate`] with an explicit TOC estimator, so sessions backed by a
-/// [`CachedEstimator`](crate::toc::CachedEstimator) reuse estimates their
-/// solvers already computed.
+/// [`evaluate`] with an explicit TOC estimator, so sessions price from
+/// their compiled templates.
 pub fn evaluate_with(
     problem: &Problem<'_>,
     cons: &Constraints,

@@ -10,13 +10,11 @@
 //! profiled exactly once per grid.
 
 use crate::advisor::{Advisor, ProvisionError, Recommendation};
-use crate::toc::CachedEstimator;
 use dot_dbms::{EngineConfig, Schema};
 use dot_profiler::ProfileSource;
 use dot_storage::StoragePool;
 use dot_workloads::{SlaSpec, Workload};
 use serde::Serialize;
-use std::sync::Arc;
 
 /// One point of an SLA sweep.
 #[derive(Debug, Clone, Serialize)]
@@ -34,10 +32,8 @@ pub struct SlaPoint {
 /// Run DOT at each SLA ratio and report the cost/placement trajectory —
 /// the data behind Fig 8's "TOC decreases as the SLA relaxes" and Table 3's
 /// migration gradient. One advisor session drives the whole grid: its
-/// profile is computed once and shared by every [`with_sla`] sibling, and a
-/// shared [`CachedEstimator`] memoizes the TOC estimates (which are
-/// SLA-independent), so the grid stops re-deriving identical
-/// `estimate_toc` calls point after point.
+/// profile and compiled plan templates are built once and shared by every
+/// [`with_sla`] sibling, so each point only re-prices layouts.
 ///
 /// Fails with a typed error only when the request itself is broken (e.g.
 /// the database cannot fit on the pool at all); per-point infeasibility is
@@ -55,7 +51,6 @@ pub fn sla_sweep(
     let advisor = Advisor::builder(schema, pool, workload)
         .engine(cfg)
         .profile_source(source)
-        .toc_cache(Arc::new(CachedEstimator::new()))
         .build()?;
     Ok(ratios
         .iter()
@@ -123,9 +118,6 @@ pub fn price_sensitivity(
             pool: base_pool.name().to_owned(),
         })?
         .price_cents_per_gb_hour;
-    // One cache across all factors: each perturbed pool fingerprints
-    // differently, so entries never cross-contaminate between factors.
-    let cache = Arc::new(CachedEstimator::new());
     factors
         .iter()
         .map(|&factor| {
@@ -136,7 +128,6 @@ pub fn price_sensitivity(
                 .sla_spec(sla)
                 .engine(cfg)
                 .profile_source(source)
-                .toc_cache(Arc::clone(&cache))
                 .build()?;
             let class_id = pool.class_by_name(class_name).expect("still present").id;
             Ok(match advisor.recommend("dot") {

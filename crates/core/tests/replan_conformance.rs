@@ -6,12 +6,13 @@
 //!   budget is unbounded, and strictly within budget otherwise;
 //! * break-even hours are finite and positive whenever the plan is
 //!   non-empty;
-//! * replanning is bit-identical with the TOC cache off, cold, and warm
-//!   (matching the solver-conformance matrix's cache contract).
+//! * replanning is bit-identical with the controller's replan memo off,
+//!   cold, and warm: a fresh session, a repeat over one session, a
+//!   controller's solved trigger and its reused one all agree.
 
 use dot_core::advisor::Advisor;
+use dot_core::controller::{CachedEstimator, Controller, ControllerConfig};
 use dot_core::replan::{MigrationBudget, MigrationDecision, ReplanRecommendation};
-use dot_core::toc::CachedEstimator;
 use dot_dbms::Layout;
 use dot_storage::{catalog, StoragePool};
 use dot_workloads::{drift, tpcc, Workload};
@@ -162,25 +163,69 @@ fn break_even_is_finite_and_positive_for_every_non_empty_plan() {
 fn replan_is_bit_identical_with_the_cache_off_cold_and_warm() {
     let (schema, pool, before, after) = scenario();
     let current = deployed_for(&schema, &pool, &before);
+    let config = ControllerConfig::default();
+    let session = || {
+        Advisor::builder(&schema, &pool, &after)
+            .sla(0.5)
+            .build()
+            .unwrap()
+    };
+    let replan = |advisor: &Advisor| {
+        strip_timing(
+            advisor
+                .replan_with(&current, &config.solver, &config.budget)
+                .unwrap(),
+        )
+    };
 
-    let uncached = Advisor::builder(&schema, &pool, &after)
-        .sla(0.5)
-        .build()
-        .unwrap();
-    let off = strip_timing(uncached.replan(&current).unwrap());
+    // Off: no replan memo — a fresh session, a repeat on it, and another
+    // fresh session agree.
+    let first = session();
+    let off = replan(&first);
+    assert_eq!(off, replan(&first), "repeat on one session");
+    assert_eq!(off, replan(&session()), "fresh session");
 
-    let cache = Arc::new(CachedEstimator::new());
-    let cached = Advisor::builder(&schema, &pool, &after)
-        .sla(0.5)
-        .toc_cache(Arc::clone(&cache))
-        .build()
-        .unwrap();
-    let cold = strip_timing(cached.replan(&current).unwrap());
-    assert!(cache.stats().misses > 0, "cold run must populate the cache");
-    let warm = strip_timing(cached.replan(&current).unwrap());
-
-    assert_eq!(off, cold, "cache off vs cold");
-    assert_eq!(cold, warm, "cold vs warm");
-    let stats = cache.stats();
-    assert!(stats.hits > 0, "warm run must answer from the cache");
+    // Cold and warm: a controller deployed on the analytical layout sees
+    // the transactional phase (solved), the analytical phase again (which
+    // replans back onto `current`), then the transactional phase once
+    // more — the same (observed, deployed) pair, answered from its memo.
+    // Quiet ticks between the flips sit out the cool-down.
+    let counters = Arc::new(CachedEstimator::new());
+    let mut controller = Controller::new(
+        &schema,
+        &pool,
+        &before,
+        current.clone(),
+        0.5,
+        config.clone(),
+    )
+    .unwrap()
+    .with_toc_cache(Arc::clone(&counters));
+    let mut on_current = Vec::new();
+    for phase in [&after, &before, &after] {
+        for quiet in 0..=config.cooldown_ticks {
+            let deployed = controller.deployed().clone();
+            let outcome = controller.observe(phase).unwrap();
+            assert_eq!(outcome.triggered(), quiet == 0, "tick {}", outcome.tick);
+            if let Some(rec) = outcome.replan {
+                if deployed == current && phase.name == after.name {
+                    on_current.push((rec, counters.stats()));
+                }
+            }
+        }
+    }
+    let [(cold, cold_stats), (warm, warm_stats)] = <[_; 2]>::try_from(on_current)
+        .expect("the reverse drift replans back, so the transactional phase meets the analytical layout twice");
+    assert_eq!(
+        (cold_stats.hits, cold_stats.misses),
+        (0, 1),
+        "cold run solves"
+    );
+    assert_eq!(
+        (warm_stats.hits, warm_stats.misses),
+        (1, 2),
+        "warm run answers from the memo"
+    );
+    assert_eq!(off, strip_timing(cold), "cache off vs cold");
+    assert_eq!(off, strip_timing(warm), "cache off vs warm");
 }

@@ -24,7 +24,8 @@ options:
                              use port 0 for an ephemeral port)
   --unix-socket <path>       also listen on a Unix-domain socket
   --workers <n>              worker threads (default: CPU count, max 8)
-  --cache-capacity <n>       shared TOC-cache entries (default 65536)
+  --cache-capacity <n>       accepted and ignored (there is no shared
+                             estimate cache to size any more)
   --state-dir <path>         persist the tenant registry here (snapshot on
                              attach/detach/apply/shutdown; restored on
                              startup, so clients resume by tenant id)
@@ -58,7 +59,7 @@ pub fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                     .map_err(|e| format!("--workers: {e}"))?;
             }
             "--cache-capacity" => {
-                config.cache_capacity = value("--cache-capacity")?
+                value("--cache-capacity")?
                     .parse::<usize>()
                     .map_err(|e| format!("--cache-capacity: {e}"))?;
             }

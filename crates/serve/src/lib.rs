@@ -9,9 +9,9 @@
 //! - [`protocol`] — the versioned JSON-lines request/response vocabulary
 //!   (one JSON document per line; `Observe` streams events).
 //! - [`framing`] — timeout-tolerant line framing with a size ceiling.
-//! - [`registry`] — per-tenant controller sessions over one shared
-//!   [`CachedEstimator`]; per-tenant mutexes give cross-tenant
-//!   concurrency with per-tenant determinism.
+//! - [`registry`] — per-tenant controller sessions counting their replan
+//!   reuse in one shared [`CachedEstimator`]; per-tenant mutexes give
+//!   cross-tenant concurrency with per-tenant determinism.
 //! - [`server`] — TCP + Unix-socket listeners, a bounded std-thread
 //!   worker pool, and graceful drain-and-flush shutdown.
 //! - [`cli`] — the argument surface shared by the `dot-serve` binary and
@@ -26,7 +26,7 @@
 //! trajectories).
 //!
 //! [`Controller`]: dot_core::controller::Controller
-//! [`CachedEstimator`]: dot_core::toc::CachedEstimator
+//! [`CachedEstimator`]: dot_core::controller::CachedEstimator
 //! [`ProvisionError`]: dot_core::advisor::ProvisionError
 //! [`ControlEvent`]: dot_core::controller::ControlEvent
 

@@ -29,8 +29,8 @@
 
 use dot_core::advisor::presets;
 use dot_core::advisor::{ProvisionError, Recommendation};
+use dot_core::controller::CacheStats;
 use dot_core::controller::{ControlEvent, ControlProvenance, ControllerConfig, TraceStep};
-use dot_core::toc::CacheStats;
 use dot_dbms::{EngineConfig, Layout, Schema};
 use dot_storage::StoragePool;
 use dot_workloads::Workload;
@@ -103,7 +103,7 @@ pub enum Request {
         /// The tenant to remove.
         tenant: TenantId,
     },
-    /// Fleet totals plus the shared TOC cache's hit/miss/occupancy.
+    /// Fleet totals plus the tenants' replan-reuse counters.
     Stats,
     /// Graceful shutdown: stop accepting connections, drain in-flight
     /// ticks, and answer with every attached tenant's flushed summary.
@@ -167,12 +167,21 @@ pub enum Response {
         #[serde(default)]
         schedule: Option<ScheduleSummary>,
     },
+    /// A durability point of this request did not reach the disk: the
+    /// state the terminal frame right after it acknowledges (`Attached`,
+    /// `ObserveDone`, `Detached` or `ShuttingDown`) holds in memory but may
+    /// not survive a restart. Never a terminal frame itself, and absent
+    /// whenever the write succeeded.
+    NotDurable {
+        /// The failed write's error.
+        reason: String,
+    },
     /// A tenant was unregistered; its final summary.
     Detached {
         /// The flushed summary.
         summary: TenantSummary,
     },
-    /// Fleet totals and shared-cache statistics.
+    /// Fleet totals and replan-reuse counters.
     Stats {
         /// Tenants currently attached.
         tenants: usize,
@@ -182,7 +191,10 @@ pub enum Response {
         triggers: usize,
         /// Plans applied across all current tenants.
         applications: usize,
-        /// Hit/miss/occupancy counters of the shared TOC cache.
+        /// Replan reuse across the tenants' controllers: triggered ticks
+        /// answered from a controller's memo (`hits`), replans solved
+        /// (`misses`), and answers resident (`entries`). The field keeps
+        /// the name of the estimate cache it replaced.
         cache: CacheStats,
     },
     /// Graceful shutdown acknowledged; every tenant's flushed summary, in

@@ -1,5 +1,6 @@
 //! The daemon's tenant registry: many concurrent per-tenant
-//! [`Controller`] sessions over one shared [`CachedEstimator`].
+//! [`Controller`] sessions, counting their replan reuse in one shared
+//! [`CachedEstimator`].
 //!
 //! Locking discipline: the registry's own mutex guards only the tenant
 //! *map* (attach/detach/lookup — held for moments); each tenant carries
@@ -27,7 +28,9 @@
 //!   ticks since the last applied plan. What is persisted per tenant is
 //!   a [`TenantSnapshot`]: the problem spec, the controller config, and
 //!   the controller's [`ControllerCheckpoint`] — a resumed session
-//!   continues the event log bit-identically.
+//!   continues the event log bit-identically. A durability point whose
+//!   write fails is reported to the caller that waited on it (a
+//!   [`Durability`] error), never acknowledged as on disk.
 //! - **Backpressure** — each tenant carries a bounded in-flight observe
 //!   budget; overflow is a typed [`ProtocolError::Busy`] reject instead
 //!   of an unbounded queue on the slot mutex.
@@ -43,7 +46,7 @@ use dot_core::controller::{
     expand_trace, ControlEvent, ControlProvenance, Controller, ControllerCheckpoint,
     ControllerConfig, TraceStep, TriggerReason,
 };
-use dot_core::toc::{CacheStats, CachedEstimator};
+use dot_core::controller::{CacheStats, CachedEstimator};
 use dot_dbms::{Layout, Schema};
 use dot_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -106,7 +109,8 @@ fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a,
 /// graceful shutdown, the end of an observe step that applied a plan)
 /// [`sync`](Persister::sync) on their ticket — crucially *without*
 /// holding any tenant lock, so a slow disk stalls the one caller that
-/// asked for durability, never the tenant or the tenant map.
+/// asked for durability, never the tenant or the tenant map — and learn
+/// whether their state reached the disk.
 struct Persister {
     shared: Arc<PersisterShared>,
     writer: Option<thread::JoinHandle<()>>,
@@ -128,9 +132,14 @@ struct PersistQueue {
     /// Tickets issued (monotone enqueue counter).
     enqueued: u64,
     /// The highest ticket whose write attempt completed. Failed writes
-    /// advance it too: persistence failures are logged, never fatal, and
-    /// a barrier must not hang on a full disk.
+    /// advance it too: a barrier must not hang on a full disk.
     written: u64,
+    /// The highest ticket whose write succeeded. A snapshot is built from
+    /// the registry state at its ticket, so every ticket up to this one is
+    /// on disk.
+    durable: u64,
+    /// Why the most recent failed write failed.
+    failure: Option<String>,
     stop: bool,
 }
 
@@ -163,11 +172,18 @@ impl Persister {
         queue.enqueued
     }
 
-    /// Block until the write for `ticket` (or a fresher one) completed.
-    fn sync(&self, ticket: u64) {
+    /// Block until the write for `ticket` (or a fresher one) completed,
+    /// and answer whether `ticket`'s state is on disk: `Err` carries the
+    /// latest write error, unless a fresher write has landed since.
+    fn sync(&self, ticket: u64) -> Durability {
         let mut queue = lock_recover(&self.shared.queue);
         while queue.written < ticket {
             queue = wait_recover(&self.shared.done, queue);
+        }
+        if queue.durable >= ticket {
+            Ok(())
+        } else {
+            Err(queue.failure.clone().unwrap_or_default())
         }
     }
 }
@@ -202,26 +218,40 @@ impl PersisterShared {
             // Persistence failures must not fail the request that asked
             // for them (the in-memory registry stays authoritative), and
             // nothing — not even a panicking filesystem — may kill the
-            // writer while barriers wait on it: report and carry on.
-            match catch_unwind(AssertUnwindSafe(|| write_snapshot(&self.dir, &snapshot))) {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => eprintln!("dot-serve: failed to persist registry state: {e}"),
-                Err(payload) => eprintln!(
-                    "dot-serve: registry persistence panicked: {}",
-                    panic_reason(payload)
-                ),
-            }
+            // writer while barriers wait on it: hand the failure to the
+            // barriers and carry on.
+            let failure =
+                match catch_unwind(AssertUnwindSafe(|| write_snapshot(&self.dir, &snapshot))) {
+                    Ok(Ok(())) => None,
+                    Ok(Err(e)) => Some(format!("failed to persist registry state: {e}")),
+                    Err(payload) => Some(format!(
+                        "registry persistence panicked: {}",
+                        panic_reason(payload)
+                    )),
+                };
             let mut queue = lock_recover(&self.queue);
             queue.written = queue.written.max(ticket);
+            match failure {
+                None => queue.durable = queue.durable.max(ticket),
+                Some(reason) => {
+                    eprintln!("dot-serve: {reason}");
+                    queue.failure = Some(reason);
+                }
+            }
             self.done.notify_all();
         }
     }
 }
 
+/// Whether a durability point reached the disk: `Err` carries why the
+/// write that covered it failed. The in-memory state stands either way.
+pub type Durability = Result<(), String>;
+
 /// Registry knobs (the server copies these out of its own config).
 #[derive(Debug, Clone)]
 pub struct RegistryConfig {
-    /// Shared TOC-cache capacity in entries.
+    /// Kept only for source compatibility: there is no shared estimate
+    /// cache to size, and the registry ignores it.
     pub cache_capacity: usize,
     /// Directory for the registry snapshot; `None` disables persistence.
     pub state_dir: Option<PathBuf>,
@@ -317,7 +347,7 @@ pub struct RegistrySnapshot {
 }
 
 /// Cumulative counters answered at the end of an `Observe` stream.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct TenantCounters {
     /// Ticks ingested over the tenant's lifetime.
     pub ticks: u64,
@@ -328,6 +358,9 @@ pub struct TenantCounters {
     /// The most recent plan's transfer-schedule digest (`None` until a
     /// replan runs; fleet-total counters carry `None` too).
     pub last_schedule: Option<ScheduleSummary>,
+    /// Whether the plans this step applied reached the disk (`Ok` when
+    /// none needed to, or the registry does not persist).
+    pub durability: Durability,
 }
 
 /// Why an `Observe` stream stopped early.
@@ -367,7 +400,7 @@ impl Drop for InflightPermit<'_> {
     }
 }
 
-/// The daemon's shared state: the tenant map, the fleet-wide TOC cache,
+/// The daemon's shared state: the tenant map, the replan-reuse counters,
 /// and the shutdown latch.
 pub struct Registry {
     cache: Arc<CachedEstimator>,
@@ -386,7 +419,7 @@ impl Registry {
     /// for the restore-on-startup path.
     pub fn new(config: RegistryConfig) -> Registry {
         Registry {
-            cache: Arc::new(CachedEstimator::with_capacity(config.cache_capacity)),
+            cache: Arc::new(CachedEstimator::new()),
             tenants: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
@@ -511,22 +544,20 @@ impl Registry {
     /// Persist and wait for the write to complete — the durability
     /// barrier for replies that promise the state is on disk (attach,
     /// detach). Never called with a tenant lock held.
-    fn persist_sync(&self) {
+    fn persist_sync(&self) -> Durability {
         let ticket = self.persist();
-        if let Some(p) = &self.persister {
-            p.sync(ticket);
-        }
+        self.persister.as_ref().map_or(Ok(()), |p| p.sync(ticket))
     }
 
     /// Persist an explicit slot list and wait — `flush_all` passes the
     /// pre-flush set so graceful shutdown durably writes the tenants it
     /// just flushed, even though the live map is already empty.
-    fn persist_slots_sync(&self, slots: &[Arc<TenantSlot>]) {
+    fn persist_slots_sync(&self, slots: &[Arc<TenantSlot>]) -> Durability {
         let Some(p) = &self.persister else {
-            return;
+            return Ok(());
         };
         let ticket = p.enqueue(|| self.build_snapshot(slots));
-        p.sync(ticket);
+        p.sync(ticket)
     }
 
     fn build_snapshot(&self, slots: &[Arc<TenantSlot>]) -> RegistrySnapshot {
@@ -540,7 +571,7 @@ impl Registry {
         }
     }
 
-    /// The shared estimator (all tenants and one-shot provisions hit it).
+    /// The replan-reuse counters every tenant's controller counts in.
     pub fn cache(&self) -> &Arc<CachedEstimator> {
         &self.cache
     }
@@ -571,7 +602,7 @@ impl Registry {
             .ok_or(ProtocolError::UnknownTenant { tenant })
     }
 
-    /// One-shot provisioning through the shared cache; no tenant state.
+    /// One-shot provisioning; no tenant state.
     pub fn provision(
         &self,
         spec: &ProblemSpec,
@@ -580,10 +611,7 @@ impl Registry {
         self.reject_if_shutting_down()?;
         let resolved = spec.resolve().map_err(provision)?;
         let mut builder = Advisor::builder(&resolved.schema, &resolved.pool, &resolved.workload);
-        builder = builder
-            .sla(resolved.sla)
-            .refinements(resolved.refinements)
-            .toc_cache(Arc::clone(&self.cache));
+        builder = builder.sla(resolved.sla).refinements(resolved.refinements);
         if let Some(engine) = resolved.engine {
             builder = builder.engine(engine);
         }
@@ -593,11 +621,8 @@ impl Registry {
             .map_err(provision)
     }
 
-    /// Register a tenant: validate the problem, provision the baseline
-    /// when no deployed layout is given, and open its controller. The id
-    /// is allocated under the table lock *after* the shutdown re-check,
-    /// so a rejected attach never burns an id (a restored registry's
-    /// counter stays collision-free).
+    /// [`attach_with_durability`](Self::attach_with_durability), for
+    /// callers that do not report whether the attach reached the disk.
     pub fn attach(
         &self,
         name: Option<String>,
@@ -605,22 +630,36 @@ impl Registry {
         deployed: Option<Layout>,
         config: Option<ControllerConfig>,
     ) -> Result<(TenantId, String), ProtocolError> {
+        self.attach_with_durability(name, spec, deployed, config)
+            .map(|(id, name, _)| (id, name))
+    }
+
+    /// Register a tenant: validate the problem, provision the baseline
+    /// when no deployed layout is given, and open its controller. The id
+    /// is allocated under the table lock *after* the shutdown re-check,
+    /// so a rejected attach never burns an id (a restored registry's
+    /// counter stays collision-free). The attached tenant stands even when
+    /// its durability point fails; the [`Durability`] says so.
+    pub fn attach_with_durability(
+        &self,
+        name: Option<String>,
+        spec: &ProblemSpec,
+        deployed: Option<Layout>,
+        config: Option<ControllerConfig>,
+    ) -> Result<(TenantId, String, Durability), ProtocolError> {
         self.reject_if_shutting_down()?;
         let resolved = spec.resolve().map_err(provision)?;
         let config = config.unwrap_or_default();
         config.validate().map_err(provision)?;
         // No deployed layout: deploy what the controller's own solver
-        // recommends for the baseline, through the shared cache — the same
-        // choice `dot-cli supervise` makes without `--current`.
+        // recommends for the baseline — the same choice `dot-cli
+        // supervise` makes without `--current`.
         let deployed = match deployed {
             Some(layout) => layout,
             None => {
                 let mut builder =
                     Advisor::builder(&resolved.schema, &resolved.pool, &resolved.workload);
-                builder = builder
-                    .sla(resolved.sla)
-                    .refinements(resolved.refinements)
-                    .toc_cache(Arc::clone(&self.cache));
+                builder = builder.sla(resolved.sla).refinements(resolved.refinements);
                 if let Some(engine) = resolved.engine {
                     builder = builder.engine(engine);
                 }
@@ -686,8 +725,7 @@ impl Registry {
                 durable: Mutex::new(durable),
             }));
             drop(tenants);
-            self.persist_sync();
-            Ok((id, name))
+            Ok((id, name, self.persist_sync()))
         }
     }
 
@@ -811,25 +849,28 @@ impl Registry {
                 return Err(e.into());
             }
         }
-        let counters = TenantCounters {
+        let mut counters = TenantCounters {
             ticks: state.controller.ticks(),
             triggers: state.triggers,
             applications: state.applications,
             last_schedule: state.last_schedule,
+            durability: Ok(()),
         };
         drop(state);
         // The terminal frame is the durability barrier: once the client
-        // sees this step's counters, its applied plans are on disk. The
-        // wait happens after the tenant lock is released, so a slow disk
-        // stalls only this client, never the tenant's queue.
+        // sees this step's counters, its applied plans are on disk — or
+        // the counters say they are not. The wait happens after the tenant
+        // lock is released, so a slow disk stalls only this client, never
+        // the tenant's queue.
         if let (Some(ticket), Some(p)) = (durability, &self.persister) {
-            p.sync(ticket);
+            counters.durability = p.sync(ticket);
         }
         Ok(counters)
     }
 
-    /// Unregister a tenant, flushing its final summary.
-    pub fn detach(&self, tenant: TenantId) -> Result<TenantSummary, ProtocolError> {
+    /// Unregister a tenant, flushing its final summary, and say whether
+    /// the registry without it reached the disk.
+    pub fn detach(&self, tenant: TenantId) -> Result<(TenantSummary, Durability), ProtocolError> {
         let slot = {
             let mut tenants = lock_recover(&self.tenants);
             let idx = tenants
@@ -838,11 +879,11 @@ impl Registry {
                 .ok_or(ProtocolError::UnknownTenant { tenant })?;
             tenants.remove(idx)
         };
-        self.persist_sync();
-        Ok(summarize(&slot))
+        let durability = self.persist_sync();
+        Ok((summarize(&slot), durability))
     }
 
-    /// Fleet totals plus the shared cache's counters. Tenant locks are
+    /// Fleet totals plus the replan-reuse counters. Tenant locks are
     /// taken one at a time, so totals are per-tenant consistent (a tenant
     /// mid-step is counted as of its last completed tick).
     pub fn stats(&self) -> (usize, TenantCounters, CacheStats) {
@@ -852,6 +893,7 @@ impl Registry {
             triggers: 0,
             applications: 0,
             last_schedule: None,
+            durability: Ok(()),
         };
         for slot in &slots {
             let state = lock_recover(&slot.state);
@@ -866,8 +908,9 @@ impl Registry {
     /// tenant's lock waits out its in-flight ticks; the emptied map makes
     /// later detaches answer [`ProtocolError::UnknownTenant`]. The flushed
     /// set is persisted, so a graceful shutdown's state file carries every
-    /// tenant's final checkpoint for the next daemon to restore.
-    pub fn flush_all(&self) -> Vec<TenantSummary> {
+    /// tenant's final checkpoint for the next daemon to restore — or the
+    /// [`Durability`] says it does not.
+    pub fn flush_all(&self) -> (Vec<TenantSummary>, Durability) {
         let slots: Vec<Arc<TenantSlot>> = std::mem::take(&mut *lock_recover(&self.tenants));
         let summaries = slots
             .iter()
@@ -881,8 +924,8 @@ impl Registry {
                 summarize_locked(slot, &state)
             })
             .collect();
-        self.persist_slots_sync(&slots);
-        summaries
+        let durability = self.persist_slots_sync(&slots);
+        (summaries, durability)
     }
 }
 
@@ -894,6 +937,16 @@ impl Registry {
 /// declared done). Called only from the persister's writer thread, which
 /// is what makes the shared temp path race-free.
 fn write_snapshot(dir: &Path, snapshot: &RegistrySnapshot) -> io::Result<()> {
+    #[cfg(feature = "test-hooks")]
+    if snapshot
+        .tenants
+        .iter()
+        .any(|t| t.name.contains("__nodisk__"))
+    {
+        // Fault-injection hook: a registry holding a "__nodisk__" tenant
+        // behaves like a full disk.
+        return Err(io::Error::other("test-hooks: injected write failure"));
+    }
     let json = serde_json::to_string(snapshot)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let tmp = dir.join(format!("{STATE_FILE}.tmp"));
@@ -1093,7 +1146,7 @@ mod tests {
                             serde_json::from_str(&text).expect("snapshot parses mid-hammer");
                         assert_eq!(snapshot.version, SNAPSHOT_VERSION);
                         if i % 2 == 0 {
-                            registry.detach(id).expect("detach");
+                            registry.detach(id).expect("detach").1.expect("durable");
                         }
                     }
                 })

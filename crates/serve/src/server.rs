@@ -20,7 +20,7 @@ use crate::framing::{parse_request, write_frame, FrameReader, Lined, MAX_FRAME_B
 use crate::protocol::{
     ProtocolError, Request, Response, ResponseFrame, PROTOCOL_VERSION, SERVER_NAME,
 };
-use crate::registry::{lock_recover, ObserveFailure, Registry, RegistryConfig};
+use crate::registry::{lock_recover, Durability, ObserveFailure, Registry, RegistryConfig};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -43,8 +43,6 @@ pub struct ServerConfig {
     /// Worker threads; `0` sizes the pool to the machine's available
     /// parallelism (capped at 8 — connections, not cores, are the unit).
     pub workers: usize,
-    /// Shared TOC-cache capacity in entries.
-    pub cache_capacity: usize,
     /// Per-frame size ceiling in bytes.
     pub max_frame_bytes: usize,
     /// Socket read timeout: how quickly idle workers notice shutdown.
@@ -67,7 +65,6 @@ impl Default for ServerConfig {
             listen: Some("127.0.0.1:0".to_owned()),
             unix_socket: None,
             workers: 0,
-            cache_capacity: registry.cache_capacity,
             max_frame_bytes: MAX_FRAME_BYTES,
             poll_interval: Duration::from_millis(25),
             state_dir: None,
@@ -206,10 +203,10 @@ impl Server {
             ));
         }
         let registry = Registry::open(RegistryConfig {
-            cache_capacity: config.cache_capacity,
             state_dir: config.state_dir.clone(),
             tenant_inflight_limit: config.tenant_inflight_limit,
             busy_retry_ms: config.busy_retry_ms,
+            ..RegistryConfig::default()
         })?;
         Ok(Server {
             registry: Arc::new(registry),
@@ -226,7 +223,7 @@ impl Server {
         self.local_addr
     }
 
-    /// The daemon's registry (tests observe cache stats through it).
+    /// The daemon's registry (tests observe reuse counters through it).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -397,6 +394,12 @@ fn serve_request(
     let reply = |writer: &mut Connection, response: Response| {
         write_frame(writer, &ResponseFrame { id, response })
     };
+    // A failed durability point goes out as its own frame just before the
+    // terminal frame that would otherwise imply the state is on disk.
+    let durable = |writer: &mut Connection, durability: Durability| match durability {
+        Ok(()) => Ok(()),
+        Err(reason) => reply(writer, Response::NotDurable { reason }),
+    };
     match request {
         Request::Hello { version } => {
             let response = if version == PROTOCOL_VERSION {
@@ -429,10 +432,14 @@ fn serve_request(
             deployed,
             controller,
         } => {
-            let response = match registry.attach(name, &problem, deployed, controller) {
-                Ok((tenant, name)) => Response::Attached { tenant, name },
-                Err(error) => Response::Error { error },
-            };
+            let response =
+                match registry.attach_with_durability(name, &problem, deployed, controller) {
+                    Ok((tenant, name, durability)) => {
+                        durable(writer, durability)?;
+                        Response::Attached { tenant, name }
+                    }
+                    Err(error) => Response::Error { error },
+                };
             reply(writer, response)?;
         }
         Request::Observe { tenant, step } => {
@@ -452,13 +459,16 @@ fn serve_request(
                 )
             });
             let response = match streamed {
-                Ok(counters) => Response::ObserveDone {
-                    tenant,
-                    ticks: counters.ticks,
-                    triggers: counters.triggers,
-                    applications: counters.applications,
-                    schedule: counters.last_schedule,
-                },
+                Ok(counters) => {
+                    durable(writer, counters.durability)?;
+                    Response::ObserveDone {
+                        tenant,
+                        ticks: counters.ticks,
+                        triggers: counters.triggers,
+                        applications: counters.applications,
+                        schedule: counters.last_schedule,
+                    }
+                }
                 Err(ObserveFailure::Protocol(error)) => Response::Error { error },
                 Err(ObserveFailure::Io(e)) => return Err(e),
             };
@@ -466,7 +476,10 @@ fn serve_request(
         }
         Request::DetachTenant { tenant } => {
             let response = match registry.detach(tenant) {
-                Ok(summary) => Response::Detached { summary },
+                Ok((summary, durability)) => {
+                    durable(writer, durability)?;
+                    Response::Detached { summary }
+                }
                 Err(error) => Response::Error { error },
             };
             reply(writer, response)?;
@@ -489,7 +502,8 @@ fn serve_request(
                 // First shutdown wins: drain (flush waits out in-flight
                 // ticks), answer with the flushed summaries, then wake
                 // the blocking acceptors so the whole daemon unwinds.
-                let tenants = registry.flush_all();
+                let (tenants, durability) = registry.flush_all();
+                durable(writer, durability)?;
                 reply(writer, Response::ShuttingDown { tenants })?;
                 waker.wake();
                 return Ok(true);

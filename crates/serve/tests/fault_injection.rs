@@ -1,8 +1,9 @@
 //! Hardening conformance under injected faults (requires the
 //! `test-hooks` feature): a tenant whose tick panics is contained — the
-//! daemon and every other tenant keep serving bit-identically — and a
-//! tenant whose ticks are slow exhausts its in-flight budget into typed
-//! `Busy` rejects on the wire.
+//! daemon and every other tenant keep serving bit-identically — a tenant
+//! whose ticks are slow exhausts its in-flight budget into typed `Busy`
+//! rejects on the wire, and a durability write that fails reaches the
+//! client as a typed `NotDurable` frame instead of a silent acknowledgement.
 
 use dot_core::advisor::Advisor;
 use dot_core::controller::{expand_trace, ControlEvent, Controller, ControllerConfig, TraceStep};
@@ -319,4 +320,99 @@ fn an_over_budget_tenant_answers_busy_on_the_wire() {
         Response::ShuttingDown { .. }
     ));
     run.join().expect("daemon unwinds cleanly");
+}
+
+/// Send `request` and read its frames through the terminal one: the
+/// `NotDurable` reasons that preceded it, and the terminal response.
+fn exchange(client: &mut Client, request: Request) -> (Vec<String>, Response) {
+    let id = client.request(request);
+    let mut not_durable = Vec::new();
+    loop {
+        let frame = client.recv();
+        assert_eq!(frame.id, id, "frames correlate to their request");
+        match frame.response {
+            Response::NotDurable { reason } => not_durable.push(reason),
+            Response::Event { .. } => {}
+            terminal => return (not_durable, terminal),
+        }
+    }
+}
+
+#[test]
+fn a_failed_durability_write_is_reported_not_acknowledged() {
+    let state_dir = std::env::temp_dir().join(format!("dot-serve-nodisk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let server = Server::bind(ServerConfig {
+        listen: Some("127.0.0.1:0".to_owned()),
+        workers: 2,
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("tcp addr");
+    let run = thread::spawn(move || server.run().expect("run"));
+    let mut client = Client::connect(addr);
+    let attach = |name: &str| Request::AttachTenant {
+        name: Some(name.to_owned()),
+        problem: spec(),
+        deployed: None,
+        controller: None,
+    };
+
+    // A healthy attach is durable: no NotDurable frame precedes it.
+    let (failures, response) = exchange(&mut client, attach("healthy"));
+    assert!(failures.is_empty(), "{failures:?}");
+    assert!(
+        matches!(response, Response::Attached { .. }),
+        "{response:?}"
+    );
+
+    // While the hooked tenant is attached every snapshot write fails: its
+    // attach and an applied migration are acknowledged, but only after a
+    // typed frame saying the state is not on disk.
+    let (failures, response) = exchange(&mut client, attach("tenant-__nodisk__"));
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(
+        failures[0].contains("injected write failure"),
+        "{failures:?}"
+    );
+    let Response::Attached { tenant: nodisk, .. } = response else {
+        panic!("attach: {response:?}");
+    };
+    let (failures, response) = exchange(
+        &mut client,
+        Request::Observe {
+            tenant: nodisk,
+            step: step("{\"phase\": \"analytical\"}"),
+        },
+    );
+    let Response::ObserveDone { applications, .. } = response else {
+        panic!("observe: {response:?}");
+    };
+    assert_eq!(applications, 1, "the phase flip must apply a migration");
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    let on_disk = std::fs::read_to_string(state_dir.join("registry.json")).expect("snapshot");
+    assert!(
+        !on_disk.contains("__nodisk__"),
+        "the failed writes must not have published the hooked tenant"
+    );
+
+    // Detaching the hooked tenant makes the next write succeed, so the
+    // detach is durable again — and so is everything after it.
+    let (failures, response) = exchange(&mut client, Request::DetachTenant { tenant: nodisk });
+    assert!(failures.is_empty(), "{failures:?}");
+    assert!(
+        matches!(response, Response::Detached { .. }),
+        "{response:?}"
+    );
+    let (failures, response) = exchange(&mut client, Request::Shutdown);
+    assert!(failures.is_empty(), "{failures:?}");
+    assert!(
+        matches!(response, Response::ShuttingDown { .. }),
+        "{response:?}"
+    );
+    run.join().expect("daemon unwinds cleanly");
+    let on_disk = std::fs::read_to_string(state_dir.join("registry.json")).expect("snapshot");
+    assert!(on_disk.contains("healthy") && !on_disk.contains("__nodisk__"));
+    let _ = std::fs::remove_dir_all(&state_dir);
 }

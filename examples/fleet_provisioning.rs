@@ -1,12 +1,9 @@
 //! Fleet provisioning: batch-advise 64 synthetic tenant databases
-//! concurrently over one shared, memoized TOC cache.
+//! concurrently on a worker pool.
 //!
 //! The fleet is drawn from 8 distinct tenant *shapes* (schema size ×
 //! workload), 8 tenants per shape at alternating SLAs — the realistic SaaS
 //! case where most tenants run the same application at a handful of sizes.
-//! The cache is keyed by (problem fingerprint, layout) and the fingerprint
-//! excludes the SLA, so every tenant after the first of its shape answers
-//! almost entirely from cache.
 //!
 //! Run with: `cargo run --release --example fleet_provisioning`
 
@@ -68,16 +65,5 @@ fn main() {
         report.aggregate.total_cents_per_hour
     );
 
-    println!(
-        "\nTOC cache: {} hits / {} misses — hit rate {:.1}%",
-        report.cache.hits,
-        report.cache.misses,
-        report.cache.hit_rate() * 100.0
-    );
-
     assert_eq!(report.aggregate.tenants_provisioned, SHAPES * PER_SHAPE);
-    assert!(
-        report.cache.hit_rate() > 0.0,
-        "identically-shaped tenants must share cache entries"
-    );
 }

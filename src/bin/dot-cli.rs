@@ -91,10 +91,11 @@
 //! ] }
 //! ```
 //!
-//! Tenants are provisioned concurrently over one shared memoized TOC cache
-//! (`dot_core::fleet`); the report carries per-tenant recommendations or
-//! typed errors, the fleet-wide bill, and the cache hit rate. Per-tenant
-//! failures do not fail the batch — only a malformed manifest does.
+//! Tenants are provisioned concurrently (`dot_core::fleet`); the report
+//! carries per-tenant recommendations or typed errors and the fleet-wide
+//! bill. A manifest's `cache_capacity` key is accepted and ignored (there
+//! is no shared estimate cache to size any more). Per-tenant failures do
+//! not fail the batch — only a malformed manifest does.
 //!
 //! Failures exit with a distinct code per [`ProvisionError`] variant (see
 //! [`exit_code`]), so scripts can tell an unknown pool from an infeasible
@@ -142,6 +143,7 @@ const TENANT_KEYS: [&str; 7] = [
     "engine",
     "refinements",
 ];
+// `cache_capacity` is accepted for older manifests and ignored.
 const MANIFEST_KEYS: [&str; 3] = ["workers", "cache_capacity", "tenants"];
 
 /// Reject unknown keys at one level of a parsed JSON object (nested
@@ -229,8 +231,6 @@ fn load(path: &str) -> Result<Request, ProvisionError> {
 struct FleetManifest {
     #[serde(default)]
     workers: Option<usize>,
-    #[serde(default)]
-    cache_capacity: Option<usize>,
     tenants: Vec<TenantEntry>,
 }
 
@@ -310,7 +310,6 @@ fn load_fleet(path: &str) -> Result<(Vec<TenantRequest>, FleetConfig), Provision
         tenants,
         FleetConfig {
             workers: manifest.workers.unwrap_or(defaults.workers),
-            cache_capacity: manifest.cache_capacity.unwrap_or(defaults.cache_capacity),
             ..defaults
         },
     ))
@@ -382,14 +381,7 @@ fn print_fleet_report(report: &FleetReport) {
         "    total {:.4} cents/hour",
         report.aggregate.total_cents_per_hour
     );
-    println!(
-        "\nTOC cache: {} hits / {} misses (hit rate {:.1}%), {} entries; wall clock {} ms",
-        report.cache.hits,
-        report.cache.misses,
-        report.cache.hit_rate() * 100.0,
-        report.cache.entries,
-        report.wall_ms,
-    );
+    println!("\nwall clock {} ms", report.wall_ms);
 }
 
 fn cmd_catalog() {
@@ -868,7 +860,6 @@ fn stream_supervise(
         req.sla,
         config,
     )?
-    .with_toc_cache(std::sync::Arc::new(dot_core::toc::CachedEstimator::new()))
     .with_refinements(req.refinements);
     if req.engine_explicit {
         controller = controller.with_engine(req.engine);
@@ -1000,12 +991,13 @@ fn print_supervise_report(
     }
     println!(
         "\n{} tick(s): {} trigger(s), {} plan(s) applied, {:.2} GB moved; \
-         TOC cache hit rate {:.1}%; wall clock {} ms",
+         {} replan(s) reused, {} solved; wall clock {} ms",
         outcome.ticks,
         outcome.triggers,
         outcome.applications,
         report.totals.total_bytes_moved / 1e9,
-        report.cache.hit_rate() * 100.0,
+        report.cache.hits,
+        report.cache.misses,
         report.wall_ms,
     );
     if let Some(err) = &outcome.error {

@@ -134,6 +134,7 @@ fn tpcc_additive_es_close_to_dot_and_fast() {
         ProfileSource::Estimate,
     );
     let es = exhaustive::exhaustive_search_additive(&problem, &profile, &cons);
+    assert!(es.layouts_pruned <= es.layouts_investigated);
     let dot_out = dot::optimize(&problem, &profile, &cons);
     let es_obj = es.estimate.expect("es feasible").objective_cents;
     let dot_obj = dot_out.estimate.expect("dot feasible").objective_cents;

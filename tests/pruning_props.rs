@@ -146,6 +146,7 @@ proptest! {
         prop_assert_eq!(&with.layout, &without.layout);
         prop_assert_eq!(&with.estimate, &without.estimate);
         prop_assert_eq!(with.layouts_investigated, without.layouts_investigated);
+        prop_assert!(with.layouts_pruned <= with.layouts_investigated);
         prop_assert_eq!(without.layouts_pruned, 0);
     }
 }
@@ -168,6 +169,7 @@ fn pruning_fires_on_paper_workloads() {
         es.layouts_pruned > 0,
         "ES pruned nothing on the TPC-H subset"
     );
+    assert!(es.layouts_pruned <= es.layouts_investigated);
 
     // OLTP / throughput: TPC-C, where the additive search's suffix bound
     // and the greedy sweep's exact cost bound both cut.
@@ -181,6 +183,12 @@ fn pruning_fires_on_paper_workloads() {
     );
     let es = exhaustive::exhaustive_search_additive(&p, &prof, &cons);
     assert!(es.layouts_pruned > 0, "additive ES pruned nothing on TPC-C");
+    assert!(
+        es.layouts_pruned <= es.layouts_investigated,
+        "additive ES cut {} of {} nodes entered",
+        es.layouts_pruned,
+        es.layouts_investigated
+    );
     let dot_out = dot::optimize_with_pruning(&p, &prof, &cons, &toc, true);
     assert!(
         dot_out.layouts_pruned > 0,

@@ -4,33 +4,15 @@
 //! [`ControlEvent`] log.
 //!
 //! The simulator is pure: the problem is fixed, traces are scripted
-//! [`TraceStep`]s, the controller is time-stepped with no wall clock, and
-//! estimates are bit-identical with or without a TOC cache — so a
-//! trajectory always yields the same event log, whatever [`CacheMode`] it
-//! runs under. The golden suite (`tests/scenario_golden.rs`) pins the four
+//! [`TraceStep`]s, and the controller is time-stepped with no wall clock —
+//! so a trajectory always yields the same event log. The golden suite (`tests/scenario_golden.rs`) pins the four
 //! committed trajectories; the property suite (`tests/controller_props.rs`)
 //! covers randomized ones.
 
 use dot_core::advisor::Advisor;
 use dot_core::controller::{expand_trace, ControlEvent, Controller, ControllerConfig, TraceStep};
-use dot_core::toc::CachedEstimator;
 use dot_storage::catalog;
 use dot_workloads::tpcc;
-use std::sync::Arc;
-
-/// How the simulated controller obtains TOC estimates.
-// The module is compiled into several test binaries; not every binary
-// exercises every mode (the daemon e2e replays under `Off` only).
-#[allow(dead_code)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// No cache: every estimate goes straight through the planner.
-    Off,
-    /// A fresh, empty shared cache.
-    Cold,
-    /// A cache pre-warmed by a full prior replay of the same trajectory.
-    Warm,
-}
 
 /// One scripted trajectory.
 pub struct Scenario {
@@ -122,10 +104,11 @@ pub fn config() -> ControllerConfig {
     }
 }
 
+/// Replay a trajectory and return its log.
 // The telemetry suite replays through `Controller::run_source` instead of
-// these helpers, so they are dead code in that binary.
+// this helper, so it is dead code in that binary.
 #[allow(dead_code)]
-fn replay(steps: &[TraceStep], cache: Option<&Arc<CachedEstimator>>) -> Vec<ControlEvent> {
+pub fn run(steps: &[TraceStep]) -> Vec<ControlEvent> {
     let schema = tpcc::schema(2.0);
     let pool = catalog::box2();
     let baseline = tpcc::workload(&schema);
@@ -138,25 +121,7 @@ fn replay(steps: &[TraceStep], cache: Option<&Arc<CachedEstimator>>) -> Vec<Cont
         .layout;
     let mut controller = Controller::new(&schema, &pool, &baseline, deployed, 0.5, config())
         .expect("controller opens");
-    if let Some(cache) = cache {
-        controller = controller.with_toc_cache(Arc::clone(cache));
-    }
     let trace = expand_trace(&schema, &baseline, steps).expect("script expands");
     controller.run_trace(&trace).expect("trace replays");
     controller.events().to_vec()
-}
-
-/// Replay a trajectory under the given cache mode and return its log.
-#[allow(dead_code)]
-pub fn run(steps: &[TraceStep], mode: CacheMode) -> Vec<ControlEvent> {
-    match mode {
-        CacheMode::Off => replay(steps, None),
-        CacheMode::Cold => replay(steps, Some(&Arc::new(CachedEstimator::new()))),
-        CacheMode::Warm => {
-            let cache = Arc::new(CachedEstimator::new());
-            let _ = replay(steps, Some(&cache));
-            assert!(cache.stats().entries > 0, "warm-up must fill the cache");
-            replay(steps, Some(&cache))
-        }
-    }
 }

@@ -5,10 +5,7 @@
 //! Comparison is **structural**: the committed JSON parses back into
 //! `Vec<ControlEvent>` and is compared with `assert_eq!` — never
 //! string-wise — so formatting is irrelevant and every float must match
-//! bit for bit. Each trajectory first replays under all three cache modes
-//! (off / cold / warm) and must produce the identical log before the
-//! golden comparison runs: the controller's behaviour may not depend on
-//! how estimates are obtained.
+//! bit for bit.
 //!
 //! To regenerate after an intentional behaviour change:
 //! `UPDATE_GOLDEN=1 cargo test --test scenario_golden`.
@@ -16,7 +13,7 @@
 mod scenario;
 
 use dot_core::controller::ControlEvent;
-use scenario::{run, scenarios, CacheMode};
+use scenario::{run, scenarios};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -30,11 +27,7 @@ fn check(name: &str) {
         .into_iter()
         .find(|s| s.name == name)
         .expect("known scenario");
-    let off = run(&scenario.steps, CacheMode::Off);
-    let cold = run(&scenario.steps, CacheMode::Cold);
-    let warm = run(&scenario.steps, CacheMode::Warm);
-    assert_eq!(off, cold, "{name}: cache-off and cache-cold logs differ");
-    assert_eq!(off, warm, "{name}: cache-off and cache-warm logs differ");
+    let off = run(&scenario.steps);
 
     let path = golden_path(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -78,7 +71,7 @@ fn oscillation_matches_the_golden_log_without_flapping() {
         .into_iter()
         .find(|s| s.name == "oscillation")
         .expect("known scenario");
-    let log = run(&scenario.steps, CacheMode::Off);
+    let log = run(&scenario.steps);
     let trigger_ticks: Vec<u64> = log
         .iter()
         .filter_map(|e| match e {
@@ -106,7 +99,7 @@ fn diurnal_cycle_matches_the_golden_log() {
         .into_iter()
         .find(|s| s.name == "diurnal")
         .expect("known scenario");
-    let log = run(&scenario.steps, CacheMode::Off);
+    let log = run(&scenario.steps);
     let trigger_ticks: Vec<u64> = log
         .iter()
         .filter_map(|e| match e {
@@ -137,7 +130,7 @@ fn noise_only_matches_the_golden_log_and_stays_quiet() {
         .into_iter()
         .find(|s| s.name == "noise")
         .expect("known scenario");
-    let log = run(&scenario.steps, CacheMode::Off);
+    let log = run(&scenario.steps);
     assert!(
         log.iter()
             .all(|e| matches!(e, ControlEvent::Observed { .. })),

@@ -16,7 +16,6 @@ use dot_serve::protocol::{
     PROTOCOL_VERSION,
 };
 use dot_serve::{Server, ServerConfig};
-use scenario::CacheMode;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -126,11 +125,9 @@ fn problem_spec() -> ProblemSpec {
 #[test]
 fn concurrent_tenants_stream_bit_identical_trajectories_and_shutdown_flushes() {
     let scenarios = scenario::scenarios();
-    // The offline truth, one log per trajectory, cache off.
-    let expected: Vec<Vec<ControlEvent>> = scenarios
-        .iter()
-        .map(|s| scenario::run(&s.steps, CacheMode::Off))
-        .collect();
+    // The offline truth, one log per trajectory.
+    let expected: Vec<Vec<ControlEvent>> =
+        scenarios.iter().map(|s| scenario::run(&s.steps)).collect();
     let expected = Arc::new(expected);
     let scenarios = Arc::new(scenarios);
 
@@ -144,7 +141,7 @@ fn concurrent_tenants_stream_bit_identical_trajectories_and_shutdown_flushes() {
     let run = thread::spawn(move || server.run().expect("run"));
 
     // 8 tenants (each trajectory twice), one connection per tenant, all
-    // replaying concurrently against the shared daemon and its one cache.
+    // replaying concurrently against the shared daemon.
     let mut workers = Vec::new();
     for tenant_idx in 0..8usize {
         let scenarios = Arc::clone(&scenarios);
@@ -187,17 +184,20 @@ fn concurrent_tenants_stream_bit_identical_trajectories_and_shutdown_flushes() {
         Response::Stats {
             tenants,
             ticks,
+            triggers,
             cache,
             ..
         } => {
             assert_eq!(tenants, 8);
             assert_eq!(ticks, total_ticks);
-            // 8 identically-shaped tenants over one shared estimator:
-            // most estimates must come from the cache.
-            assert!(
-                cache.hits > cache.misses,
-                "shared cache must carry cross-tenant reuse: {cache:?}"
+            // Every trigger was either answered from its controller's
+            // replan memo or solved, and only solved answers are resident.
+            assert_eq!(
+                cache.hits + cache.misses,
+                triggers as u64,
+                "reuse counters must account for every trigger: {cache:?}"
             );
+            assert!(cache.entries as u64 <= cache.misses, "{cache:?}");
         }
         other => panic!("stats: {other:?}"),
     }

@@ -10,7 +10,6 @@ mod scenario;
 use dot_core::controller::{ControlEvent, TraceStep};
 use dot_serve::framing::write_frame;
 use dot_serve::protocol::{ProblemSpec, Request, RequestFrame, Response, ResponseFrame, TenantId};
-use scenario::CacheMode;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -147,7 +146,7 @@ fn kill_dash_nine_then_restart_resumes_the_golden_trajectory() {
         .iter()
         .find(|s| s.name == "flip")
         .expect("flip scenario");
-    let golden = scenario::run(&flip.steps, CacheMode::Off);
+    let golden = scenario::run(&flip.steps);
 
     let state_dir: PathBuf =
         std::env::temp_dir().join(format!("dot-serve-kill9-{}", std::process::id()));

@@ -69,7 +69,7 @@ fn fleet_provisioning_runs() {
         text.contains("provisioned 64 of 64 tenants"),
         "output:\n{text}"
     );
-    assert!(text.contains("hit rate"), "output:\n{text}");
+    assert!(text.contains("aggregate bill"), "output:\n{text}");
 }
 
 #[test]

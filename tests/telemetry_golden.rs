@@ -10,8 +10,7 @@
 //!    [`dot_workloads::telemetry::MeasuredSource`] streams simulated test
 //!    runs of a transactional→analytical flip into the controller, the
 //!    measured signature crosses the threshold, a migration applies, and
-//!    the whole event log matches `tests/golden/measured_flip.json` under
-//!    cache off / cold / warm.
+//!    the whole event log matches `tests/golden/measured_flip.json`.
 //!
 //! To regenerate after an intentional behaviour change:
 //! `UPDATE_GOLDEN=1 cargo test --test telemetry_golden`.
@@ -20,14 +19,12 @@ mod scenario;
 
 use dot_core::advisor::Advisor;
 use dot_core::controller::{expand_trace, ControlEvent, Controller};
-use dot_core::toc::CachedEstimator;
 use dot_dbms::Layout;
 use dot_storage::catalog;
 use dot_workloads::telemetry::{MeasuredSource, ScriptedSource};
 use dot_workloads::{drift, tpcc, Workload};
 use scenario::scenarios;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -90,7 +87,7 @@ fn measured_sequence(schema: &dot_dbms::Schema) -> Vec<Workload> {
     ]
 }
 
-fn replay_measured(cache: Option<&Arc<CachedEstimator>>) -> (Vec<ControlEvent>, Layout) {
+fn replay_measured() -> (Vec<ControlEvent>, Layout) {
     let schema = tpcc::schema(2.0);
     let pool = catalog::box2();
     let baseline = tpcc::workload(&schema);
@@ -110,26 +107,13 @@ fn replay_measured(cache: Option<&Arc<CachedEstimator>>) -> (Vec<ControlEvent>, 
         Controller::new(&schema, &pool, &baseline, deployed, 0.5, scenario::config())
             .expect("controller opens")
             .with_baseline_signature(measured_baseline);
-    if let Some(cache) = cache {
-        controller = controller.with_toc_cache(Arc::clone(cache));
-    }
     controller.run_source(&mut source).expect("source drains");
     (controller.events().to_vec(), controller.deployed().clone())
 }
 
 #[test]
 fn measured_phase_flip_migrates_and_matches_the_golden_log() {
-    let (off, off_layout) = replay_measured(None);
-    let (cold, _) = replay_measured(Some(&Arc::new(CachedEstimator::new())));
-    let warm_cache = Arc::new(CachedEstimator::new());
-    let _ = replay_measured(Some(&warm_cache));
-    assert!(
-        warm_cache.stats().entries > 0,
-        "warm-up must fill the cache"
-    );
-    let (warm, _) = replay_measured(Some(&warm_cache));
-    assert_eq!(off, cold, "cache-off and cache-cold logs differ");
-    assert_eq!(off, warm, "cache-off and cache-warm logs differ");
+    let (off, off_layout) = replay_measured();
 
     // The measured flip must actually migrate: the analytical phase's
     // measured signature crosses the threshold and a plan applies.

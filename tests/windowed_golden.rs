@@ -16,9 +16,7 @@
 //! * ticks 4-6 — quiet: tick 6's window finds nothing pending and does
 //!   not trigger.
 //!
-//! Comparison is **structural** (parse, then `assert_eq!`). The log must
-//! be bit-identical under cache off / cold / warm before the golden
-//! comparison runs.
+//! Comparison is **structural** (parse, then `assert_eq!`).
 //!
 //! To regenerate after an intentional behaviour change:
 //! `UPDATE_GOLDEN=1 cargo test --test windowed_golden`.
@@ -26,11 +24,9 @@
 use dot_core::advisor::Advisor;
 use dot_core::controller::{ControlEvent, Controller, ControllerConfig, TriggerReason};
 use dot_core::replan::{MigrationBudget, MigrationDecision};
-use dot_core::toc::CachedEstimator;
 use dot_storage::catalog;
 use dot_workloads::{drift, tpcc};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 const TICKS: usize = 7;
 
@@ -43,7 +39,7 @@ fn config(budget: MigrationBudget) -> ControllerConfig {
     }
 }
 
-fn replay(cache: Option<&Arc<CachedEstimator>>) -> Vec<ControlEvent> {
+fn replay() -> Vec<ControlEvent> {
     let schema = tpcc::schema(2.0);
     let pool = catalog::box2();
     let baseline = tpcc::workload(&schema);
@@ -78,27 +74,10 @@ fn replay(cache: Option<&Arc<CachedEstimator>>) -> Vec<ControlEvent> {
 
     let mut controller = Controller::new(&schema, &pool, &baseline, deployed, 0.5, config(budget))
         .expect("controller opens");
-    if let Some(cache) = cache {
-        controller = controller.with_toc_cache(Arc::clone(cache));
-    }
     for _ in 0..TICKS {
         controller.observe(&flipped).expect("tick observes");
     }
     controller.events().to_vec()
-}
-
-fn run_modes() -> Vec<ControlEvent> {
-    let off = replay(None);
-    let cold = replay(Some(&Arc::new(CachedEstimator::new())));
-    let warm = {
-        let cache = Arc::new(CachedEstimator::new());
-        let _ = replay(Some(&cache));
-        assert!(cache.stats().entries > 0, "warm-up must fill the cache");
-        replay(Some(&cache))
-    };
-    assert_eq!(off, cold, "cache-off and cache-cold logs differ");
-    assert_eq!(off, warm, "cache-off and cache-warm logs differ");
-    off
 }
 
 fn golden_path() -> PathBuf {
@@ -107,7 +86,7 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn the_windowed_rollout_matches_the_golden_log() {
-    let log = run_modes();
+    let log = replay();
 
     // The log must actually witness the arc: a budget-cut Partial on the
     // drift trigger, then exactly one Window trigger finishing it.
