@@ -15,7 +15,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dot-bench --bin distill                 # write BENCH_16.json
+//! cargo run --release -p dot-bench --bin distill                 # write BENCH_18.json
 //! cargo run --release -p dot-bench --bin distill -- --out <path> # write elsewhere
 //! cargo run --release -p dot-bench --bin distill -- --check <path> # validate a file
 //! ```
@@ -46,7 +46,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Where the trajectory for this PR lives, relative to the repo root.
-const DEFAULT_PATH: &str = "BENCH_16.json";
+const DEFAULT_PATH: &str = "BENCH_18.json";
 /// Timed samples per measurement (a warmup run precedes them).
 const SAMPLES: usize = 5;
 /// `--check`: a pruned sweep may be up to this factor slower than the
@@ -175,7 +175,8 @@ struct RestoreNumbers {
 
 /// One (conformance family, solver) cell of the pruning comparison. The
 /// pruned and estimate-everything medians are per sweep, from samples
-/// taken interleaved ([`paired_median_ms`]).
+/// taken interleaved ([`paired_median_ms`]), every estimate priced through
+/// the family's session plan memo as a solve prices it.
 #[derive(Debug, Serialize, Deserialize)]
 struct PruningCell {
     family: String,
@@ -190,8 +191,7 @@ struct PruningCell {
 /// Interleaved samples per pruned-vs-unpruned comparison.
 const PAIRED_SAMPLES: usize = 15;
 /// Each paired sample times a batch of sweeps lasting at least this long,
-/// so one sweep's thread start-up jitter (ES spawns a worker per class)
-/// averages out of sub-millisecond sweeps.
+/// so scheduler jitter averages out of sub-millisecond sweeps.
 const PAIRED_BATCH_MS: f64 = 5.0;
 
 /// Median per-sweep ms of `a` and of `b`, sampled interleaved: each sample
@@ -749,11 +749,10 @@ fn measure_pruning() -> Vec<PruningCell> {
         };
         let p = Problem::new(schema, &pool, workload, SlaSpec::relative(*sla), cfg);
         let cons = constraints::derive(&p);
-        let prof = profile_workload(
-            &PlanMemo::new(&workload.queries, schema, &pool, &p.cfg),
-            ProfileSource::Estimate,
-        );
-        let estimator = Estimator::direct();
+        // Every cell prices through one session memo, as a solve does.
+        let memo = PlanMemo::new(&workload.queries, schema, &pool, &p.cfg);
+        let prof = profile_workload(&memo, ProfileSource::Estimate);
+        let estimator = Estimator::direct().memoized(&memo);
 
         let out = dot::optimize_with_pruning(&p, &prof, &cons, &estimator, true);
         let (pruned_ms, unpruned_ms) = paired_median_ms(
@@ -823,8 +822,8 @@ fn measure_pruning() -> Vec<PruningCell> {
 
 fn distill(path: &str) {
     let trajectory = Trajectory {
-        schema_version: 6,
-        pr: 16,
+        schema_version: 7,
+        pr: 18,
         samples: SAMPLES,
         hot_paths: measure_hot_paths(),
         telemetry: measure_telemetry(),

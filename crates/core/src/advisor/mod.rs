@@ -544,13 +544,16 @@ impl<'a> Advisor<'a> {
         self.registry.ids()
     }
 
-    /// Run the solver registered under `id` on this session.
+    /// Run the solver registered under `id` on this session. A solver
+    /// that refuses the problem ([`Solver::admit`]) does so before the
+    /// session builds its profile and constraints.
     pub fn recommend(&self, id: &str) -> Result<Recommendation, ProvisionError> {
-        self.registry.get(id)?.solve(&self.context())
+        self.recommend_with(self.registry.get(id)?)
     }
 
     /// Run an unregistered solver on this session.
     pub fn recommend_with(&self, solver: &dyn Solver) -> Result<Recommendation, ProvisionError> {
+        solver.admit(&self.problem)?;
         solver.solve(&self.context())
     }
 
@@ -685,6 +688,28 @@ mod tests {
         let _ = sibling.recommend("dot").unwrap();
         assert_eq!(advisor.profile_builds(), 1);
         assert_eq!(sibling.profile_builds(), 1);
+    }
+
+    #[test]
+    fn unsupported_searches_refuse_before_profiling() {
+        let (schema, workload) = presets::database("tpch:1:original").unwrap();
+        let pool = catalog::full_pool();
+        let advisor = Advisor::builder(&schema, &pool, &workload).build().unwrap();
+        for id in ["es", "es-additive"] {
+            let err = advisor.recommend(id).unwrap_err();
+            let ProvisionError::UnsupportedWorkload { solver, .. } = &err else {
+                panic!("{id}: wrong variant: {err:?}");
+            };
+            assert_eq!(solver, id);
+            // The refusal is the one a solve itself reports.
+            let solver = Registry::builtin();
+            let solver = solver.get(id).unwrap();
+            assert_eq!(solver.solve(&advisor.context()).unwrap_err(), err);
+        }
+        let fresh = Advisor::builder(&schema, &pool, &workload).build().unwrap();
+        assert!(fresh.recommend("es").is_err());
+        assert_eq!(fresh.profile_builds(), 0, "refused before profiling");
+        assert!(!fresh.plans().is_compiled());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::baselines;
 use crate::constraints::Constraints;
 use crate::dot::{self, DotOutcome, ValidationReport};
 use crate::exhaustive;
-use crate::problem::LayoutCostModel;
+use crate::problem::{LayoutCostModel, Problem};
 use dot_dbms::Layout;
 use dot_profiler::{profile_workload, ProfileSource};
 use dot_workloads::PerfMetric;
@@ -21,6 +21,12 @@ pub trait Solver {
     fn id(&self) -> &str;
     /// One-line human description for `dot-cli solvers`.
     fn describe(&self) -> String;
+    /// Refuse a problem this solver cannot take, reading the problem
+    /// alone: sessions ask before they build the profile and constraints
+    /// a solve needs. The default takes every problem.
+    fn admit(&self, _problem: &Problem<'_>) -> Result<(), ProvisionError> {
+        Ok(())
+    }
     /// Answer a provisioning request. Implementations must be
     /// deterministic: the same context always yields the same layout.
     fn solve(&self, cx: &SolveContext<'_, '_>) -> Result<Recommendation, ProvisionError>;
@@ -329,9 +335,7 @@ impl Solver for EsSolver {
             .to_owned()
     }
 
-    fn solve(&self, cx: &SolveContext<'_, '_>) -> Result<Recommendation, ProvisionError> {
-        let start = Instant::now();
-        let problem = cx.problem;
+    fn admit(&self, problem: &Problem<'_>) -> Result<(), ProvisionError> {
         let n = problem.schema.object_count() as f64;
         let space = (problem.pool.len() as f64).powf(n);
         if space > ES_MAX_LAYOUTS {
@@ -343,6 +347,13 @@ impl Solver for EsSolver {
                 ),
             });
         }
+        Ok(())
+    }
+
+    fn solve(&self, cx: &SolveContext<'_, '_>) -> Result<Recommendation, ProvisionError> {
+        let start = Instant::now();
+        let problem = cx.problem;
+        self.admit(problem)?;
         let out = exhaustive::exhaustive_search_with(problem, cx.constraints, &cx.toc);
         finish_search(
             cx,
@@ -372,9 +383,7 @@ impl Solver for EsAdditiveSolver {
             .to_owned()
     }
 
-    fn solve(&self, cx: &SolveContext<'_, '_>) -> Result<Recommendation, ProvisionError> {
-        let start = Instant::now();
-        let problem = cx.problem;
+    fn admit(&self, problem: &Problem<'_>) -> Result<(), ProvisionError> {
         if problem.workload.metric != PerfMetric::Throughput {
             return Err(ProvisionError::UnsupportedWorkload {
                 solver: self.id().to_owned(),
@@ -389,6 +398,13 @@ impl Solver for EsAdditiveSolver {
                 reason: "additive ES requires the linear cost model".to_owned(),
             });
         }
+        Ok(())
+    }
+
+    fn solve(&self, cx: &SolveContext<'_, '_>) -> Result<Recommendation, ProvisionError> {
+        let start = Instant::now();
+        let problem = cx.problem;
+        self.admit(problem)?;
         let out = exhaustive::exhaustive_search_additive_with(
             problem,
             cx.profile,

@@ -80,8 +80,11 @@ pub fn optimize_with_pruning(
     prune: bool,
 ) -> DotOutcome {
     let start = Instant::now();
+    // Consecutive candidates differ in one or two groups, so each one
+    // re-prices only the queries that read a moved object.
+    let mut pricer = toc.pricer(problem);
     let l0 = problem.premium_layout();
-    let est0 = toc.estimate(problem, &l0);
+    let est0 = pricer.estimate(&l0);
     let bound = prune.then(|| ObjectiveBound::new(problem, &est0));
     let mut investigated = 1usize;
     let mut pruned = 0usize;
@@ -109,7 +112,7 @@ pub fn optimize_with_pruning(
                 continue;
             }
         }
-        let est = toc.estimate(problem, &candidate);
+        let est = pricer.estimate(&candidate);
         if cons.satisfied(problem, &candidate, &est) && est.objective_cents < best_toc {
             best_toc = est.objective_cents;
             current = candidate;

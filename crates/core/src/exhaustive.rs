@@ -6,8 +6,8 @@
 //!   describes, evaluating every layout through the same storage-aware
 //!   planner DOT uses. Tractable only for small object sets (the paper uses
 //!   8 TPC-H objects → 3^8 = 6561 layouts; the full 16-object set would be
-//!   43 million). Parallelized over the first object's class with scoped
-//!   threads.
+//!   43 million). Consecutive layouts of the odometer differ in one
+//!   object, so each re-prices only the queries that read it.
 //! * [`exhaustive_search_additive`] — an exact branch-and-bound over
 //!   group placements for **throughput workloads with placement-stable
 //!   plans** (TPC-C, §4.5.1): there the planner's cost vector does not
@@ -19,7 +19,8 @@
 use crate::constraints::Constraints;
 use crate::problem::{LayoutCostModel, Problem};
 use crate::toc::{Estimator, ObjectiveBound, TocEstimate};
-use dot_dbms::Layout;
+use dot_dbms::layout::space_fits;
+use dot_dbms::{Layout, ObjectId};
 use dot_profiler::baseline::group_placements;
 use dot_profiler::WorkloadProfile;
 use dot_storage::ClassId;
@@ -54,15 +55,15 @@ pub struct EsOutcome {
 /// Enumerate all `M^N` layouts, evaluating each with the planner-based
 /// `estimateTOC`, and return the feasible layout with minimum TOC.
 ///
-/// Work is split over the first object's class across threads; each thread
-/// runs its own odometer over the remaining objects.
+/// The search runs one branch per class of the first object, in class
+/// order on the caller's thread; each branch runs an odometer over the
+/// remaining objects.
 pub fn exhaustive_search(problem: &Problem<'_>, cons: &Constraints) -> EsOutcome {
     exhaustive_search_with(problem, cons, &Estimator::direct())
 }
 
-/// [`exhaustive_search`] with an explicit TOC estimator. The estimator is
-/// `Copy` and thread-safe, so every enumeration worker prices from the
-/// same session templates.
+/// [`exhaustive_search`] with an explicit TOC estimator, so every layout
+/// is priced from the session's templates.
 pub fn exhaustive_search_with(
     problem: &Problem<'_>,
     cons: &Constraints,
@@ -76,8 +77,8 @@ pub fn exhaustive_search_with(
 /// the identical optimum (the cut only skips candidates whose objective
 /// lower bound already meets the branch's incumbent; see
 /// [`ObjectiveBound`]) — the perf-trajectory distillation measures the two
-/// against each other. Each enumeration thread prunes against its own
-/// incumbent, so the pruned count is deterministic.
+/// against each other. Each branch prunes against its own incumbent, so
+/// the pruned count does not depend on the order branches run in.
 pub fn exhaustive_search_with_pruning(
     problem: &Problem<'_>,
     cons: &Constraints,
@@ -93,86 +94,61 @@ pub fn exhaustive_search_with_pruning(
     // costs nothing extra to build.
     let bound = prune.then(|| ObjectiveBound::new(problem, &cons.reference));
     let bound = bound.as_ref();
+    let mut pricer = toc.pricer(problem);
+    // `S_j` of the layout at hand: one pass over the objects feeds both
+    // the capacity check and the bound.
+    let mut space = Vec::with_capacity(m);
 
-    struct Best {
-        layout: Option<Layout>,
-        estimate: Option<TocEstimate>,
-        toc: f64,
-        evaluated: usize,
-        pruned: usize,
-    }
-
-    let evaluate_branch = |first: ClassId| -> Best {
-        let mut best = Best {
-            layout: None,
-            estimate: None,
-            toc: f64::INFINITY,
-            evaluated: 0,
-            pruned: 0,
-        };
-        // Odometer over objects 1..n (object 0 fixed to `first`).
-        let mut digits = vec![0usize; n.saturating_sub(1)];
+    let mut layout = None;
+    let mut estimate: Option<TocEstimate> = None;
+    let mut best_toc = f64::INFINITY;
+    let mut evaluated = 0usize;
+    let mut pruned = 0usize;
+    for &first in &classes {
+        // Each branch prunes only against its own incumbent, so the
+        // pruned count is a property of the branch, not of the branches
+        // searched before it.
+        let mut branch_layout = None;
+        let mut branch_estimate = None;
+        let mut branch_toc = f64::INFINITY;
+        // Odometer over objects 1..n (object 0 fixed to `first`), stepping
+        // one layout in place.
+        let mut digits = vec![0usize; n - 1];
+        let mut candidate = Layout::uniform(classes[0], n);
+        candidate.place(ObjectId(0), first);
         loop {
-            let mut assignment = Vec::with_capacity(n);
-            assignment.push(first);
-            assignment.extend(digits.iter().map(|&d| classes[d]));
-            let layout = Layout::from_assignment(assignment);
-            best.evaluated += 1;
+            evaluated += 1;
+            candidate.space_per_class_into(problem.schema, problem.pool, &mut space);
             // Cheap capacity pre-check before paying for planning.
-            if layout.fits(problem.schema, problem.pool) {
-                let lb = bound.and_then(|b| b.lower_bound(problem, &layout));
-                if lb.is_some_and(|lb| lb >= best.toc) {
+            if space_fits(&space, problem.pool) {
+                let lb = bound.and_then(|b| b.lower_bound_of_space(problem, &space));
+                if lb.is_some_and(|lb| lb >= branch_toc) {
                     // Dominance cut: cannot beat this branch's incumbent.
-                    best.pruned += 1;
+                    pruned += 1;
                 } else {
-                    let est = toc.estimate(problem, &layout);
-                    if cons.performance_satisfied(&est) && est.objective_cents < best.toc {
-                        best.toc = est.objective_cents;
-                        best.layout = Some(layout);
-                        best.estimate = Some(est);
+                    let est = pricer.estimate(&candidate);
+                    if cons.performance_satisfied(&est) && est.objective_cents < branch_toc {
+                        branch_toc = est.objective_cents;
+                        branch_layout = Some(candidate.clone());
+                        branch_estimate = Some(est);
                     }
                 }
             }
             // Advance the odometer.
-            let mut i = 0;
-            loop {
-                if i == digits.len() {
-                    return best;
-                }
-                digits[i] += 1;
-                if digits[i] < m {
-                    break;
-                }
-                digits[i] = 0;
-                i += 1;
+            let Some(i) = digits.iter().position(|&d| d + 1 < m) else {
+                break;
+            };
+            for (j, d) in digits[..i].iter_mut().enumerate() {
+                *d = 0;
+                candidate.place(ObjectId(j + 1), classes[0]);
             }
+            digits[i] += 1;
+            candidate.place(ObjectId(i + 1), classes[digits[i]]);
         }
-    };
-
-    let evaluate_branch = &evaluate_branch;
-    let results: Vec<Best> = std::thread::scope(|scope| {
-        let handles: Vec<_> = classes
-            .iter()
-            .map(|&first| scope.spawn(move || evaluate_branch(first)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ES worker"))
-            .collect()
-    });
-
-    let mut layout = None;
-    let mut estimate: Option<TocEstimate> = None;
-    let mut toc = f64::INFINITY;
-    let mut evaluated = 0usize;
-    let mut pruned = 0usize;
-    for b in results {
-        evaluated += b.evaluated;
-        pruned += b.pruned;
-        if b.toc < toc {
-            toc = b.toc;
-            layout = b.layout;
-            estimate = b.estimate;
+        if branch_toc < best_toc {
+            best_toc = branch_toc;
+            layout = branch_layout;
+            estimate = branch_estimate;
         }
     }
     EsOutcome {

@@ -2,7 +2,7 @@
 //! (§2.1 linear, §5.2 discrete-sized).
 
 use dot_dbms::{EngineConfig, Layout, Schema};
-use dot_storage::StoragePool;
+use dot_storage::{StorageClass, StoragePool};
 use dot_workloads::{SlaSpec, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -30,8 +30,17 @@ impl LayoutCostModel {
         schema: &Schema,
         pool: &StoragePool,
     ) -> f64 {
-        self.class_costs_cents_per_hour(layout, schema, pool)
+        self.cost_of_space(&layout.space_per_class(schema, pool), pool)
+    }
+
+    /// [`layout_cost_cents_per_hour`](Self::layout_cost_cents_per_hour) of
+    /// any layout whose `S_j` vector ([`Layout::space_per_class`]) is
+    /// `space`, bit for bit.
+    pub fn cost_of_space(&self, space: &[f64], pool: &StoragePool) -> f64 {
+        space
             .iter()
+            .zip(pool.classes())
+            .map(|(&s, c)| self.class_cost(s, c))
             .sum()
     }
 
@@ -46,26 +55,25 @@ impl LayoutCostModel {
         schema: &Schema,
         pool: &StoragePool,
     ) -> Vec<f64> {
-        let space = layout.space_per_class(schema, pool);
+        layout
+            .space_per_class(schema, pool)
+            .iter()
+            .zip(pool.classes())
+            .map(|(&s, c)| self.class_cost(s, c))
+            .collect()
+    }
+
+    /// What `class` charges per hour for `s` GB placed on it.
+    fn class_cost(&self, s: f64, class: &StorageClass) -> f64 {
         match *self {
-            LayoutCostModel::Linear => space
-                .iter()
-                .zip(pool.classes())
-                .map(|(&s, c)| c.price_cents_per_gb_hour * s)
-                .collect(),
+            LayoutCostModel::Linear => class.price_cents_per_gb_hour * s,
             LayoutCostModel::Discrete { alpha } => {
                 assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");
-                space
-                    .iter()
-                    .zip(pool.classes())
-                    .map(|(&s, c)| {
-                        if s <= 0.0 {
-                            return 0.0;
-                        }
-                        let device = c.price_cents_per_gb_hour * c.capacity_gb;
-                        alpha * device + (1.0 - alpha) * (s / c.capacity_gb) * device
-                    })
-                    .collect()
+                if s <= 0.0 {
+                    return 0.0;
+                }
+                let device = class.price_cents_per_gb_hour * class.capacity_gb;
+                alpha * device + (1.0 - alpha) * (s / class.capacity_gb) * device
             }
         }
     }

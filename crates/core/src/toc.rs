@@ -15,7 +15,7 @@
 //! reference (`tests/plan_memo_props.rs`).
 
 use crate::problem::Problem;
-use dot_dbms::memo::PlanMemo;
+use dot_dbms::memo::{PlanMemo, Pricer};
 use dot_dbms::plan::PlanStats;
 use dot_dbms::{exec, Layout};
 use dot_workloads::spec::PerfMetric;
@@ -211,6 +211,17 @@ pub fn estimate_toc(problem: &Problem<'_>, layout: &Layout) -> TocEstimate {
 /// order, so the estimate is bit-identical without materializing a plan.
 fn estimate_planned(problem: &Problem<'_>, layout: &Layout, plans: &PlanMemo<'_>) -> TocEstimate {
     let (per_query_ms, plan_stats) = plans.estimate(layout);
+    from_query_times(problem, layout, per_query_ms, plan_stats)
+}
+
+/// The estimate whose queries take `per_query_ms`, with the stream time
+/// accumulated in workload order as `exec::assemble` does.
+fn from_query_times(
+    problem: &Problem<'_>,
+    layout: &Layout,
+    per_query_ms: Vec<f64>,
+    plan_stats: PlanStats,
+) -> TocEstimate {
     let mut stream_time_ms = 0.0;
     for (time_ms, q) in per_query_ms.iter().zip(&problem.workload.queries) {
         stream_time_ms += time_ms * q.weight;
@@ -346,11 +357,21 @@ impl ObjectiveBound {
     /// Lower bound on `layout`'s objective in cents, or `None` when this
     /// problem admits no pruning.
     pub fn lower_bound(&self, problem: &Problem<'_>, layout: &Layout) -> Option<f64> {
+        self.scale(|| problem.layout_cost_cents_per_hour(layout))
+    }
+
+    /// [`lower_bound`](Self::lower_bound) of any layout whose `S_j` vector
+    /// ([`Layout::space_per_class`]) is `space`, bit for bit.
+    pub fn lower_bound_of_space(&self, problem: &Problem<'_>, space: &[f64]) -> Option<f64> {
+        self.scale(|| problem.cost_model.cost_of_space(space, problem.pool))
+    }
+
+    /// The bound of a layout whose cost `cost` computes, or `None` (and
+    /// `cost` not run) when this bound prunes nothing.
+    fn scale(&self, cost: impl FnOnce() -> f64) -> Option<f64> {
         match self.mode {
-            BoundMode::LayoutCost => Some(problem.layout_cost_cents_per_hour(layout)),
-            BoundMode::CostTimesHours { min_hours } => {
-                Some(problem.layout_cost_cents_per_hour(layout) * min_hours)
-            }
+            BoundMode::LayoutCost => Some(cost()),
+            BoundMode::CostTimesHours { min_hours } => Some(cost() * min_hours),
             BoundMode::Disabled => None,
         }
     }
@@ -365,8 +386,8 @@ impl ObjectiveBound {
 /// compiled templates ([`memoized`](Self::memoized)) for every problem its
 /// [`PlanMemo`] [serves](PlanMemo::serves), and planned from scratch
 /// ([`estimate_toc`]) otherwise — so a mismatched memo can never change an
-/// answer. `Copy`, and `Sync` (the memo is), so ES's scoped worker threads
-/// can share one.
+/// answer. `Copy`; a sweep over many layouts of one problem takes a
+/// [`pricer`](Self::pricer) instead.
 #[derive(Debug, Clone, Copy)]
 pub struct Estimator<'c> {
     plans: Option<&'c PlanMemo<'c>>,
@@ -406,6 +427,15 @@ impl<'c> Estimator<'c> {
         }
     }
 
+    /// An incremental pricer for a run of `problem`'s layouts (see
+    /// [`TocPricer`]).
+    pub fn pricer<'p>(&self, problem: &'p Problem<'p>) -> TocPricer<'c, 'p> {
+        TocPricer {
+            problem,
+            plans: self.plans_for(problem).map(PlanMemo::pricer),
+        }
+    }
+
     fn plans_for(&self, problem: &Problem<'_>) -> Option<&'c PlanMemo<'c>> {
         self.plans.filter(|plans| {
             plans.serves(
@@ -415,6 +445,30 @@ impl<'c> Estimator<'c> {
                 &problem.cfg,
             )
         })
+    }
+}
+
+/// [`Estimator::estimate`] for a sweep: one problem, layout after layout.
+/// Where the estimator's memo serves the problem, each layout re-prices
+/// only the queries whose objects changed class since the last layout
+/// priced (see [`Pricer`]); otherwise every layout runs [`estimate_toc`].
+/// Either way each estimate is bit-identical to [`estimate_toc`]'s.
+#[derive(Debug)]
+pub struct TocPricer<'m, 'p> {
+    problem: &'p Problem<'p>,
+    plans: Option<Pricer<'m>>,
+}
+
+impl TocPricer<'_, '_> {
+    /// Estimate `layout`'s TOC under the pricer's problem.
+    pub fn estimate(&mut self, layout: &Layout) -> TocEstimate {
+        match &mut self.plans {
+            Some(plans) => {
+                let (per_query_ms, plan_stats) = plans.estimate(layout);
+                from_query_times(self.problem, layout, per_query_ms, plan_stats)
+            }
+            None => estimate_toc(self.problem, layout),
+        }
     }
 }
 

@@ -61,11 +61,19 @@ impl Layout {
     /// Space used on each storage class, GB, indexed by `ClassId`:
     /// the `S_j` vector of §2.1.
     pub fn space_per_class(&self, schema: &Schema, pool: &StoragePool) -> Vec<f64> {
-        let mut space = vec![0.0; pool.len()];
+        let mut space = Vec::new();
+        self.space_per_class_into(schema, pool, &mut space);
+        space
+    }
+
+    /// [`space_per_class`](Self::space_per_class) written into `space`,
+    /// reusing its allocation.
+    pub fn space_per_class_into(&self, schema: &Schema, pool: &StoragePool, space: &mut Vec<f64>) {
+        space.clear();
+        space.resize(pool.len(), 0.0);
         for o in schema.objects() {
             space[self.class_of(o.id).0] += o.size_gb;
         }
-        space
     }
 
     /// Hourly layout cost in cents: `C(L) = Σ_j p_j · S_j` (§2.1).
@@ -90,7 +98,7 @@ impl Layout {
 
     /// True when all capacity constraints hold.
     pub fn fits(&self, schema: &Schema, pool: &StoragePool) -> bool {
-        self.capacity_violations(schema, pool).is_empty()
+        space_fits(&self.space_per_class(schema, pool), pool)
     }
 
     /// Objects resident on `class`, in id order — the `O_j` of §2.2.
@@ -116,6 +124,16 @@ impl Layout {
             })
             .collect()
     }
+}
+
+/// Whether a layout whose `S_j` vector ([`Layout::space_per_class`]) is
+/// `space` meets every capacity constraint: [`Layout::fits`] without
+/// recomputing the vector.
+pub fn space_fits(space: &[f64], pool: &StoragePool) -> bool {
+    !space
+        .iter()
+        .zip(pool.classes())
+        .any(|(&s, c)| s >= c.capacity_gb)
 }
 
 #[cfg(test)]

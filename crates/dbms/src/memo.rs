@@ -13,19 +13,27 @@
 //! The memo binds the session's planner inputs (queries, schema, pool,
 //! engine configuration), so a request only needs the layout. It is
 //! dropped with its session.
+//!
+//! A sweep that walks from layout to layout — Procedure 1's group moves,
+//! exhaustive search's odometer, the profiling baselines — changes a few
+//! objects per step, and a template's plan reads only the classes of its
+//! own objects. [`PlanMemo::pricer`] hands out a [`Pricer`] that keeps
+//! every template's last answer and re-runs the choose step only for the
+//! templates that touch an object whose class changed.
 
 use crate::config::EngineConfig;
 use crate::layout::Layout;
+use crate::object::ObjectId;
 use crate::plan::{PlanStats, PlannedQuery};
 use crate::planner::{compile, Latencies, QueryTemplate};
 use crate::query::QuerySpec;
 use crate::schema::Schema;
-use dot_storage::StoragePool;
+use dot_storage::{ClassId, IoCounts, StoragePool};
 use std::sync::OnceLock;
 
 /// Compiled planning for one session's workload. `Sync`: once compiled,
-/// the templates are read-only, so exhaustive search's scoped workers
-/// share one template set without locking.
+/// the templates are read-only, so threads may share one template set
+/// without locking.
 pub struct PlanMemo<'a> {
     queries: &'a [QuerySpec],
     schema: &'a Schema,
@@ -133,6 +141,38 @@ impl<'a> PlanMemo<'a> {
         ChoiceKey(codes)
     }
 
+    /// The objects whose class the plan of the workload's `query`-th
+    /// query can read — those some candidate of its template charges —
+    /// ascending. Its plan and price under a layout depend on these
+    /// objects' classes alone.
+    pub fn query_objects(&self, query: usize) -> &[ObjectId] {
+        self.compiled().templates[query].objects()
+    }
+
+    /// An incremental pricer over this memo's templates, for a run of
+    /// layouts that differ in a few objects each. Compiles the templates
+    /// if no request has yet.
+    pub fn pricer(&self) -> Pricer<'_> {
+        let compiled = self.compiled();
+        let mut readers = vec![Vec::new(); self.schema.object_count()];
+        for (i, t) in compiled.templates.iter().enumerate() {
+            for object in t.objects() {
+                readers[object.0].push(i);
+            }
+        }
+        let n = compiled.templates.len();
+        Pricer {
+            compiled,
+            readers,
+            classes: Vec::new(),
+            times: vec![0.0; n],
+            stats: vec![PlanStats::default(); n],
+            codes: vec![Vec::new(); n],
+            stale: vec![true; n],
+            slots: Vec::new(),
+        }
+    }
+
     /// Whether the templates have been compiled (by a first request).
     pub fn is_compiled(&self) -> bool {
         self.compiled.get().is_some()
@@ -147,6 +187,96 @@ impl<'a> PlanMemo<'a> {
                 .collect(),
             latencies: Latencies::new(self.pool, self.cfg.concurrency),
         })
+    }
+}
+
+/// Prices a run of layouts over one memo's templates, re-running the
+/// choose step only where a layout moved something a query reads.
+///
+/// A template's plan and price read the classes of its own objects and
+/// nothing else, so the pricer keeps each template's last `est_time_ms`,
+/// [`PlanStats`] and choice codes, and compares each layout it is given
+/// with the last one: only the templates that touch an object whose class
+/// changed are chosen again. The answers are then re-assembled in
+/// workload order, so [`estimate`](Self::estimate) and
+/// [`choice_key`](Self::choice_key) are bit-identical to
+/// [`PlanMemo::estimate`] and [`PlanMemo::choice_key`] on every layout,
+/// whatever layouts came before it.
+pub struct Pricer<'m> {
+    compiled: &'m Compiled,
+    /// Per object, the templates whose objects include it.
+    readers: Vec<Vec<usize>>,
+    /// Classes of the layout last priced; empty before the first.
+    classes: Vec<ClassId>,
+    /// Per template, its answer under `classes`.
+    times: Vec<f64>,
+    stats: Vec<PlanStats>,
+    codes: Vec<Vec<u8>>,
+    /// Templates whose answer no longer matches `classes`.
+    stale: Vec<bool>,
+    slots: Vec<IoCounts>,
+}
+
+impl Pricer<'_> {
+    /// [`PlanMemo::estimate`] of `layout`: every query's `est_time_ms`, in
+    /// workload order, and the plans' summed [`PlanStats`].
+    pub fn estimate(&mut self, layout: &Layout) -> (Vec<f64>, PlanStats) {
+        self.sync(layout);
+        let mut stats = PlanStats::default();
+        for s in &self.stats {
+            stats.joins += s.joins;
+            stats.inlj += s.inlj;
+            stats.index_scans += s.index_scans;
+            stats.scans += s.scans;
+        }
+        (self.times.clone(), stats)
+    }
+
+    /// [`PlanMemo::choice_key`] of `layout`.
+    pub fn choice_key(&mut self, layout: &Layout) -> ChoiceKey {
+        self.sync(layout);
+        ChoiceKey(self.codes.concat())
+    }
+
+    /// Bring every template's answer up to `layout`: mark the templates
+    /// reading an object whose class changed (all of them on the first
+    /// layout, or on one of another length), then choose those again.
+    fn sync(&mut self, layout: &Layout) {
+        let assignment = layout.assignment();
+        if self.classes.len() == assignment.len() {
+            for (o, (last, &class)) in self.classes.iter_mut().zip(assignment).enumerate() {
+                if *last != class {
+                    *last = class;
+                    for &t in self.readers.get(o).into_iter().flatten() {
+                        self.stale[t] = true;
+                    }
+                }
+            }
+        } else {
+            self.classes.clear();
+            self.classes.extend_from_slice(assignment);
+            self.stale.fill(true);
+        }
+        let compiled = self.compiled;
+        for (t, template) in compiled.templates.iter().enumerate() {
+            if !std::mem::take(&mut self.stale[t]) {
+                continue;
+            }
+            let (stats, codes) = (&mut self.stats[t], &mut self.codes[t]);
+            *stats = PlanStats::default();
+            codes.clear();
+            self.times[t] =
+                template.evaluate(&compiled.latencies, layout, &mut self.slots, stats, codes);
+        }
+    }
+}
+
+impl std::fmt::Debug for Pricer<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pricer")
+            .field("queries", &self.times.len())
+            .field("objects", &self.classes.len())
+            .finish()
     }
 }
 

@@ -418,12 +418,34 @@ impl QueryTemplate {
         stats: &mut PlanStats,
     ) -> f64 {
         let chosen = self.choose(latencies, layout, slots, |_, path, join| {
-            stats.scans += 1;
-            stats.index_scans += usize::from(matches!(path, AccessPath::IndexScan(_)));
-            stats.joins += usize::from(join.is_some());
-            stats.inlj += usize::from(join == Some(JoinAlgo::IndexedNlj));
+            tally(stats, path, join);
         });
         self.price(latencies, layout, slots, chosen.cpu_ms)
+    }
+
+    /// [`estimate`](Self::estimate) and [`choice_codes`](Self::choice_codes)
+    /// from one choose step: the plan's `est_time_ms` under `layout`, with
+    /// its [`PlanStats`] added into `stats` and its codes appended to
+    /// `codes`.
+    pub(crate) fn evaluate(
+        &self,
+        latencies: &Latencies,
+        layout: &Layout,
+        slots: &mut Vec<IoCounts>,
+        stats: &mut PlanStats,
+        codes: &mut Vec<u8>,
+    ) -> f64 {
+        let chosen = self.choose(latencies, layout, slots, |_, path, join| {
+            tally(stats, path, join);
+            codes.push(choice_code(path, join));
+        });
+        self.price(latencies, layout, slots, chosen.cpu_ms)
+    }
+
+    /// Every object some candidate charges, ascending: the only objects
+    /// whose class the template's plan and price read.
+    pub(crate) fn objects(&self) -> &[ObjectId] {
+        &self.objects
     }
 
     /// Append one code per decision the plan under `layout` makes (access
@@ -438,9 +460,7 @@ impl QueryTemplate {
         codes: &mut Vec<u8>,
     ) {
         self.choose(latencies, layout, slots, |_, path, join| {
-            let index = u8::from(matches!(path, AccessPath::IndexScan(_)));
-            let inlj = u8::from(join == Some(JoinAlgo::IndexedNlj));
-            codes.push(index | inlj << 1);
+            codes.push(choice_code(path, join));
         });
     }
 
@@ -504,6 +524,22 @@ impl QueryTemplate {
         }
         total + cpu_ms
     }
+}
+
+/// Count one scan decision (and its join, if any) into `stats`.
+fn tally(stats: &mut PlanStats, path: AccessPath, join: Option<JoinAlgo>) {
+    stats.scans += 1;
+    stats.index_scans += usize::from(matches!(path, AccessPath::IndexScan(_)));
+    stats.joins += usize::from(join.is_some());
+    stats.inlj += usize::from(join == Some(JoinAlgo::IndexedNlj));
+}
+
+/// The choice-key code of one scan decision: bit 0 an index access path,
+/// bit 1 an indexed nested-loop join.
+fn choice_code(path: AccessPath, join: Option<JoinAlgo>) -> u8 {
+    let index = u8::from(matches!(path, AccessPath::IndexScan(_)));
+    let inlj = u8::from(join == Some(JoinAlgo::IndexedNlj));
+    index | inlj << 1
 }
 
 /// Whether an operator holding `bytes` overflows `work_mem` and must spill

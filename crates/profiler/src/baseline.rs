@@ -64,13 +64,24 @@ fn fill(ids: &[ClassId], current: &mut Vec<ClassId>, pos: usize, out: &mut Vec<V
 /// `p[min(k, |p|-1)]`.
 pub fn baseline_layout(schema: &Schema, placement: &[ClassId]) -> Layout {
     assert!(!placement.is_empty());
-    let mut assignment = vec![placement[0]; schema.object_count()];
-    for group in schema.object_groups() {
+    let mut layout = Layout::uniform(placement[0], schema.object_count());
+    place_baseline(&mut layout, &schema.object_groups(), placement);
+    layout
+}
+
+/// Turn `layout` into the baseline `L_p` in place, given the schema's
+/// [`object_groups`](Schema::object_groups): [`baseline_layout`] without
+/// re-deriving the groups or allocating a layout per baseline.
+pub fn place_baseline(layout: &mut Layout, groups: &[Vec<ObjectId>], placement: &[ClassId]) {
+    assert!(!placement.is_empty());
+    for i in 0..layout.len() {
+        layout.place(ObjectId(i), placement[0]);
+    }
+    for group in groups {
         for (k, &obj) in group.iter().enumerate() {
-            assignment[obj.0] = placement[k.min(placement.len() - 1)];
+            layout.place(obj, placement[k.min(placement.len() - 1)]);
         }
     }
-    Layout::from_assignment(assignment)
 }
 
 /// Project a full-arity placement `p ∈ D^K` down to a group of size `k`:

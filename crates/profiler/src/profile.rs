@@ -6,9 +6,9 @@
 //! optimizer turns these into the *I/O time share* `T^p[g]` of Eq. 1 and the
 //! move scores of §3.3.
 
-use crate::baseline::{baseline_layout, baseline_placements, group_arity, project_placement};
+use crate::baseline::{baseline_placements, group_arity, place_baseline};
 use dot_dbms::memo::{ChoiceKey, PlanMemo};
-use dot_dbms::{exec, ObjectId};
+use dot_dbms::{exec, Layout, ObjectId};
 use dot_storage::{ClassId, IoCounts, StoragePool};
 use std::collections::HashMap;
 
@@ -93,12 +93,16 @@ impl WorkloadProfile {
 /// Baselines are priced through `plans`' compiled templates. Two baselines
 /// with the same plan choices share a [`ChoiceKey`], and only the first
 /// baseline of each key materializes its plans, which are priced as they
-/// are ([`exec::assemble`]), never planned a second time.
+/// are ([`exec::assemble`]), never planned a second time. Consecutive
+/// baselines differ in a few positions, so each key re-prices only the
+/// queries that read an object whose class changed.
 pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> WorkloadProfile {
     let (schema, pool, cfg) = (plans.schema(), plans.pool(), plans.cfg());
     let arity = group_arity(schema);
     let placements = baseline_placements(pool, arity);
     let groups = schema.object_groups();
+    let mut pricer = plans.pricer();
+    let mut layout = Layout::uniform(placements[0][0], schema.object_count());
 
     let mut group_profiles: Vec<GroupProfile> = groups
         .iter()
@@ -117,17 +121,29 @@ pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> Workload
     };
 
     for p in &placements {
-        let layout = baseline_layout(schema, p);
-        let io = runs.entry(plans.choice_key(&layout)).or_insert_with(|| {
+        place_baseline(&mut layout, &groups, p);
+        let io = runs.entry(pricer.choice_key(&layout)).or_insert_with(|| {
             let planned = plans.plan_workload(&layout);
             exec::assemble(&planned, schema, &layout, pool, cfg, test_run)
                 .cost
                 .io
         });
         for gp in group_profiles.iter_mut() {
-            let key = project_placement(p, gp.objects.len());
-            let counts: Vec<IoCounts> = gp.objects.iter().map(|o| io[o.0]).collect();
-            gp.by_placement.insert(key, counts);
+            // A group no longer than the arity sees the placement's
+            // prefix: `project_placement(p, k)` is `p[..k]`. A later
+            // baseline with the same prefix overwrites the counts.
+            let key = &p[..gp.objects.len()];
+            match gp.by_placement.get_mut(key) {
+                Some(counts) => {
+                    for (slot, o) in counts.iter_mut().zip(&gp.objects) {
+                        *slot = io[o.0];
+                    }
+                }
+                None => {
+                    let counts = gp.objects.iter().map(|o| io[o.0]).collect();
+                    gp.by_placement.insert(key.to_vec(), counts);
+                }
+            }
         }
     }
 
@@ -142,6 +158,7 @@ pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> Workload
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{baseline_layout, project_placement};
     use dot_dbms::{EngineConfig, Schema};
     use dot_storage::catalog;
     use dot_workloads::{synth, tpcc, Workload};

@@ -10,10 +10,15 @@
 //!   normal and tiny `work_mem`;
 //! - a session's estimates and measurements equal the memo-free reference
 //!   (`toc::estimate_toc`, `toc::measure_toc`) bit for bit, with the
-//!   session's template memo off (the reference), cold and warm, and under
-//!   exhaustive search's threads;
+//!   session's template memo off (the reference), cold and warm, and with
+//!   one memo shared across threads;
 //! - choice keys group layouts exactly by `PlannedQuery::same_choices`;
-//! - SLA and cost-model siblings share one template set.
+//! - SLA and cost-model siblings share one template set;
+//! - an incremental `Pricer` walking from layout to layout — re-classing a
+//!   few objects, skipping layouts as pruning does, jumping to unrelated
+//!   layouts — answers every estimate and choice key bit-identically to
+//!   the memo and to the frozen recursive planner, and a query's estimate
+//!   depends on the classes of its own objects alone.
 
 mod reference_planner;
 
@@ -511,8 +516,8 @@ fn session_estimates_equal_the_reference_under_shared_worker_threads() {
         let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
         let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
         let estimator = toc::Estimator::direct().memoized(&memo);
-        // Exhaustive search's workers share one Copy view across scoped
-        // threads; the first of them compiles the shared templates.
+        // Threads share one Copy view of a memo; the first of them
+        // compiles the shared templates.
         let results: Vec<Vec<TocEstimate>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..3)
                 .map(|_| {
@@ -568,4 +573,177 @@ fn siblings_share_the_memo_and_quiet_sessions_allocate_none() {
         sibling.recommend("dot").expect("sibling dot").layout,
         advisor.with_sla(0.25).recommend("dot").expect("dot").layout
     );
+}
+
+/// Every (database, pool, engine) a pricer walks: each preset family and
+/// the testkit database on every built-in pool and the 40-class pool,
+/// under the database's default engine and one whose sorts and hash
+/// builds all spill.
+fn walk_cases() -> Vec<(String, Schema, Workload, StoragePool, EngineConfig)> {
+    let mut out = Vec::new();
+    for (family, schema, workload) in databases() {
+        for (pool_name, pool) in pools() {
+            let cfg = presets::engine(None, &workload).expect("engine");
+            let mut spilling = cfg;
+            spilling.work_mem_gb = 1e-6;
+            for cfg in [cfg, spilling] {
+                let label = format!("{family}/{pool_name}/work_mem={}", cfg.work_mem_gb);
+                out.push((label, schema.clone(), workload.clone(), pool.clone(), cfg));
+            }
+        }
+    }
+    out
+}
+
+/// The next layout of a seeded walk: mostly one to three objects moved to
+/// random classes (a DOT group move or an odometer step), sometimes an
+/// unrelated random layout or a uniform one (a reset).
+fn step(layout: &Layout, pool: &StoragePool, rng: &mut u64) -> Layout {
+    let n = layout.len();
+    match splitmix(rng) % 10 {
+        0 => random_layout(n, pool, rng),
+        1 => Layout::uniform(ClassId(splitmix(rng) as usize % pool.len()), n),
+        _ => {
+            let mut next = layout.clone();
+            for _ in 0..1 + splitmix(rng) % 3 {
+                let object = dot_dbms::ObjectId(splitmix(rng) as usize % n);
+                next.place(object, ClassId(splitmix(rng) as usize % pool.len()));
+            }
+            next
+        }
+    }
+}
+
+#[test]
+fn pricer_walks_answer_bit_identically_to_the_memo_and_the_reference_planner() {
+    let mut rng = 0x5EED_0007u64;
+    let (mut priced, mut skipped) = (0usize, 0usize);
+    let (mut keys_shared, mut keys_distinct) = (0usize, 0usize);
+    for (label, schema, workload, pool, cfg) in walk_cases() {
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
+        let mut pricer = memo.pricer();
+        let mut toc_pricer = toc::Estimator::direct().memoized(&memo).pricer(&problem);
+        let mut layout = random_layout(schema.object_count(), &pool, &mut rng);
+        let mut last: Option<(dot_dbms::memo::ChoiceKey, Vec<PlannedQuery>)> = None;
+        for i in 0..32 {
+            if i > 0 {
+                layout = step(&layout, &pool, &mut rng);
+            }
+            // Pruning skips candidates: the pricer never sees them.
+            if splitmix(&mut rng) % 4 == 0 {
+                skipped += 1;
+                continue;
+            }
+            priced += 1;
+            let label = format!("{label} step {i}");
+            let reference: Vec<PlannedQuery> = workload
+                .queries
+                .iter()
+                .map(|q| reference_planner::plan_query(q, &schema, &layout, &pool, &cfg))
+                .collect();
+            // Either call may come first, or alone: both keep the pricer
+            // in step with the layout.
+            let ask = splitmix(&mut rng) % 3;
+            if ask != 1 {
+                let (times, stats) = pricer.estimate(&layout);
+                let (want_times, want_stats) = memo.estimate(&layout);
+                let mut reference_stats = PlanStats::default();
+                for (j, want) in reference.iter().enumerate() {
+                    assert_eq!(times[j].to_bits(), want_times[j].to_bits(), "{label}: memo");
+                    assert_eq!(
+                        times[j].to_bits(),
+                        want.est_time_ms.to_bits(),
+                        "{label}: reference {}",
+                        want.name
+                    );
+                    reference_stats.add(want);
+                }
+                assert_eq!(stats, want_stats, "{label}: memo stats");
+                assert_eq!(stats, reference_stats, "{label}: reference stats");
+                assert_bit_identical(
+                    &label,
+                    &toc_pricer.estimate(&layout),
+                    &toc::estimate_toc(&problem, &layout),
+                );
+            }
+            if ask != 0 {
+                let key = pricer.choice_key(&layout);
+                assert_eq!(key, memo.choice_key(&layout), "{label}: choice key");
+                if let Some((last_key, last_plans)) = &last {
+                    let same = last_plans
+                        .iter()
+                        .zip(&reference)
+                        .all(|(a, b)| a.same_choices(b));
+                    assert_eq!(*last_key == key, same, "{label}: key vs reference choices");
+                    keys_shared += usize::from(same);
+                    keys_distinct += usize::from(!same);
+                }
+                last = Some((key, reference));
+            }
+        }
+    }
+    assert!(
+        priced > 1_000 && skipped > 200 && keys_shared > 0 && keys_distinct > 0,
+        "{priced} priced, {skipped} skipped, keys {keys_shared} shared, {keys_distinct} distinct"
+    );
+}
+
+#[test]
+fn a_query_estimate_reads_only_its_own_objects_classes() {
+    let mut rng = 0x5EED_0008u64;
+    let mut checked = 0usize;
+    for (label, schema, workload, pool, cfg) in walk_cases() {
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        for _ in 0..3 {
+            let layout = random_layout(schema.object_count(), &pool, &mut rng);
+            let (times, _) = memo.estimate(&layout);
+            for (q, time) in times.iter().enumerate() {
+                let own = memo.query_objects(q);
+                assert!(own.windows(2).all(|w| w[0] < w[1]), "{label}: ascending");
+                // Re-class every other object at random.
+                let mut moved = layout.clone();
+                for o in 0..schema.object_count() {
+                    let object = dot_dbms::ObjectId(o);
+                    if own.binary_search(&object).is_err() {
+                        moved.place(object, ClassId(splitmix(&mut rng) as usize % pool.len()));
+                    }
+                }
+                let (again, _) = memo.estimate(&moved);
+                assert_eq!(
+                    again[q].to_bits(),
+                    time.to_bits(),
+                    "{label}: {} moved with objects it does not read",
+                    workload.queries[q].name
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 1_000, "{checked} queries checked");
+}
+
+#[test]
+fn a_pricer_for_a_problem_its_memo_does_not_serve_plans_from_scratch() {
+    let (schema, workload) = presets::database("tpch-subset:1").expect("preset");
+    let pool = catalog::box2();
+    let memo = PlanMemo::new(&workload.queries, &schema, &pool, &EngineConfig::oltp());
+    let problem = Problem::new(
+        &schema,
+        &pool,
+        &workload,
+        SlaSpec::relative(0.5),
+        EngineConfig::dss(),
+    );
+    let mut pricer = toc::Estimator::direct().memoized(&memo).pricer(&problem);
+    let mut rng = 0x5EED_0009u64;
+    for _ in 0..8 {
+        let layout = random_layout(schema.object_count(), &pool, &mut rng);
+        assert_bit_identical(
+            "unserved",
+            &pricer.estimate(&layout),
+            &toc::estimate_toc(&problem, &layout),
+        );
+    }
+    assert!(!memo.is_compiled(), "an unserved memo is never priced");
 }
