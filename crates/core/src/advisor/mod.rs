@@ -375,7 +375,7 @@ impl<'a> AdvisorBuilder<'a> {
             refinements: self.refinements,
             diagnostics: self.diagnostics,
             per_query_slas: self.per_query_slas,
-            registry: Rc::new(self.registry.unwrap_or_else(Registry::builtin)),
+            registry: self.registry.map_or_else(Registry::shared_builtin, Rc::new),
             profile: OnceCell::new(),
             constraints: OnceCell::new(),
             profile_builds: Rc::new(Cell::new(0)),
@@ -437,7 +437,7 @@ impl<'a> Advisor<'a> {
             refinements: 1,
             diagnostics: true,
             per_query_slas: None,
-            registry: Rc::new(Registry::builtin()),
+            registry: Registry::shared_builtin(),
             profile: OnceCell::new(),
             constraints: OnceCell::new(),
             profile_builds: Rc::new(Cell::new(0)),
@@ -688,6 +688,49 @@ mod tests {
         let _ = sibling.recommend("dot").unwrap();
         assert_eq!(advisor.profile_builds(), 1);
         assert_eq!(sibling.profile_builds(), 1);
+    }
+
+    #[test]
+    fn default_sessions_share_one_registry_and_a_custom_one_wins() {
+        struct Echo;
+        impl Solver for Echo {
+            fn id(&self) -> &str {
+                "echo"
+            }
+            fn describe(&self) -> String {
+                "echoes nothing".into()
+            }
+            fn solve(&self, _: &SolveContext<'_, '_>) -> Result<Recommendation, ProvisionError> {
+                Err(ProvisionError::InvalidRequest {
+                    reason: "echo".into(),
+                })
+            }
+        }
+        let (s, pool, w) = setup();
+        let a = Advisor::builder(&s, &pool, &w).build().unwrap();
+        let b = Advisor::builder(&s, &pool, &w).sla(0.25).build().unwrap();
+        let problem = Problem::new(&s, &pool, &w, SlaSpec::relative(0.5), EngineConfig::dss());
+        let c = Advisor::for_problem(&problem, ProfileSource::Estimate);
+        assert!(Rc::ptr_eq(&a.registry, &b.registry));
+        assert!(Rc::ptr_eq(&a.registry, &c.registry));
+        assert_eq!(a.solver_ids(), Registry::builtin().ids());
+
+        let mut custom = Registry::new();
+        custom.register(Box::new(Echo));
+        let d = Advisor::builder(&s, &pool, &w)
+            .registry(custom)
+            .build()
+            .unwrap();
+        assert!(!Rc::ptr_eq(&a.registry, &d.registry));
+        assert_eq!(d.solver_ids(), ["echo"]);
+        let err = d.recommend("echo").unwrap_err();
+        assert_eq!(err.kind(), "invalid-request");
+        assert!(matches!(
+            d.recommend("dot"),
+            Err(ProvisionError::UnknownSolver { .. })
+        ));
+        // The shared registry is untouched by the custom session.
+        assert!(a.solver_ids().iter().any(|id| id == "dot"));
     }
 
     #[test]

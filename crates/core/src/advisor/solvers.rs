@@ -13,6 +13,7 @@ use crate::problem::{LayoutCostModel, Problem};
 use dot_dbms::Layout;
 use dot_profiler::{profile_workload, ProfileSource};
 use dot_workloads::PerfMetric;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// A storage-provisioning optimizer selectable by name.
@@ -85,6 +86,15 @@ impl Registry {
             }
         }
         r
+    }
+
+    /// [`builtin`](Self::builtin), built once per thread and shared by
+    /// every session that does not bring its own registry.
+    pub(crate) fn shared_builtin() -> Rc<Registry> {
+        thread_local! {
+            static BUILTIN: Rc<Registry> = Rc::new(Registry::builtin());
+        }
+        BUILTIN.with(Rc::clone)
     }
 
     /// Register a solver, replacing any existing entry with the same id.

@@ -6,6 +6,7 @@ use crate::constraints::{self, Constraints};
 use crate::moves::enumerate_moves;
 use crate::problem::Problem;
 use crate::toc::{Estimator, ObjectiveBound, TocEstimate};
+use dot_dbms::layout::space_fits;
 use dot_dbms::Layout;
 use dot_profiler::{ProfileSource, WorkloadProfile};
 use dot_workloads::SlaSpec;
@@ -83,46 +84,56 @@ pub fn optimize_with_pruning(
     // Consecutive candidates differ in one or two groups, so each one
     // re-prices only the queries that read a moved object.
     let mut pricer = toc.pricer(problem);
-    let l0 = problem.premium_layout();
-    let est0 = pricer.estimate(&l0);
+    let mut current = problem.premium_layout();
+    let est0 = pricer.estimate(&current);
     let bound = prune.then(|| ObjectiveBound::new(problem, &est0));
     let mut investigated = 1usize;
     let mut pruned = 0usize;
 
-    let mut current = l0.clone();
-    let (mut best, mut best_est, mut best_toc) = if cons.satisfied(problem, &l0, &est0) {
+    // The best layout is always `current`: it only moves on acceptance.
+    let (mut best_est, mut best_toc) = if cons.satisfied(problem, &current, &est0) {
         let t = est0.objective_cents;
-        (Some(l0), Some(est0), t)
+        (Some(est0), t)
     } else {
-        (None, None, f64::INFINITY)
+        (None, f64::INFINITY)
     };
 
+    // Each candidate is stepped in place from `current`, and its `S_j`
+    // vector, summed once, feeds the bound, `C(L)` and the capacity check.
+    let mut candidate = current.clone();
+    let mut space = Vec::with_capacity(problem.pool.len());
     for m in enumerate_moves(problem, profile) {
-        let candidate = m.apply(&current);
+        candidate.clone_from(&current);
+        for (obj, &class) in m.objects.iter().zip(&m.placement) {
+            candidate.place(*obj, class);
+        }
         investigated += 1;
+        candidate.space_per_class_into(problem.schema, problem.pool, &mut space);
         // Dominance cut: a candidate whose objective lower bound already
         // meets the incumbent cannot be accepted (acceptance is strict),
         // so its estimate is never needed.
         if let Some(lb) = bound
             .as_ref()
-            .and_then(|b| b.lower_bound(problem, &candidate))
+            .and_then(|b| b.lower_bound_of_space(problem, &space))
         {
             if lb >= best_toc {
                 pruned += 1;
                 continue;
             }
         }
-        let est = pricer.estimate(&candidate);
-        if cons.satisfied(problem, &candidate, &est) && est.objective_cents < best_toc {
+        if !space_fits(&space, problem.pool) {
+            continue;
+        }
+        let est = pricer.estimate_of_space(&candidate, &space);
+        if cons.performance_satisfied(&est) && est.objective_cents < best_toc {
             best_toc = est.objective_cents;
-            current = candidate;
-            best = Some(current.clone());
+            std::mem::swap(&mut current, &mut candidate);
             best_est = Some(est);
         }
     }
 
     DotOutcome {
-        layout: best,
+        layout: best_est.is_some().then_some(current),
         estimate: best_est,
         layouts_investigated: investigated,
         layouts_pruned: pruned,

@@ -95,8 +95,8 @@ pub fn exhaustive_search_with_pruning(
     let bound = prune.then(|| ObjectiveBound::new(problem, &cons.reference));
     let bound = bound.as_ref();
     let mut pricer = toc.pricer(problem);
-    // `S_j` of the layout at hand: one pass over the objects feeds both
-    // the capacity check and the bound.
+    // `S_j` of the layout at hand: one pass over the objects feeds the
+    // capacity check, the bound and the estimate's `C(L)`.
     let mut space = Vec::with_capacity(m);
 
     let mut layout = None;
@@ -126,7 +126,7 @@ pub fn exhaustive_search_with_pruning(
                     // Dominance cut: cannot beat this branch's incumbent.
                     pruned += 1;
                 } else {
-                    let est = pricer.estimate(&candidate);
+                    let est = pricer.estimate_of_space(&candidate, &space);
                     if cons.performance_satisfied(&est) && est.objective_cents < branch_toc {
                         branch_toc = est.objective_cents;
                         branch_layout = Some(candidate.clone());

@@ -63,11 +63,16 @@ pub(crate) fn finite_ratio(num: f64, den: f64) -> f64 {
 /// Enumerate all moves `m(g, p)` for every group and placement, scored and
 /// sorted ascending by `σ` (Procedure 2). The identity placement (all
 /// objects staying on `d_1`) is skipped — it saves nothing.
+///
+/// Each `δ_cost` is priced on one reused layout and one reused `S_j`
+/// buffer: the group is placed, the space summed and costed, and the
+/// group put back on the premium class.
 pub fn enumerate_moves(problem: &Problem<'_>, profile: &WorkloadProfile) -> Vec<Move> {
     let premium = problem.pool.most_expensive();
-    let l0 = problem.premium_layout();
-    let c0 = problem.layout_cost_cents_per_hour(&l0);
+    let mut moved = problem.premium_layout();
+    let c0 = problem.layout_cost_cents_per_hour(&moved);
     let concurrency = problem.cfg.concurrency;
+    let mut space = Vec::with_capacity(problem.pool.len());
 
     let mut moves = Vec::new();
     for (gi, g) in profile.groups.iter().enumerate() {
@@ -76,7 +81,7 @@ pub fn enumerate_moves(problem: &Problem<'_>, profile: &WorkloadProfile) -> Vec<
             .io_time_share_ms(&p0, problem.pool, concurrency)
             .expect("profile covers the premium placement");
         for p in group_placements(problem.pool, g.objects.len()) {
-            if p.iter().all(|&c| c == premium) {
+            if p == p0 {
                 continue;
             }
             let tp = g
@@ -84,11 +89,14 @@ pub fn enumerate_moves(problem: &Problem<'_>, profile: &WorkloadProfile) -> Vec<
                 .expect("profile covers every group placement");
             // δ_cost via the problem's cost model so the discrete-sized
             // extension (§5.2) scores consistently.
-            let mut moved = l0.clone();
             for (obj, &class) in g.objects.iter().zip(&p) {
                 moved.place(*obj, class);
             }
-            let delta_cost = c0 - problem.layout_cost_cents_per_hour(&moved);
+            moved.space_per_class_into(problem.schema, problem.pool, &mut space);
+            for obj in &g.objects {
+                moved.place(*obj, premium);
+            }
+            let delta_cost = c0 - problem.cost_model.cost_of_space(&space, problem.pool);
             if delta_cost <= 0.0 {
                 continue;
             }

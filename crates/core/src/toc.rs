@@ -17,6 +17,7 @@
 use crate::problem::Problem;
 use dot_dbms::memo::{PlanMemo, Pricer};
 use dot_dbms::plan::PlanStats;
+use dot_dbms::query::QuerySpec;
 use dot_dbms::{exec, Layout};
 use dot_workloads::spec::PerfMetric;
 use dot_workloads::Workload;
@@ -54,19 +55,25 @@ pub struct TocEstimate {
 }
 
 impl TocEstimate {
-    fn from_run(problem: &Problem<'_>, layout: &Layout, run: exec::RunResult) -> TocEstimate {
+    /// The estimate of a run under a layout whose `C(L)` is `layout_cost`.
+    fn from_run(problem: &Problem<'_>, layout_cost: f64, run: exec::RunResult) -> TocEstimate {
         let per_query_ms = run.queries.iter().map(|q| q.time_ms).collect();
-        TocEstimate::from_times(problem, layout, run.stream_time_ms, per_query_ms, run.stats)
+        TocEstimate::from_times(
+            problem,
+            layout_cost,
+            run.stream_time_ms,
+            per_query_ms,
+            run.stats,
+        )
     }
 
     fn from_times(
         problem: &Problem<'_>,
-        layout: &Layout,
+        layout_cost: f64,
         stream_time_ms: f64,
         per_query_ms: Vec<f64>,
         plan_stats: PlanStats,
     ) -> TocEstimate {
-        let layout_cost = problem.layout_cost_cents_per_hour(layout);
         let throughput = problem.workload.throughput_tasks_per_hour(stream_time_ms);
         let hours = problem.workload.execution_hours(stream_time_ms);
         let toc_cents_per_pass = layout_cost * hours;
@@ -175,9 +182,11 @@ impl ProblemDelta {
             return None;
         }
         // Queries must match modulo weight: the weight scales only the
-        // stream-time accumulation, never the per-query plan.
+        // stream-time accumulation, never the per-query plan. A NaN
+        // observed weight matches nothing.
         for (qa, qo) in a.queries.iter().zip(&o.queries) {
-            if qa.clone().with_weight(qo.weight) != *qo {
+            let QuerySpec { name, ops, weight } = qo;
+            if *name != qa.name || *ops != qa.ops || weight.is_nan() {
                 return None;
             }
         }
@@ -195,6 +204,11 @@ impl ProblemDelta {
 /// Estimate the TOC of `layout` through the storage-aware planner (the
 /// optimization phase's inner loop — deterministic, memo-free).
 pub fn estimate_toc(problem: &Problem<'_>, layout: &Layout) -> TocEstimate {
+    estimate_toc_at_cost(problem, layout, problem.layout_cost_cents_per_hour(layout))
+}
+
+/// [`estimate_toc`] of a layout whose `C(L)` is already known.
+fn estimate_toc_at_cost(problem: &Problem<'_>, layout: &Layout, layout_cost: f64) -> TocEstimate {
     let run = exec::estimate_workload(
         &problem.workload.queries,
         problem.schema,
@@ -202,7 +216,7 @@ pub fn estimate_toc(problem: &Problem<'_>, layout: &Layout) -> TocEstimate {
         problem.pool,
         &problem.cfg,
     );
-    TocEstimate::from_run(problem, layout, run)
+    TocEstimate::from_run(problem, layout_cost, run)
 }
 
 /// [`estimate_toc`] over the session's compiled templates: the choose
@@ -211,14 +225,16 @@ pub fn estimate_toc(problem: &Problem<'_>, layout: &Layout) -> TocEstimate {
 /// order, so the estimate is bit-identical without materializing a plan.
 fn estimate_planned(problem: &Problem<'_>, layout: &Layout, plans: &PlanMemo<'_>) -> TocEstimate {
     let (per_query_ms, plan_stats) = plans.estimate(layout);
-    from_query_times(problem, layout, per_query_ms, plan_stats)
+    let layout_cost = problem.layout_cost_cents_per_hour(layout);
+    from_query_times(problem, layout_cost, per_query_ms, plan_stats)
 }
 
-/// The estimate whose queries take `per_query_ms`, with the stream time
-/// accumulated in workload order as `exec::assemble` does.
+/// The estimate whose queries take `per_query_ms` under a layout whose
+/// `C(L)` is `layout_cost`, with the stream time accumulated in workload
+/// order as `exec::assemble` does.
 fn from_query_times(
     problem: &Problem<'_>,
-    layout: &Layout,
+    layout_cost: f64,
     per_query_ms: Vec<f64>,
     plan_stats: PlanStats,
 ) -> TocEstimate {
@@ -226,7 +242,13 @@ fn from_query_times(
     for (time_ms, q) in per_query_ms.iter().zip(&problem.workload.queries) {
         stream_time_ms += time_ms * q.weight;
     }
-    TocEstimate::from_times(problem, layout, stream_time_ms, per_query_ms, plan_stats)
+    TocEstimate::from_times(
+        problem,
+        layout_cost,
+        stream_time_ms,
+        per_query_ms,
+        plan_stats,
+    )
 }
 
 /// [`measure_toc`] over the session's templates: the plans are
@@ -247,7 +269,7 @@ fn measure_planned(
         &problem.cfg,
         Some(seed),
     );
-    TocEstimate::from_run(problem, layout, run)
+    TocEstimate::from_run(problem, problem.layout_cost_cents_per_hour(layout), run)
 }
 
 /// Measure the TOC of `layout` with a simulated test run (the validation
@@ -272,7 +294,7 @@ pub fn measure_toc(problem: &Problem<'_>, layout: &Layout, seed: u64) -> TocEsti
         &problem.cfg,
         seed,
     );
-    TocEstimate::from_run(problem, layout, run)
+    TocEstimate::from_run(problem, problem.layout_cost_cents_per_hour(layout), run)
 }
 
 // ---------------------------------------------------------------------------
@@ -462,12 +484,28 @@ pub struct TocPricer<'m, 'p> {
 impl TocPricer<'_, '_> {
     /// Estimate `layout`'s TOC under the pricer's problem.
     pub fn estimate(&mut self, layout: &Layout) -> TocEstimate {
+        let layout_cost = self.problem.layout_cost_cents_per_hour(layout);
+        self.estimate_at_cost(layout, layout_cost)
+    }
+
+    /// [`estimate`](Self::estimate) of a layout whose `S_j` vector
+    /// ([`Layout::space_per_class`]) is `space`: `C(L)` is costed from it
+    /// instead of summed again, bit for bit the same.
+    pub fn estimate_of_space(&mut self, layout: &Layout, space: &[f64]) -> TocEstimate {
+        let layout_cost = self
+            .problem
+            .cost_model
+            .cost_of_space(space, self.problem.pool);
+        self.estimate_at_cost(layout, layout_cost)
+    }
+
+    fn estimate_at_cost(&mut self, layout: &Layout, layout_cost: f64) -> TocEstimate {
         match &mut self.plans {
             Some(plans) => {
                 let (per_query_ms, plan_stats) = plans.estimate(layout);
-                from_query_times(self.problem, layout, per_query_ms, plan_stats)
+                from_query_times(self.problem, layout_cost, per_query_ms, plan_stats)
             }
-            None => estimate_toc(self.problem, layout),
+            None => estimate_toc_at_cost(self.problem, layout, layout_cost),
         }
     }
 }

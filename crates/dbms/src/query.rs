@@ -136,8 +136,8 @@ impl Rel {
             Rel::Join(j) => {
                 j.outer.validate()?;
                 j.inner.validate()?;
-                if j.rows_per_outer < 0.0 {
-                    return Err("rows_per_outer must be >= 0".into());
+                if !(j.rows_per_outer.is_finite() && j.rows_per_outer >= 0.0) {
+                    return Err("rows_per_outer must be finite and >= 0".into());
                 }
                 Ok(())
             }
@@ -276,20 +276,23 @@ impl QuerySpec {
         if self.ops.is_empty() {
             return Err(format!("query {}: empty body", self.name));
         }
-        if self.weight <= 0.0 {
-            return Err(format!("query {}: weight must be positive", self.name));
+        if !(self.weight.is_finite() && self.weight > 0.0) {
+            return Err(format!(
+                "query {}: weight must be positive and finite",
+                self.name
+            ));
         }
         for op in &self.ops {
             match op {
                 Op::Read(r) => r.rel.validate()?,
                 Op::Insert(i) => {
-                    if i.rows < 0.0 {
-                        return Err("insert rows must be >= 0".into());
+                    if !(i.rows.is_finite() && i.rows >= 0.0) {
+                        return Err("insert rows must be finite and >= 0".into());
                     }
                 }
                 Op::Update(u) => {
-                    if u.rows < 0.0 {
-                        return Err("update rows must be >= 0".into());
+                    if !(u.rows.is_finite() && u.rows >= 0.0) {
+                        return Err("update rows must be finite and >= 0".into());
                     }
                 }
             }
@@ -357,7 +360,40 @@ mod tests {
             weight: 1.0,
         };
         assert!(empty.validate().is_err());
-        assert!(q.with_weight(0.0).validate().is_err());
+        for weight in [0.0, f64::INFINITY, f64::NAN] {
+            assert!(
+                q.clone().with_weight(weight).validate().is_err(),
+                "{weight}"
+            );
+        }
+        for rows in [-1.0, f64::INFINITY, f64::NAN] {
+            let insert = QuerySpec::transaction(
+                "i",
+                vec![Op::Insert(InsertOp {
+                    table: TableId(0),
+                    rows,
+                    sequential_keys: false,
+                })],
+            );
+            assert!(insert.validate().is_err(), "insert {rows}");
+            let update = QuerySpec::transaction(
+                "u",
+                vec![Op::Update(UpdateOp {
+                    table: TableId(0),
+                    rows,
+                    via: None,
+                    updates_indexed_key: false,
+                })],
+            );
+            assert!(update.validate().is_err(), "update {rows}");
+            let join = Rel::join(
+                Rel::Scan(ScanSpec::full(TableId(0))),
+                ScanSpec::full(TableId(1)),
+                rows,
+                None,
+            );
+            assert!(join.validate().is_err(), "rows_per_outer {rows}");
+        }
     }
 
     #[test]

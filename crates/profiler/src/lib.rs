@@ -19,6 +19,14 @@
 //! **pruning** (§3.4, §4.5.1) skips baselines whose plans provably match an
 //! already-profiled one — which collapses TPC-C to a single profiled layout
 //! exactly as in the paper.
+//!
+//! Each group's counts live in one dense table of `M^k` rows (`k` objects
+//! in the group), indexed by the placement's lexicographic mixed-radix
+//! code — the order [`baseline_placements`] enumerates. Baseline `b` of the
+//! `M^K` writes its counts at row `b / M^(K−k)`, its length-`k` prefix, so
+//! profiling hashes one [`ChoiceKey`](dot_dbms::memo::ChoiceKey) per
+//! baseline and nothing per group, and
+//! [`GroupProfile::io_time_share_ms`] reads a row by arithmetic.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

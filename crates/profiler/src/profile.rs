@@ -6,7 +6,7 @@
 //! optimizer turns these into the *I/O time share* `T^p[g]` of Eq. 1 and the
 //! move scores of §3.3.
 
-use crate::baseline::{baseline_placements, group_arity, place_baseline};
+use crate::baseline::{baseline_count, group_arity, place_baseline};
 use dot_dbms::memo::{ChoiceKey, PlanMemo};
 use dot_dbms::{exec, Layout, ObjectId};
 use dot_storage::{ClassId, IoCounts, StoragePool};
@@ -26,18 +26,35 @@ pub enum ProfileSource {
 }
 
 /// Profile of one object group across its placements.
+///
+/// The counts live in one dense table of `M^k` rows of `k` counts (`M`
+/// storage classes, `k = |g|`), row `c` holding the placement whose
+/// lexicographic mixed-radix code is `c` — `Σ_i p[i] · M^(k−1−i)`, the
+/// order [`group_placements`](crate::baseline::group_placements)
+/// enumerates — so a lookup is a few multiplications, never a hash.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupProfile {
     /// The group's objects (position 0 = heap, 1.. = indices).
     pub objects: Vec<ObjectId>,
-    /// Per-placement accumulated counts, parallel to `objects`.
-    pub by_placement: HashMap<Vec<ClassId>, Vec<IoCounts>>,
+    /// The radix `M` of the placement codes: the profiled pool's size.
+    classes: usize,
+    /// `M^k` rows of counts, each parallel to `objects`.
+    table: Vec<IoCounts>,
 }
 
 impl GroupProfile {
-    /// Counts under a specific within-group placement.
+    /// Counts under a specific within-group placement, or `None` for a
+    /// placement of another length or one naming a class outside the
+    /// profiled pool.
     pub fn counts(&self, placement: &[ClassId]) -> Option<&[IoCounts]> {
-        self.by_placement.get(placement).map(|v| v.as_slice())
+        let k = self.objects.len();
+        if placement.len() != k {
+            return None;
+        }
+        let code = placement.iter().try_fold(0usize, |code, class| {
+            (class.0 < self.classes).then(|| code * self.classes + class.0)
+        })?;
+        Some(&self.table[code * k..(code + 1) * k])
     }
 
     /// The I/O time share `T^p[g] = Σ_{o∈g} Σ_r χ^p_r[o] · τ^{p[o]}_r`
@@ -48,11 +65,13 @@ impl GroupProfile {
         pool: &StoragePool,
         concurrency: u32,
     ) -> Option<f64> {
-        let counts = self.by_placement.get(placement)?;
+        let counts = self.counts(placement)?;
         let mut total = 0.0;
-        for (k, c) in counts.iter().enumerate() {
-            let class = pool.class_unchecked(placement[k]);
-            total += class.profile.service_time_ms(c, concurrency);
+        for (c, &class) in counts.iter().zip(placement) {
+            total += pool
+                .class_unchecked(class)
+                .profile
+                .service_time_ms(c, concurrency);
         }
         Some(total)
     }
@@ -95,21 +114,33 @@ impl WorkloadProfile {
 /// baseline of each key materializes its plans, which are priced as they
 /// are ([`exec::assemble`]), never planned a second time. Consecutive
 /// baselines differ in a few positions, so each key re-prices only the
-/// queries that read an object whose class changed.
+/// queries that read an object whose class changed. Baselines are walked
+/// by code, rewriting one layout in place, and each writes its counts
+/// straight into every group's dense table at its prefix's code.
 pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> WorkloadProfile {
     let (schema, pool, cfg) = (plans.schema(), plans.pool(), plans.cfg());
     let arity = group_arity(schema);
-    let placements = baseline_placements(pool, arity);
+    let m = pool.len();
+    let baselines = baseline_count(m, arity).expect("callers bound M^K");
     let groups = schema.object_groups();
     let mut pricer = plans.pricer();
-    let mut layout = Layout::uniform(placements[0][0], schema.object_count());
+    let mut placement = vec![ClassId(0); arity];
+    let mut layout = Layout::uniform(placement[0], schema.object_count());
 
     let mut group_profiles: Vec<GroupProfile> = groups
         .iter()
         .map(|objs| GroupProfile {
             objects: objs.clone(),
-            by_placement: HashMap::new(),
+            classes: m,
+            table: vec![IoCounts::ZERO; m.pow(objs.len() as u32) * objs.len()],
         })
+        .collect();
+    // A group no longer than the arity sees the baseline's prefix
+    // (`project_placement(p, k)` is `p[..k]`), whose code is the
+    // baseline's code divided by `M^(K−k)`.
+    let strides: Vec<usize> = groups
+        .iter()
+        .map(|objs| m.pow((arity - objs.len()) as u32))
         .collect();
 
     // The per-object counts of each distinct set of plan choices, from the
@@ -120,29 +151,27 @@ pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> Workload
         ProfileSource::TestRun { seed } => Some(seed),
     };
 
-    for p in &placements {
-        place_baseline(&mut layout, &groups, p);
+    // Baseline `b` is the `b`-th placement of `baseline_placements`.
+    for b in 0..baselines {
+        let mut digits = b;
+        for slot in placement.iter_mut().rev() {
+            *slot = ClassId(digits % m);
+            digits /= m;
+        }
+        place_baseline(&mut layout, &groups, &placement);
         let io = runs.entry(pricer.choice_key(&layout)).or_insert_with(|| {
             let planned = plans.plan_workload(&layout);
             exec::assemble(&planned, schema, &layout, pool, cfg, test_run)
                 .cost
                 .io
         });
-        for gp in group_profiles.iter_mut() {
-            // A group no longer than the arity sees the placement's
-            // prefix: `project_placement(p, k)` is `p[..k]`. A later
-            // baseline with the same prefix overwrites the counts.
-            let key = &p[..gp.objects.len()];
-            match gp.by_placement.get_mut(key) {
-                Some(counts) => {
-                    for (slot, o) in counts.iter_mut().zip(&gp.objects) {
-                        *slot = io[o.0];
-                    }
-                }
-                None => {
-                    let counts = gp.objects.iter().map(|o| io[o.0]).collect();
-                    gp.by_placement.insert(key.to_vec(), counts);
-                }
+        // A later baseline with the same prefix overwrites the counts.
+        for (gp, stride) in group_profiles.iter_mut().zip(&strides) {
+            let k = gp.objects.len();
+            let code = b / stride;
+            let row = &mut gp.table[code * k..(code + 1) * k];
+            for (slot, o) in row.iter_mut().zip(&gp.objects) {
+                *slot = io[o.0];
             }
         }
     }
@@ -150,7 +179,7 @@ pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> Workload
     WorkloadProfile {
         groups: group_profiles,
         arity,
-        baseline_count: placements.len(),
+        baseline_count: baselines,
         profiled_count: runs.len(),
     }
 }
@@ -158,7 +187,9 @@ pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> Workload
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{baseline_layout, project_placement};
+    use crate::baseline::{
+        baseline_layout, baseline_placements, group_placements, project_placement,
+    };
     use dot_dbms::{EngineConfig, Schema};
     use dot_storage::catalog;
     use dot_workloads::{synth, tpcc, Workload};
@@ -178,9 +209,19 @@ mod tests {
             ProfileSource::Estimate,
         );
         assert_eq!(prof.groups.len(), s.object_groups().len());
+        let alien = ClassId(pool.len());
         for g in &prof.groups {
-            let expected = pool.len().pow(g.objects.len() as u32);
-            assert_eq!(g.by_placement.len(), expected);
+            let k = g.objects.len();
+            for p in group_placements(&pool, k) {
+                assert_eq!(g.counts(&p).map(<[IoCounts]>::len), Some(k), "{p:?}");
+                let mut longer = p.clone();
+                longer.push(p[0]);
+                assert!(g.counts(&longer).is_none());
+                let mut outside = p;
+                outside[k - 1] = alien;
+                assert!(g.counts(&outside).is_none());
+            }
+            assert!(g.counts(&[]).is_none());
         }
     }
 

@@ -360,6 +360,51 @@ fn oversized_baseline_enumerations_get_a_prompt_typed_reject() {
     handle.join().unwrap();
 }
 
+/// A JSON number too large for an `f64` parses as infinity; a workload
+/// weight of `1e400` must be refused before any solver prices it.
+#[test]
+fn an_infinite_inline_weight_gets_a_typed_invalid_request() {
+    let (schema, workload) = dot_core::advisor::presets::database("tpch-subset:1").unwrap();
+    let frame = RequestFrame {
+        id: 1,
+        request: Request::Provision {
+            problem: ProblemSpec {
+                pool: PoolSpec::Name("box2".to_owned()),
+                database: DbSpec::Custom { schema, workload },
+                sla: 0.5,
+                engine: None,
+                refinements: None,
+            },
+            solver: None,
+        },
+    };
+    let line = serde_json::to_string(&frame).unwrap();
+    let at = line.find("\"weight\":").expect("a weight field") + "\"weight\":".len();
+    let end = at + line[at..].find([',', '}']).expect("end of the number");
+    let line = format!("{}1e400{}", &line[..at], &line[end..]);
+
+    let (addr, handle) = start(small_config());
+    let mut client = Client::connect(addr);
+    client.send_raw(&line);
+    let frame = client.recv();
+    assert_eq!(frame.id, 1);
+    match frame.response {
+        Response::Error {
+            error: ProtocolError::Provision { error },
+        } => {
+            assert_eq!(error.kind(), "invalid-request");
+            assert!(error.to_string().contains("weight"), "{error}");
+        }
+        other => panic!("{other:?}"),
+    }
+    client.send(2, Request::Shutdown);
+    assert!(matches!(
+        client.recv().response,
+        Response::ShuttingDown { .. }
+    ));
+    handle.join().unwrap();
+}
+
 #[test]
 fn requests_after_shutdown_get_the_shutting_down_reject() {
     let (addr, handle) = start(small_config());

@@ -96,6 +96,12 @@ impl Workload {
         for q in &self.queries {
             q.validate()?;
         }
+        if !(self.tasks_per_stream.is_finite() && self.tasks_per_stream > 0.0) {
+            return Err(format!(
+                "workload {}: tasks per stream must be positive and finite",
+                self.name
+            ));
+        }
         Ok(())
     }
 }
@@ -210,5 +216,13 @@ mod tests {
         assert!(empty.validate(&schema).is_err());
         let ok = Workload::dss("k", vec![q("a", 1.0)]);
         assert!(ok.validate(&schema).is_ok());
+        for weight in [f64::INFINITY, f64::NAN] {
+            let w = Workload::dss("w", vec![q("a", 1.0).with_weight(weight)]);
+            assert!(w.validate(&schema).is_err(), "weight {weight}");
+        }
+        for tasks in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let w = Workload::oltp("t", vec![q("a", 1.0)], 1, tasks);
+            assert!(w.validate(&schema).is_err(), "tasks {tasks}");
+        }
     }
 }
