@@ -15,7 +15,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dot-bench --bin distill                 # write BENCH_19.json
+//! cargo run --release -p dot-bench --bin distill                 # write BENCH_20.json
 //! cargo run --release -p dot-bench --bin distill -- --out <path> # write elsewhere
 //! cargo run --release -p dot-bench --bin distill -- --check <path> # validate a file
 //! ```
@@ -46,7 +46,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Where the trajectory for this PR lives, relative to the repo root.
-const DEFAULT_PATH: &str = "BENCH_19.json";
+const DEFAULT_PATH: &str = "BENCH_20.json";
 /// Timed samples per measurement (a warmup run precedes them).
 const SAMPLES: usize = 5;
 /// `--check`: a pruned sweep may be up to this factor slower than the
@@ -823,7 +823,7 @@ fn measure_pruning() -> Vec<PruningCell> {
 fn distill(path: &str) {
     let trajectory = Trajectory {
         schema_version: 7,
-        pr: 19,
+        pr: 20,
         samples: SAMPLES,
         hot_paths: measure_hot_paths(),
         telemetry: measure_telemetry(),

@@ -11,6 +11,7 @@
 
 use crate::protocol::{ProtocolError, RequestFrame, Response, ResponseFrame};
 use serde::Serialize;
+use std::cell::Cell;
 use std::io::{self, Read, Write};
 
 /// Default per-frame ceiling: generous for inline schemas and layouts,
@@ -150,12 +151,39 @@ pub fn parse_request(line: &str) -> Result<RequestFrame, ResponseFrame> {
 }
 
 /// Write one frame as a JSON line (the only encoder the daemon uses, so
-/// the terminator cannot drift between call sites).
+/// the terminator cannot drift between call sites). The line, terminator
+/// included, goes out in a single `write_all`: the daemon's sockets are
+/// unbuffered, so a frame never reaches a client in pieces.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, frame: &T) -> io::Result<()> {
-    let mut line = serde_json::to_string(frame)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    line.push('\n');
-    w.write_all(line.as_bytes())
+    write_json(w, frame, "\n")
+}
+
+thread_local! {
+    /// Each thread's encode buffer, reused from frame to frame.
+    static ENCODE_BUF: Cell<String> = const { Cell::new(String::new()) };
+}
+
+/// Encode buffers larger than this are freed after use rather than kept
+/// per thread: they hold one unusually large document, not a typical
+/// frame.
+const RETAINED_BUF_BYTES: usize = 1 << 20;
+
+/// Write `value`'s compact JSON followed by `terminator` with exactly one
+/// `write_all`, encoding into the calling thread's reused buffer.
+pub(crate) fn write_json<W: Write, T: Serialize + ?Sized>(
+    w: &mut W,
+    value: &T,
+    terminator: &str,
+) -> io::Result<()> {
+    let mut buf = ENCODE_BUF.take();
+    buf.clear();
+    serde_json::append_to_string(&mut buf, value);
+    buf.push_str(terminator);
+    let written = w.write_all(buf.as_bytes());
+    if buf.capacity() <= RETAINED_BUF_BYTES {
+        ENCODE_BUF.set(buf);
+    }
+    written
 }
 
 /// Parse one response line — the client-side mirror of [`parse_request`],
@@ -225,5 +253,42 @@ mod tests {
         let line = String::from_utf8(buf).unwrap();
         assert!(line.ends_with('\n'));
         assert_eq!(parse_request(line.trim()).unwrap(), frame);
+    }
+
+    #[test]
+    fn each_frame_reaches_the_writer_in_one_write() {
+        /// Records every `write` call it receives.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let frames = [
+            RequestFrame {
+                id: 7,
+                request: Request::Hello { version: 1 },
+            },
+            RequestFrame {
+                id: u64::MAX,
+                request: Request::DetachTenant { tenant: 3 },
+            },
+        ];
+        let mut writes = Writes::default();
+        for frame in &frames {
+            write_frame(&mut writes, frame).unwrap();
+        }
+        assert_eq!(writes.0.len(), frames.len());
+        for (bytes, frame) in writes.0.iter().zip(&frames) {
+            assert_eq!(
+                *bytes,
+                format!("{}\n", serde_json::to_string(frame).unwrap()).into_bytes()
+            );
+        }
     }
 }

@@ -50,7 +50,7 @@ use dot_core::controller::{CacheStats, CachedEstimator};
 use dot_dbms::{Layout, Schema};
 use dot_workloads::Workload;
 use serde::{Deserialize, Serialize};
-use std::io::{self, Write};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -947,11 +947,9 @@ fn write_snapshot(dir: &Path, snapshot: &RegistrySnapshot) -> io::Result<()> {
         // behaves like a full disk.
         return Err(io::Error::other("test-hooks: injected write failure"));
     }
-    let json = serde_json::to_string(snapshot)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let tmp = dir.join(format!("{STATE_FILE}.tmp"));
     let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(json.as_bytes())?;
+    crate::framing::write_json(&mut file, snapshot, "")?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(&tmp, dir.join(STATE_FILE))?;
@@ -1193,5 +1191,77 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("duplicate tenant id 1"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Arrays and objects open at the deepest point of `v`.
+    fn nesting(v: &serde::Value) -> usize {
+        match v {
+            serde::Value::Array(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+            serde::Value::Object(entries) => {
+                1 + entries.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0)
+            }
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn the_deepest_preset_frame_is_far_below_the_parser_recursion_limit() {
+        // Inline problems nest deepest (a workload's plans are `Rel` join
+        // trees), so every preset family goes inline: in the attach frame,
+        // in the snapshot that persists it, and in the Provisioned answer.
+        use crate::protocol::{DbSpec, PoolSpec, Request, RequestFrame, Response, ResponseFrame};
+        let dir = temp_state_dir("depth");
+        let registry = open(&dir).expect("open");
+        let mut deepest = 0;
+        for preset in [
+            "tpch:1:original",
+            "tpch:1:modified",
+            "tpch-subset:1",
+            "tpcc:2",
+            "ycsb:1000:E",
+        ] {
+            let (schema, workload) = dot_core::advisor::presets::database(preset).expect("preset");
+            let problem = ProblemSpec {
+                pool: PoolSpec::Custom(dot_storage::catalog::box2()),
+                database: DbSpec::Custom { schema, workload },
+                sla: 0.5,
+                engine: None,
+                refinements: None,
+            };
+            let recommendation = registry.provision(&problem, None).expect("provision");
+            let attach = RequestFrame {
+                id: 1,
+                request: Request::AttachTenant {
+                    name: None,
+                    problem: problem.clone(),
+                    deployed: Some(recommendation.layout.clone()),
+                    controller: Some(ControllerConfig::default()),
+                },
+            };
+            registry
+                .attach(None, &problem, Some(recommendation.layout.clone()), None)
+                .expect("attach");
+            let answer = ResponseFrame {
+                id: 1,
+                response: Response::Provisioned {
+                    recommendation: Box::new(recommendation),
+                },
+            };
+            deepest = deepest
+                .max(nesting(&serde::Serialize::to_value(&attach)))
+                .max(nesting(&serde::Serialize::to_value(&answer)));
+        }
+        let snapshot: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(dir.join(STATE_FILE)).expect("read"))
+                .expect("snapshot parses");
+        deepest = deepest.max(nesting(&snapshot));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(deepest >= 8, "inline join trees nest ({deepest} levels)");
+        assert!(
+            deepest * 4 <= serde_json::RECURSION_LIMIT,
+            "the deepest preset frame nests {deepest} levels, too close to the \
+             parser's limit of {}",
+            serde_json::RECURSION_LIMIT
+        );
     }
 }

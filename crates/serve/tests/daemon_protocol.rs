@@ -405,6 +405,43 @@ fn an_infinite_inline_weight_gets_a_typed_invalid_request() {
     handle.join().unwrap();
 }
 
+/// A request line nested 100,000 deep fits well under the frame ceiling;
+/// parsing it must end in a typed reject, not a stack overflow that takes
+/// every tenant down with the daemon.
+#[test]
+fn a_frame_nested_past_the_recursion_limit_is_malformed_and_the_daemon_serves_on() {
+    let depth = 100_000;
+    let line = format!(
+        "{{\"id\":1,\"request\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let (addr, handle) = start(small_config());
+    let mut client = Client::connect(addr);
+    client.send_raw(&line);
+    match client.recv().response {
+        Response::Error {
+            error: ProtocolError::Malformed { reason },
+        } => assert!(reason.contains("recursion limit"), "{reason}"),
+        other => panic!("{other:?}"),
+    }
+    client.send(
+        2,
+        Request::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    );
+    let frame = client.recv();
+    assert_eq!(frame.id, 2);
+    assert!(matches!(frame.response, Response::Hello { .. }));
+    client.send(3, Request::Shutdown);
+    assert!(matches!(
+        client.recv().response,
+        Response::ShuttingDown { .. }
+    ));
+    handle.join().unwrap();
+}
+
 #[test]
 fn requests_after_shutdown_get_the_shutting_down_reject() {
     let (addr, handle) = start(small_config());
