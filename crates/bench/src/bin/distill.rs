@@ -3,8 +3,10 @@
 //! Re-measures the repo's headline hot paths with the same fixtures the
 //! criterion benches use — cold solve, warm replan, quiescent controller
 //! tick (against the two-full-estimate tick it replaced), replan reuse on a
-//! supervised fleet, the `dot-serve` daemon's concurrent observe-tick throughput, the
+//! supervised fleet, the `dot-serve` daemon's concurrent observe-tick throughput
+//! (the median of several samples, with their range), the
 //! registry restore latency from a persisted multi-tenant snapshot, the
+//! bytes the registry writes per applied migration at two tenant counts, the
 //! scripted vs. measured telemetry observe tick, the scheduled-vs-
 //! sequential migration makespan on the tiered-downgrade family, and the
 //! dominance-pruned vs. estimate-everything sweeps on every
@@ -15,7 +17,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dot-bench --bin distill                 # write BENCH_20.json
+//! cargo run --release -p dot-bench --bin distill                 # write BENCH_21.json
 //! cargo run --release -p dot-bench --bin distill -- --out <path> # write elsewhere
 //! cargo run --release -p dot-bench --bin distill -- --check <path> # validate a file
 //! ```
@@ -25,8 +27,11 @@
 //! two-full-estimate tick it replaced, a supervised fleet whose traces
 //! repeat must reuse some replans, the daemon must sustain a positive
 //! concurrent tick rate, a persisted registry must restore its tenants in
-//! bounded time, the scheduled migration makespan must never exceed the
-//! sequential copy it packs, every conformance family must prune a nonzero
+//! bounded time, the bytes persisted per applied migration must stay flat
+//! from 8 to 64 tenants (the journal appends one tenant's record, it does
+//! not rewrite the registry), the scheduled migration makespan must never
+//! exceed the sequential copy it packs, every conformance family must
+//! prune a nonzero
 //! number of candidates, and the pruned sweeps must not run meaningfully
 //! slower than their estimate-everything counterparts.
 
@@ -46,7 +51,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Where the trajectory for this PR lives, relative to the repo root.
-const DEFAULT_PATH: &str = "BENCH_20.json";
+const DEFAULT_PATH: &str = "BENCH_21.json";
 /// Timed samples per measurement (a warmup run precedes them).
 const SAMPLES: usize = 5;
 /// `--check`: a pruned sweep may be up to this factor slower than the
@@ -63,6 +68,14 @@ const SLOWDOWN_NOISE_FLOOR_MS: f64 = 0.05;
 /// synthetic spaces, enumerated most-expensive-first) every candidate
 /// undercuts the incumbent and there is legitimately nothing to cut.
 const NONTRIVIAL_INVESTIGATED: usize = 10;
+/// `--check`: the bytes persisted per applied migration at the larger
+/// tenant count may exceed those at the smaller by at most this factor.
+/// A whole-registry rewrite per migration grows with the tenant count
+/// (8x from 8 to 64 tenants); one journal record plus amortized
+/// compaction does not.
+const DURABILITY_GROWTH_TOLERANCE: f64 = 1.5;
+/// The tenant counts of the durability cells.
+const DURABILITY_TENANTS: [usize; 2] = [8, 64];
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Trajectory {
@@ -78,6 +91,10 @@ struct Trajectory {
     fleet: FleetNumbers,
     daemon: DaemonNumbers,
     restore: RestoreNumbers,
+    /// Bytes persisted per applied migration, one cell per tenant count
+    /// (absent from files older than the journal).
+    #[serde(default)]
+    durability: Option<Vec<DurabilityCell>>,
     pruning: Vec<PruningCell>,
 }
 
@@ -152,12 +169,18 @@ struct FleetNumbers {
 struct DaemonNumbers {
     /// Concurrently attached tenants (one connection and thread each).
     tenants: usize,
-    /// Total observe ticks replayed across all tenants.
+    /// Observe ticks replayed across all tenants in one sample.
     ticks: u64,
-    /// Aggregate tick rate: `ticks / wall seconds` while all tenants
-    /// streamed concurrently — transport, framing, and registry locking
-    /// included.
+    /// Aggregate tick rate, the median over [`SAMPLES`] samples of
+    /// `ticks / wall seconds` while all tenants streamed concurrently —
+    /// transport, framing, and registry locking included.
     observe_ticks_per_sec: f64,
+    /// The slowest sample's rate (absent from files of one sample).
+    #[serde(default)]
+    observe_ticks_per_sec_min: Option<f64>,
+    /// The fastest sample's rate (absent from files of one sample).
+    #[serde(default)]
+    observe_ticks_per_sec_max: Option<f64>,
 }
 
 /// Registry restore latency: how long a restarted daemon takes to bring a
@@ -171,6 +194,21 @@ struct RestoreNumbers {
     /// rebuild every tenant's controller at its checkpoint (re-resolving
     /// the problem, no re-solving).
     restore_ms: f64,
+}
+
+/// Write volume of the registry's durability points: bytes written to
+/// the state directory (journal appends and manifest compactions) over a
+/// window of applied migrations, per migration. A count, not a timing: it
+/// moves only with the encoded sizes (the wall-clock `elapsed_ms` field
+/// can add a digit).
+#[derive(Debug, Serialize, Deserialize)]
+struct DurabilityCell {
+    /// Attached tenants, each migrating once per round.
+    tenants: usize,
+    /// Applied migrations in the window.
+    applied: usize,
+    /// Bytes written over the window, per applied migration.
+    bytes_per_applied_tick: f64,
 }
 
 /// One (conformance family, solver) cell of the pruning comparison. The
@@ -627,26 +665,31 @@ fn measure_daemon() -> DaemonNumbers {
         })
         .collect();
 
-    let start = Instant::now();
-    let workers: Vec<_> = clients
-        .drain(..)
-        .map(|(mut client, tenant)| {
-            let step = step.clone();
-            std::thread::spawn(move || {
-                for _ in 0..TICKS_PER_TENANT {
-                    client.tick(tenant, &step);
-                }
-                client
+    let ticks = TENANTS as u64 * TICKS_PER_TENANT;
+    let mut rates = Vec::with_capacity(SAMPLES);
+    for _ in 0..SAMPLES {
+        let start = Instant::now();
+        let workers: Vec<_> = clients
+            .drain(..)
+            .map(|(mut client, tenant)| {
+                let step = step.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..TICKS_PER_TENANT {
+                        client.tick(tenant, &step);
+                    }
+                    (client, tenant)
+                })
             })
-        })
-        .collect();
-    let mut clients: Vec<Client> = workers
-        .into_iter()
-        .map(|w| w.join().expect("tenant thread"))
-        .collect();
-    let elapsed = start.elapsed().as_secs_f64();
+            .collect();
+        clients = workers
+            .into_iter()
+            .map(|w| w.join().expect("tenant thread"))
+            .collect();
+        rates.push(ticks as f64 / start.elapsed().as_secs_f64().max(1e-9));
+    }
+    rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rate"));
 
-    let mut control = clients.pop().expect("a client remains");
+    let (mut control, _) = clients.pop().expect("a client remains");
     control.send(Request::Shutdown);
     match control.recv().response {
         Response::ShuttingDown { tenants } => assert_eq!(tenants.len(), TENANTS),
@@ -654,11 +697,12 @@ fn measure_daemon() -> DaemonNumbers {
     }
     run.join().expect("daemon unwinds");
 
-    let ticks = TENANTS as u64 * TICKS_PER_TENANT;
     DaemonNumbers {
         tenants: TENANTS,
         ticks,
-        observe_ticks_per_sec: ticks as f64 / elapsed.max(1e-9),
+        observe_ticks_per_sec: rates[rates.len() / 2],
+        observe_ticks_per_sec_min: rates.first().copied(),
+        observe_ticks_per_sec_max: rates.last().copied(),
     }
 }
 
@@ -707,6 +751,94 @@ fn measure_restore() -> RestoreNumbers {
     RestoreNumbers {
         tenants: TENANTS,
         restore_ms,
+    }
+}
+
+/// Bytes the registry persists per applied migration, at each of
+/// [`DURABILITY_TENANTS`].
+fn measure_durability() -> Vec<DurabilityCell> {
+    DURABILITY_TENANTS
+        .iter()
+        .map(|&n| durability_cell(n))
+        .collect()
+}
+
+/// Attach `tenants` TPC-C tenants to a persisting registry, then flip every
+/// tenant between the analytical phase and its baseline for a few rounds
+/// (the flip trajectory's controller knobs, so each flip applies one
+/// migration) and count the bytes written to the state directory. The
+/// window spans several compactions at both tenant counts, so their
+/// amortized share is in the number.
+fn durability_cell(tenants: usize) -> DurabilityCell {
+    use dot_serve::protocol::ProblemSpec;
+    use dot_serve::registry::RegistryConfig;
+    use dot_serve::Registry;
+
+    /// Migrations per tenant in the window.
+    const ROUNDS: usize = 8;
+
+    let state_dir = std::env::temp_dir().join(format!(
+        "dot-distill-durability-{tenants}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let registry = Registry::open(RegistryConfig {
+        state_dir: Some(state_dir.clone()),
+        ..RegistryConfig::default()
+    })
+    .expect("registry opens");
+    let spec: ProblemSpec =
+        serde_json::from_str(r#"{ "pool": "box2", "database": "tpcc:2", "sla": 0.5 }"#)
+            .expect("problem spec");
+    let layout = registry.provision(&spec, None).expect("provision").layout;
+    let config = ControllerConfig {
+        cooldown_ticks: 2,
+        ..ControllerConfig::default()
+    };
+    let ids: Vec<u64> = (0..tenants)
+        .map(|i| {
+            registry
+                .attach(
+                    Some(format!("durable-{i}")),
+                    &spec,
+                    Some(layout.clone()),
+                    Some(config.clone()),
+                )
+                .expect("attach")
+                .0
+        })
+        .collect();
+    let phase = |phase: &str| TraceStep {
+        shift: None,
+        scale: None,
+        phase: Some(phase.to_owned()),
+        repeat: Some(3),
+    };
+    let flips = [phase("analytical"), phase("baseline")];
+    let before = registry.bytes_persisted();
+    let mut applied = 0;
+    for round in 0..ROUNDS {
+        for &id in &ids {
+            let counters = registry
+                .observe(id, &flips[round % 2], &mut |_| Ok(()))
+                .unwrap_or_else(|_| panic!("tenant {id} observes"));
+            counters.durability.expect("the migration reaches the disk");
+            if round + 1 == ROUNDS {
+                applied += counters.applications;
+            }
+        }
+    }
+    let bytes = registry.bytes_persisted() - before;
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&state_dir);
+    assert!(
+        applied >= tenants * ROUNDS,
+        "every flip applies a migration ({applied} applied)"
+    );
+    DurabilityCell {
+        tenants,
+        applied,
+        bytes_per_applied_tick: bytes as f64 / applied as f64,
     }
 }
 
@@ -802,16 +934,18 @@ fn measure_pruning() -> Vec<PruningCell> {
         }
 
         if workload.metric == PerfMetric::Throughput {
-            let out = exhaustive::exhaustive_search_additive_with(&p, &prof, &cons, &estimator);
+            let out = exhaustive::exhaustive_search_additive_with(&p, &prof, &cons, &estimator)
+                .expect("the conformance families fit the additive ES budget");
             cells.push(PruningCell {
                 family: (*family).to_owned(),
                 solver: "es-additive".to_owned(),
                 layouts_investigated: out.layouts_investigated,
                 layouts_pruned: out.layouts_pruned,
                 median_ms_pruned: median_ms(|| {
-                    black_box(exhaustive::exhaustive_search_additive_with(
-                        &p, &prof, &cons, &estimator,
-                    ));
+                    black_box(
+                        exhaustive::exhaustive_search_additive_with(&p, &prof, &cons, &estimator)
+                            .expect("within budget"),
+                    );
                 }),
                 median_ms_unpruned: None,
             });
@@ -822,8 +956,8 @@ fn measure_pruning() -> Vec<PruningCell> {
 
 fn distill(path: &str) {
     let trajectory = Trajectory {
-        schema_version: 7,
-        pr: 20,
+        schema_version: 8,
+        pr: 21,
         samples: SAMPLES,
         hot_paths: measure_hot_paths(),
         telemetry: measure_telemetry(),
@@ -831,6 +965,7 @@ fn distill(path: &str) {
         fleet: measure_fleet(),
         daemon: measure_daemon(),
         restore: measure_restore(),
+        durability: Some(measure_durability()),
         pruning: measure_pruning(),
     };
     let json = serde_json::to_string_pretty(&trajectory).expect("trajectory serializes");
@@ -876,14 +1011,28 @@ fn summarize(t: &Trajectory) {
         t.fleet.hit_rate * 100.0,
         t.fleet.tenants
     );
-    println!(
-        "distill: daemon {:.0} observe ticks/s over {} concurrent tenants ({} ticks)",
-        t.daemon.observe_ticks_per_sec, t.daemon.tenants, t.daemon.ticks
-    );
+    let d = &t.daemon;
+    match (d.observe_ticks_per_sec_min, d.observe_ticks_per_sec_max) {
+        (Some(min), Some(max)) => println!(
+            "distill: daemon {:.0} observe ticks/s (samples {:.0}-{:.0}) over {} concurrent \
+             tenants ({} ticks each)",
+            d.observe_ticks_per_sec, min, max, d.tenants, d.ticks
+        ),
+        _ => println!(
+            "distill: daemon {:.0} observe ticks/s over {} concurrent tenants ({} ticks)",
+            d.observe_ticks_per_sec, d.tenants, d.ticks
+        ),
+    }
     println!(
         "distill: registry restore {:.1} ms for {} persisted tenants",
         t.restore.restore_ms, t.restore.tenants
     );
+    for c in t.durability.iter().flatten() {
+        println!(
+            "distill: {:.0} bytes persisted per applied migration at {} tenants ({} applied)",
+            c.bytes_per_applied_tick, c.tenants, c.applied
+        );
+    }
     for c in &t.pruning {
         match c.median_ms_unpruned {
             Some(unpruned) => println!(
@@ -1017,6 +1166,30 @@ fn check(path: &str) {
             "{path}: daemon observe_ticks_per_sec = {} is not a positive rate",
             d.observe_ticks_per_sec
         ));
+    }
+    if let (Some(min), Some(max)) = (d.observe_ticks_per_sec_min, d.observe_ticks_per_sec_max) {
+        if !(min <= d.observe_ticks_per_sec && d.observe_ticks_per_sec <= max) {
+            fail(&format!(
+                "{path}: daemon median {} ticks/s lies outside its samples' range {min}-{max}",
+                d.observe_ticks_per_sec
+            ));
+        }
+    }
+    if let Some(cells) = &t.durability {
+        let per_tick = |tenants: usize| match cells.iter().find(|c| c.tenants == tenants) {
+            Some(c) if c.applied > 0 && c.bytes_per_applied_tick > 0.0 => c.bytes_per_applied_tick,
+            _ => fail(&format!(
+                "{path}: no durability cell with applied migrations at {tenants} tenants"
+            )),
+        };
+        let [small, large] = DURABILITY_TENANTS;
+        let (few, many) = (per_tick(small), per_tick(large));
+        if many > few * DURABILITY_GROWTH_TOLERANCE {
+            fail(&format!(
+                "{path}: {many} bytes persisted per applied migration at {large} tenants \
+                 against {few} at {small}: the cost grows with the tenant count"
+            ));
+        }
     }
     let r = &t.restore;
     if r.tenants == 0 {

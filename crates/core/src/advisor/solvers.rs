@@ -420,7 +420,7 @@ impl Solver for EsAdditiveSolver {
             cx.profile,
             cx.constraints,
             &cx.toc,
-        );
+        )?;
         finish_search(
             cx,
             self.id(),

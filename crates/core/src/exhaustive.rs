@@ -14,8 +14,12 @@
 //!   depend on the layout, so workload time decomposes additively over
 //!   groups and the full space can be searched with suffix-bound pruning.
 //!   This is how the paper's ES completes the 19-object TPC-C search in
-//!   minutes rather than years.
+//!   minutes rather than years. Pruning does not bound the tree, though:
+//!   one solve may enter at most [`ADDITIVE_NODE_BUDGET`] nodes, and past
+//!   that it is refused with a typed [`ProvisionError::UnsupportedWorkload`]
+//!   instead of holding its caller for minutes.
 
+use crate::advisor::ProvisionError;
 use crate::constraints::Constraints;
 use crate::problem::{LayoutCostModel, Problem};
 use crate::toc::{Estimator, ObjectiveBound, TocEstimate};
@@ -160,6 +164,12 @@ pub fn exhaustive_search_with_pruning(
     }
 }
 
+/// Search-tree nodes one [`exhaustive_search_additive`] solve may enter,
+/// summed over its cap-tightening rounds. It sits above the 62.8 million
+/// nodes of the largest committed benchmark solve (TPC-C at 5 warehouses
+/// on box2, SLA 0.25), about 1.5 s of search on a 2-vCPU VM.
+pub const ADDITIVE_NODE_BUDGET: usize = 100_000_000;
+
 /// Exact branch-and-bound search over group placements under the additive
 /// time model, for throughput workloads whose plans are placement-stable.
 ///
@@ -168,6 +178,10 @@ pub fn exhaustive_search_with_pruning(
 /// `Π_g M^{|g|}` placements and returns the true optimum — the layout ES
 /// would find — in a fraction of the time the literal enumeration needs.
 ///
+/// # Errors
+/// [`ProvisionError::UnsupportedWorkload`] once the search has entered
+/// [`ADDITIVE_NODE_BUDGET`] nodes without finishing.
+///
 /// # Panics
 /// Panics when called on a response-time workload (per-query caps do not
 /// decompose over groups) or a non-linear cost model.
@@ -175,12 +189,15 @@ pub fn exhaustive_search_additive(
     problem: &Problem<'_>,
     profile: &WorkloadProfile,
     cons: &Constraints,
-) -> EsOutcome {
+) -> Result<EsOutcome, ProvisionError> {
     exhaustive_search_additive_with(problem, profile, cons, &Estimator::direct())
 }
 
 /// [`exhaustive_search_additive`] with an explicit TOC estimator for the
 /// planner-verification step of each candidate optimum.
+///
+/// # Errors
+/// As [`exhaustive_search_additive`].
 ///
 /// # Panics
 /// As [`exhaustive_search_additive`].
@@ -189,7 +206,18 @@ pub fn exhaustive_search_additive_with(
     profile: &WorkloadProfile,
     cons: &Constraints,
     toc: &Estimator<'_>,
-) -> EsOutcome {
+) -> Result<EsOutcome, ProvisionError> {
+    additive_search(problem, profile, cons, toc, ADDITIVE_NODE_BUDGET)
+}
+
+/// [`exhaustive_search_additive_with`] under a node budget of `budget`.
+pub(crate) fn additive_search(
+    problem: &Problem<'_>,
+    profile: &WorkloadProfile,
+    cons: &Constraints,
+    toc: &Estimator<'_>,
+    budget: usize,
+) -> Result<EsOutcome, ProvisionError> {
     assert_eq!(
         problem.workload.metric,
         PerfMetric::Throughput,
@@ -292,9 +320,16 @@ pub fn exhaustive_search_additive_with(
         choice: Vec<usize>,
         nodes: usize,
         pruned: usize,
+        /// Nodes this round may enter; `exhausted` once one more was due.
+        node_limit: usize,
+        exhausted: bool,
     }
     impl Search<'_> {
         fn dfs(&mut self, i: usize, cost: f64, time: f64, space: &mut [f64]) {
+            if self.nodes == self.node_limit {
+                self.exhausted = true;
+                return;
+            }
             self.nodes += 1;
             if time + self.min_time_rest[i] + self.cpu_ms > self.time_cap_ms {
                 return;
@@ -323,6 +358,9 @@ pub fn exhaustive_search_additive_with(
                     self.choice.push(k);
                     self.dfs(i + 1, cost + opt.cost, time + opt.time_ms, space);
                     self.choice.pop();
+                    if self.exhausted {
+                        return; // the search is abandoned, `space` with it
+                    }
                 }
                 for (j, d) in opt.space.iter().enumerate() {
                     space[j] -= d;
@@ -353,11 +391,22 @@ pub fn exhaustive_search_additive_with(
             choice: Vec::new(),
             nodes: 0,
             pruned: 0,
+            node_limit: budget - nodes_total,
+            exhausted: false,
         };
         let mut space = vec![0.0; pool.len()];
         search.dfs(0, 0.0, 0.0, &mut space);
         nodes_total += search.nodes;
         pruned_total += search.pruned;
+        if search.exhausted {
+            return Err(ProvisionError::UnsupportedWorkload {
+                solver: "es-additive".to_owned(),
+                reason: format!(
+                    "the search entered {nodes_total} nodes without finishing, \
+                     its budget is {budget}"
+                ),
+            });
+        }
         if search.best_choice.len() != n_groups {
             break; // infeasible under this cap
         }
@@ -378,13 +427,13 @@ pub fn exhaustive_search_additive_with(
     }
     let (layout, estimate) = result;
 
-    EsOutcome {
+    Ok(EsOutcome {
         layout,
         estimate,
         layouts_investigated: nodes_total,
         layouts_pruned: pruned_total,
         elapsed: start.elapsed(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -456,7 +505,7 @@ mod tests {
             &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
             ProfileSource::Estimate,
         );
-        let es = exhaustive_search_additive(&p, &prof, &cons);
+        let es = exhaustive_search_additive(&p, &prof, &cons).expect("within budget");
         // Cuts are a subset of the search-tree nodes entered.
         assert!(es.layouts_pruned > 0);
         assert!(es.layouts_pruned <= es.layouts_investigated);
@@ -469,6 +518,27 @@ mod tests {
         let dot_obj = dot.estimate.unwrap().objective_cents;
         assert!(est.objective_cents <= dot_obj * 1.001);
         assert!(est.objective_cents < cons.reference.objective_cents);
+
+        // The node budget covers every cap-tightening round: a budget of
+        // exactly the nodes entered reproduces the solve, one node fewer
+        // is a typed refusal naming both counts.
+        let toc = Estimator::direct();
+        let exact = additive_search(&p, &prof, &cons, &toc, es.layouts_investigated)
+            .expect("a budget of exactly the nodes entered suffices");
+        assert_eq!(exact.layout, es.layout);
+        assert_eq!(exact.layouts_investigated, es.layouts_investigated);
+        let short = es.layouts_investigated - 1;
+        match additive_search(&p, &prof, &cons, &toc, short) {
+            Err(ProvisionError::UnsupportedWorkload { solver, reason }) => {
+                assert_eq!(solver, "es-additive");
+                assert!(
+                    reason.contains(&format!("entered {short} nodes"))
+                        && reason.contains(&format!("budget is {short}")),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected a budget refusal, got {other:?}"),
+        }
     }
 
     #[test]

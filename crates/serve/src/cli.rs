@@ -26,9 +26,10 @@ options:
   --workers <n>              worker threads (default: CPU count, max 8)
   --cache-capacity <n>       accepted and ignored (there is no shared
                              estimate cache to size any more)
-  --state-dir <path>         persist the tenant registry here (snapshot on
-                             attach/detach/apply/shutdown; restored on
-                             startup, so clients resume by tenant id)
+  --state-dir <path>         persist the tenant registry here (manifest on
+                             attach/detach/shutdown, a journal record per
+                             applied plan; restored on startup, so
+                             clients resume by tenant id)
   --tenant-inflight <n>      per-tenant in-flight observe budget before
                              requests are answered Busy (default 4, min 1)
   --busy-retry-ms <ms>       back-off hint stamped on Busy rejects

@@ -116,28 +116,29 @@ impl<R: Read> FrameReader<R> {
 /// Parse one line into a [`RequestFrame`].
 ///
 /// On failure the error frame carries the client's correlation id when the
-/// line got far enough to reveal one (a JSON object with a numeric `id`),
-/// and id `0` otherwise — so clients can still match rejects to requests.
+/// line got far enough to reveal one, and id `0` otherwise — so clients
+/// can still match rejects to requests. A line that is valid JSON reveals
+/// its id as an object's numeric `id`; a line that is not (a parse error
+/// after the id, such as nesting past the recursion limit) reveals it as
+/// a leading `{"id":<u64>`.
 pub fn parse_request(line: &str) -> Result<RequestFrame, ResponseFrame> {
     match serde_json::from_str::<RequestFrame>(line) {
         Ok(frame) => Ok(frame),
         Err(err) => {
-            // Best-effort id recovery from the raw value.
-            let id = serde_json::from_str::<serde::Value>(line)
-                .ok()
-                .and_then(|v| match v {
-                    // `as_u64`, not `as_f64 as u64`: the cast corrupted
-                    // ids above 2^53 and rounded negatives to huge
-                    // positives. Non-u64 ids (negative, fractional) fall
-                    // back to 0 like a missing id.
-                    serde::Value::Object(fields) => {
-                        fields
-                            .iter()
-                            .find_map(|(k, v)| if k == "id" { v.as_u64() } else { None })
-                    }
-                    _ => None,
-                })
-                .unwrap_or(0);
+            let id = match serde_json::from_str::<serde::Value>(line) {
+                // `as_u64`, not `as_f64 as u64`: the cast corrupted ids
+                // above 2^53 and rounded negatives to huge positives.
+                // Non-u64 ids (negative, fractional) fall back to 0 like a
+                // missing id.
+                Ok(serde::Value::Object(fields)) => {
+                    fields
+                        .iter()
+                        .find_map(|(k, v)| if k == "id" { v.as_u64() } else { None })
+                }
+                Ok(_) => None,
+                Err(_) => leading_id(line),
+            }
+            .unwrap_or(0);
             Err(ResponseFrame {
                 id,
                 response: Response::Error {
@@ -147,6 +148,28 @@ pub fn parse_request(line: &str) -> Result<RequestFrame, ResponseFrame> {
                 },
             })
         }
+    }
+}
+
+/// The id of a line that opens like a frame: `{`, the key `"id"`, `:`
+/// and an unsigned integer ended by `,`, `}` or whitespace (JSON
+/// whitespace allowed between the tokens). An id cut off by the end of
+/// the line is not trusted: more digits may have followed.
+fn leading_id(line: &str) -> Option<u64> {
+    let rest = line
+        .trim_start()
+        .strip_prefix('{')?
+        .trim_start()
+        .strip_prefix("\"id\"")?
+        .trim_start()
+        .strip_prefix(':')?
+        .trim_start();
+    let end = rest.find(|c: char| !c.is_ascii_digit())?;
+    let (digits, after) = rest.split_at(end);
+    if after.starts_with(|c: char| c == ',' || c == '}' || c.is_ascii_whitespace()) {
+        digits.parse().ok()
+    } else {
+        None
     }
 }
 
@@ -240,6 +263,43 @@ mod tests {
         // huge positive the client never sent.
         let err = parse_request("{\"id\": -7, \"request\": {\"Nope\": {}}}").unwrap_err();
         assert_eq!(err.id, 0);
+    }
+
+    #[test]
+    fn a_frame_that_fails_after_its_id_is_answered_with_that_id() {
+        // Nested past the parser's recursion limit: not valid JSON, so the
+        // id comes from the line's leading `{"id":7`.
+        let line = format!(
+            "{{\"id\":7,\"request\":{}{}}}",
+            "[".repeat(200),
+            "]".repeat(200)
+        );
+        let err = parse_request(&line).unwrap_err();
+        assert_eq!(err.id, 7);
+        assert!(matches!(
+            err.response,
+            Response::Error {
+                error: ProtocolError::Malformed { .. }
+            }
+        ));
+        assert_eq!(
+            parse_request("{ \"id\" : 9 , \"request\": [")
+                .unwrap_err()
+                .id,
+            9
+        );
+        // No trustworthy leading id: a negative or cut-off number, a
+        // later key, or no object at all.
+        for line in [
+            "{\"id\":-7,\"request\":[",
+            "{\"id\":7",
+            "{\"id\":7.5,\"request\":[",
+            "{\"request\":[],\"id\":7,",
+            "[{\"id\":7,",
+            "{\"id\":99999999999999999999,\"request\":[",
+        ] {
+            assert_eq!(parse_request(line).unwrap_err().id, 0, "{line}");
+        }
     }
 
     #[test]

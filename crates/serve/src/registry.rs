@@ -15,22 +15,37 @@
 //! Three hardening layers ride on top of that core:
 //!
 //! - **Persistence** — with a `state_dir` configured, the registry
-//!   snapshots itself to `registry.json` on attach, detach, every
-//!   applied migration, and graceful shutdown. All disk I/O belongs to
-//!   one dedicated writer thread (the private `Persister`): callers enqueue a
-//!   snapshot built under the persister's lock — so a later enqueue can
-//!   never carry an older view of the registry — and the writer performs
-//!   the fsync'd tmp-file + rename sequence serially, so two durability
-//!   points can never race the temp file or publish out of order, and a
-//!   migrating tenant is never blocked on the disk. [`Registry::open`]
-//!   restores the snapshot, so clients reconnect and resume by tenant id
+//!   keeps a *manifest* and a *journal* there. The manifest
+//!   ([`STATE_FILE`], `registry.json`) is one [`RegistrySnapshot`] of
+//!   every tenant. The journal ([`JOURNAL_FILE`], `registry.log`) is an
+//!   append-only log of [`TenantSnapshot`] records, one per line:
+//!   `{"sum":"<16 hex digits>","tenant":<TenantSnapshot>}`, where `sum`
+//!   is the lowercase FNV-1a 64-bit hash of the snapshot's exact bytes.
+//!   An applied migration appends one record for just its tenant, so its
+//!   cost does not grow with the tenant count. Attach, detach, graceful
+//!   shutdown, dropping the registry, and a journal grown past
+//!   `COMPACT_RATIO` times the manifest all *compact*: the manifest is
+//!   rewritten atomically (tmp file, fsync, rename, directory fsync) and
+//!   the journal truncated. All disk I/O belongs to one dedicated writer
+//!   thread (the private `Persister`): callers enqueue a manifest or a
+//!   record built under the persister's lock — so a later enqueue can
+//!   never carry an older view — and the writer commits them serially,
+//!   appending every pending record with one write and one `fdatasync`
+//!   (group commit), so a migrating tenant is never blocked on the disk.
+//!   [`Registry::open`] reads the manifest, then replays the journal: a
+//!   record replaces its tenant's entry only when that tenant is in the
+//!   manifest and the record's checkpoint tick is strictly newer (so a
+//!   crash between a compaction's rename and its truncation never rolls a
+//!   tenant back); the bytes after the last newline are a torn write and
+//!   are ignored; a complete line that fails its checksum is a typed
+//!   startup error. Clients therefore reconnect and resume by tenant id
 //!   after a restart — even a `kill -9`, which at worst loses the quiet
-//!   ticks since the last applied plan. What is persisted per tenant is
-//!   a [`TenantSnapshot`]: the problem spec, the controller config, and
-//!   the controller's [`ControllerCheckpoint`] — a resumed session
-//!   continues the event log bit-identically. A durability point whose
-//!   write fails is reported to the caller that waited on it (a
-//!   [`Durability`] error), never acknowledged as on disk.
+//!   ticks since the last applied plan. A [`TenantSnapshot`] holds the
+//!   problem spec, the controller config, and the controller's
+//!   [`ControllerCheckpoint`] — a resumed session continues the event log
+//!   bit-identically. A durability point whose write fails is reported to
+//!   the caller that waited on it (a [`Durability`] error), never
+//!   acknowledged as on disk.
 //! - **Backpressure** — each tenant carries a bounded in-flight observe
 //!   budget; overflow is a typed [`ProtocolError::Busy`] reject instead
 //!   of an unbounded queue on the slot mutex.
@@ -50,7 +65,8 @@ use dot_core::controller::{CacheStats, CachedEstimator};
 use dot_dbms::{Layout, Schema};
 use dot_workloads::Workload;
 use serde::{Deserialize, Serialize};
-use std::io;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -62,8 +78,24 @@ use std::time::Instant;
 /// typed startup error, never a silent misparse.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// The snapshot's file name inside the state directory.
+/// The manifest's file name inside the state directory.
 pub const STATE_FILE: &str = "registry.json";
+
+/// The journal's file name inside the state directory.
+pub const JOURNAL_FILE: &str = "registry.log";
+
+/// A journal that would grow past this multiple of the manifest's size is
+/// compacted instead, which bounds restore work at this multiple plus one
+/// manifest parse while keeping the amortized bytes per applied migration
+/// flat in the tenant count (one record, plus a manifest rewrite every
+/// `COMPACT_RATIO` manifests' worth of records).
+const COMPACT_RATIO: u64 = 4;
+
+/// Every journal line starts with these bytes, then the checksum's 16
+/// lowercase hex digits, then [`RECORD_MID`], the snapshot, and `}`.
+const RECORD_HEAD: &[u8] = b"{\"sum\":\"";
+const RECORD_MID: &[u8] = b"\",\"tenant\":";
+const SUM_DIGITS: usize = 16;
 
 /// Lock a mutex, recovering a poisoned one: the daemon contains panics
 /// per tenant (the fault flag keeps inconsistent state from being
@@ -92,18 +124,19 @@ fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a,
     cv.wait(guard).unwrap_or_else(|p| p.into_inner())
 }
 
-/// Single-writer snapshot persistence.
+/// Single-writer persistence of the manifest and the journal.
 ///
 /// Why a writer thread instead of writing at the call site: durability
 /// points fire concurrently from every worker thread (attach, detach,
 /// each applied migration, shutdown), and ad-hoc writes would race the
-/// temp file — interleaved bytes, a rename losing to a truncation, or a
-/// stale snapshot published over a newer one. Here the *snapshot build*
-/// runs under the queue lock, so enqueue order is registry-state order
-/// (a later ticket can never carry an older view), and the *disk write*
-/// belongs to exactly one thread, so writes are serial and in ticket
-/// order. The queue holds only the freshest pending snapshot: a burst of
-/// durability points coalesces into one write.
+/// temp file and the journal's tail — interleaved bytes, a rename losing
+/// to a truncation, or a stale view published over a newer one. Here the
+/// *manifest or record build* runs under the queue lock, so enqueue order
+/// is registry-state order (a later ticket can never carry an older
+/// view), and the *disk write* belongs to exactly one thread, so writes
+/// are serial and in ticket order. The queue holds only the freshest
+/// pending manifest and the freshest pending record per tenant: a burst
+/// of durability points coalesces into one commit.
 ///
 /// Callers that need a durability barrier (attach/detach replies,
 /// graceful shutdown, the end of an observe step that applied a plan)
@@ -117,26 +150,31 @@ struct Persister {
 }
 
 struct PersisterShared {
-    dir: PathBuf,
     queue: Mutex<PersistQueue>,
-    /// Signaled when `pending` is set or `stop` latches.
+    /// Signaled when work is pending or `stop` latches.
     work: Condvar,
     /// Signaled when `written` advances (sync barriers wait on it).
     done: Condvar,
+    /// Bytes the writer has put on disk (manifests and journal records).
+    bytes_written: AtomicU64,
 }
 
 #[derive(Default)]
 struct PersistQueue {
-    /// The freshest snapshot not yet picked up by the writer.
-    pending: Option<RegistrySnapshot>,
+    /// The freshest whole-registry manifest not yet picked up by the
+    /// writer: it is compacted into `registry.json`.
+    manifest: Option<Manifest>,
+    /// The freshest record per tenant enqueued after `manifest` (or since
+    /// the last pickup): they are appended to the journal.
+    records: Vec<Arc<TenantSnapshot>>,
     /// Tickets issued (monotone enqueue counter).
     enqueued: u64,
     /// The highest ticket whose write attempt completed. Failed writes
     /// advance it too: a barrier must not hang on a full disk.
     written: u64,
-    /// The highest ticket whose write succeeded. A snapshot is built from
-    /// the registry state at its ticket, so every ticket up to this one is
-    /// on disk.
+    /// The highest ticket whose write succeeded. Manifests and records are
+    /// built from the registry state at their ticket, so every ticket up
+    /// to this one is on disk.
     durable: u64,
     /// Why the most recent failed write failed.
     failure: Option<String>,
@@ -144,16 +182,16 @@ struct PersistQueue {
 }
 
 impl Persister {
-    fn start(dir: PathBuf) -> Persister {
+    fn start(journal: Journal) -> Persister {
         let shared = Arc::new(PersisterShared {
-            dir,
             queue: Mutex::new(PersistQueue::default()),
             work: Condvar::new(),
             done: Condvar::new(),
+            bytes_written: AtomicU64::new(0),
         });
         let writer = {
             let shared = Arc::clone(&shared);
-            thread::spawn(move || shared.write_loop())
+            thread::spawn(move || shared.write_loop(journal))
         };
         Persister {
             shared,
@@ -161,15 +199,35 @@ impl Persister {
         }
     }
 
-    /// Enqueue the snapshot `build` returns, replacing any pending one.
-    /// `build` runs under the queue lock — that is what makes tickets
-    /// monotone in registry state. Returns the ticket for [`sync`].
-    fn enqueue(&self, build: impl FnOnce() -> RegistrySnapshot) -> u64 {
+    /// Issue a ticket for work `add` put in the queue (under its lock —
+    /// that is what makes tickets monotone in registry state).
+    fn enqueue(&self, add: impl FnOnce(&mut PersistQueue)) -> u64 {
         let mut queue = lock_recover(&self.shared.queue);
-        queue.pending = Some(build());
+        add(&mut queue);
         queue.enqueued += 1;
         self.shared.work.notify_one();
         queue.enqueued
+    }
+
+    /// Enqueue the manifest `build` returns. It supersedes every pending
+    /// record: it was built later, from state at least as new.
+    fn enqueue_manifest(&self, build: impl FnOnce() -> Manifest) -> u64 {
+        self.enqueue(|queue| {
+            queue.records.clear();
+            queue.manifest = Some(build());
+        })
+    }
+
+    /// Enqueue the tenant record `build` returns, replacing any pending
+    /// record of the same tenant.
+    fn enqueue_record(&self, build: impl FnOnce() -> Arc<TenantSnapshot>) -> u64 {
+        self.enqueue(|queue| {
+            let record = build();
+            match queue.records.iter_mut().find(|r| r.tenant == record.tenant) {
+                Some(pending) => *pending = record,
+                None => queue.records.push(record),
+            }
+        })
     }
 
     /// Block until the write for `ticket` (or a fresher one) completed,
@@ -189,8 +247,9 @@ impl Persister {
 }
 
 impl Drop for Persister {
-    /// Stop the writer, draining any pending snapshot first — dropping
-    /// the registry never discards an enqueued durability point.
+    /// Stop the writer, draining any pending work and then compacting a
+    /// non-empty journal — dropping the registry never discards an
+    /// enqueued durability point, and leaves the state in the manifest.
     fn drop(&mut self) {
         lock_recover(&self.shared.queue).stop = true;
         self.shared.work.notify_all();
@@ -201,46 +260,368 @@ impl Drop for Persister {
 }
 
 impl PersisterShared {
-    fn write_loop(&self) {
+    fn write_loop(&self, mut journal: Journal) {
         loop {
-            let (snapshot, ticket) = {
+            let picked = {
                 let mut queue = lock_recover(&self.queue);
                 loop {
-                    if let Some(snapshot) = queue.pending.take() {
-                        break (snapshot, queue.enqueued);
+                    if queue.manifest.is_some() || !queue.records.is_empty() {
+                        let records = std::mem::take(&mut queue.records);
+                        break Some((queue.manifest.take(), records, queue.enqueued));
                     }
                     if queue.stop {
-                        return;
+                        break None;
                     }
                     queue = wait_recover(&self.work, queue);
                 }
             };
-            // Persistence failures must not fail the request that asked
-            // for them (the in-memory registry stays authoritative), and
-            // nothing — not even a panicking filesystem — may kill the
-            // writer while barriers wait on it: hand the failure to the
-            // barriers and carry on.
-            let failure =
-                match catch_unwind(AssertUnwindSafe(|| write_snapshot(&self.dir, &snapshot))) {
-                    Ok(Ok(())) => None,
-                    Ok(Err(e)) => Some(format!("failed to persist registry state: {e}")),
-                    Err(payload) => Some(format!(
-                        "registry persistence panicked: {}",
-                        panic_reason(payload)
-                    )),
-                };
+            let Some((manifest, records, ticket)) = picked else {
+                // Everything enqueued is written: leave the state in the
+                // manifest alone.
+                if journal.log_bytes > 0 {
+                    self.commit(|| journal.compact());
+                }
+                return;
+            };
+            let failure = self.commit(|| journal.commit(manifest, &records));
             let mut queue = lock_recover(&self.queue);
             queue.written = queue.written.max(ticket);
             match failure {
                 None => queue.durable = queue.durable.max(ticket),
-                Some(reason) => {
-                    eprintln!("dot-serve: {reason}");
-                    queue.failure = Some(reason);
-                }
+                Some(reason) => queue.failure = Some(reason),
             }
             self.done.notify_all();
         }
     }
+
+    /// Run one disk write, counting its bytes. Persistence failures must
+    /// not fail the request that asked for them (the in-memory registry
+    /// stays authoritative), and nothing — not even a panicking
+    /// filesystem — may kill the writer while barriers wait on it: the
+    /// failure is returned for the barriers, and the writer carries on.
+    fn commit(&self, write: impl FnOnce() -> io::Result<u64>) -> Option<String> {
+        let failure = match catch_unwind(AssertUnwindSafe(write)) {
+            Ok(Ok(bytes)) => {
+                self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+                return None;
+            }
+            Ok(Err(e)) => format!("failed to persist registry state: {e}"),
+            Err(payload) => format!("registry persistence panicked: {}", panic_reason(payload)),
+        };
+        eprintln!("dot-serve: {failure}");
+        Some(failure)
+    }
+}
+
+/// The manifest as the writer holds it: [`RegistrySnapshot`]'s fields in
+/// its order, sharing the tenants' snapshots instead of copying them, so
+/// it encodes to the same bytes.
+#[derive(Default, Serialize)]
+struct Manifest {
+    version: u32,
+    next_id: u64,
+    tenants: Vec<Arc<TenantSnapshot>>,
+}
+
+/// The writer thread's account of the state directory: the registry that
+/// manifest + journal restore to, and where the journal's tail is.
+struct Journal {
+    dir: PathBuf,
+    /// What a restart would restore after every commit so far (failed
+    /// commits included: the next compaction writes it).
+    registry: Manifest,
+    /// The tenants of the manifest on disk. Only their records may be
+    /// appended: restore ignores a record whose tenant the manifest lacks.
+    in_manifest: Vec<TenantId>,
+    manifest_bytes: u64,
+    /// The journal, opened on first use.
+    log: Option<File>,
+    /// Length of the journal's valid prefix (whole, checked records).
+    log_bytes: u64,
+    /// The file may hold bytes past `log_bytes` (a torn tail, a failed
+    /// append, or a journal this process never read): the next append
+    /// cuts them off first.
+    stale_tail: bool,
+    /// Encode buffer for one group commit, reused.
+    batch: Vec<u8>,
+}
+
+impl Journal {
+    /// A journal over `dir` whose on-disk contents were not read: the
+    /// first write is a compaction that truncates whatever log is there.
+    fn unread(dir: PathBuf) -> Journal {
+        Journal {
+            dir,
+            registry: Manifest::default(),
+            in_manifest: Vec::new(),
+            manifest_bytes: 0,
+            log: None,
+            log_bytes: 0,
+            stale_tail: true,
+            batch: Vec::new(),
+        }
+    }
+
+    /// Apply one pickup: the manifest (if any) replaces the registry, and
+    /// each record its tenant's entry. Appends the records when their
+    /// tenants are all in the manifest on disk and the journal stays
+    /// within `COMPACT_RATIO` manifests; compacts otherwise. Returns the
+    /// bytes written.
+    fn commit(
+        &mut self,
+        manifest: Option<Manifest>,
+        records: &[Arc<TenantSnapshot>],
+    ) -> io::Result<u64> {
+        let mut compact = manifest.is_some();
+        if let Some(manifest) = manifest {
+            self.registry = manifest;
+        }
+        self.batch.clear();
+        for record in records {
+            // A record of a tenant detached since it was enqueued is moot.
+            let tenants = &mut self.registry.tenants;
+            let Some(entry) = tenants.iter_mut().find(|t| t.tenant == record.tenant) else {
+                continue;
+            };
+            *entry = Arc::clone(record);
+            compact |= !self.in_manifest.contains(&record.tenant);
+            encode_record(&mut self.batch, record)?;
+        }
+        let log_bytes = self.log_bytes + self.batch.len() as u64;
+        if compact || log_bytes > COMPACT_RATIO * self.manifest_bytes {
+            return self.compact();
+        }
+        if self.batch.is_empty() {
+            return Ok(0);
+        }
+        #[cfg(feature = "test-hooks")]
+        if records.iter().any(|r| r.name.contains("__nodisk__")) {
+            // Fault-injection hook: a "__nodisk__" tenant's records land
+            // on a full disk.
+            return Err(io::Error::other("test-hooks: injected write failure"));
+        }
+        self.append()
+    }
+
+    /// Append the encoded batch with one write and one `fdatasync`.
+    fn append(&mut self) -> io::Result<u64> {
+        let file = match &mut self.log {
+            Some(file) => file,
+            None => self.log.insert(open_journal(&self.dir)?),
+        };
+        if self.stale_tail {
+            file.set_len(self.log_bytes)?;
+        }
+        // Until the append is synced, the tail past `log_bytes` is unknown.
+        self.stale_tail = true;
+        file.seek(SeekFrom::Start(self.log_bytes))?;
+        file.write_all(&self.batch)?;
+        file.sync_data()?;
+        self.stale_tail = false;
+        self.log_bytes += self.batch.len() as u64;
+        Ok(self.batch.len() as u64)
+    }
+
+    /// Rewrite the manifest from `registry` — a temp file synced and
+    /// renamed into place, so a crash mid-write can never leave a
+    /// truncated `registry.json`, and the fsyncs extend that past process
+    /// death to power loss (the bytes reach stable storage before the
+    /// rename publishes them; the rename reaches the directory before the
+    /// write is declared done) — then truncate the journal, whose records
+    /// the manifest now holds. Runs only on the writer thread, which is
+    /// what makes the shared temp path race-free.
+    fn compact(&mut self) -> io::Result<u64> {
+        #[cfg(feature = "test-hooks")]
+        if self
+            .registry
+            .tenants
+            .iter()
+            .any(|t| t.name.contains("__nodisk__"))
+        {
+            // Fault-injection hook: a registry holding a "__nodisk__"
+            // tenant cannot compact, as on a full disk.
+            return Err(io::Error::other("test-hooks: injected write failure"));
+        }
+        let tmp = self.dir.join(format!("{STATE_FILE}.tmp"));
+        let mut file = File::create(&tmp)?;
+        crate::framing::write_json(&mut file, &self.registry, "")?;
+        let bytes = file.stream_position()?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, self.dir.join(STATE_FILE))?;
+        #[cfg(unix)]
+        File::open(&self.dir)?.sync_all()?;
+        self.manifest_bytes = bytes;
+        self.in_manifest = self.registry.tenants.iter().map(|t| t.tenant).collect();
+        // A crash before the truncation reaches the disk leaves records
+        // that restore skips: none is newer than the manifest now is.
+        if self.log.is_none() && (self.log_bytes > 0 || self.stale_tail) {
+            match OpenOptions::new()
+                .write(true)
+                .open(self.dir.join(JOURNAL_FILE))
+            {
+                Ok(file) => self.log = Some(file),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if let Some(file) = &self.log {
+            file.set_len(0)?;
+        }
+        self.log_bytes = 0;
+        self.stale_tail = false;
+        Ok(bytes)
+    }
+}
+
+/// Open the journal for writing, creating it (and syncing the directory
+/// entry, so appended records cannot vanish with it) when it is absent.
+fn open_journal(dir: &Path) -> io::Result<File> {
+    let path = dir.join(JOURNAL_FILE);
+    match OpenOptions::new().write(true).create_new(true).open(&path) {
+        Ok(file) => {
+            #[cfg(unix)]
+            File::open(dir)?.sync_all()?;
+            Ok(file)
+        }
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+            OpenOptions::new().write(true).open(&path)
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// FNV-1a, 64-bit: any change confined to one byte changes the hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Append one journal line for `record` to `out`: the snapshot is encoded
+/// in place, then its checksum is written into the head.
+fn encode_record(out: &mut Vec<u8>, record: &TenantSnapshot) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(RECORD_HEAD);
+    out.extend_from_slice(&[b'0'; SUM_DIGITS]);
+    out.extend_from_slice(RECORD_MID);
+    let payload = out.len();
+    crate::framing::write_json(out, record, "}\n")?;
+    let sum = format!("{:016x}", fnv1a(&out[payload..out.len() - 2]));
+    let digits = start + RECORD_HEAD.len();
+    out[digits..digits + SUM_DIGITS].copy_from_slice(sum.as_bytes());
+    Ok(())
+}
+
+/// Check and decode one journal line (without its newline).
+fn decode_record(line: &[u8]) -> Result<TenantSnapshot, String> {
+    let body = line
+        .strip_prefix(RECORD_HEAD)
+        .and_then(|rest| rest.strip_suffix(b"}"))
+        .filter(|body| body.len() > SUM_DIGITS)
+        .ok_or("not a journal record")?;
+    let (sum, rest) = body.split_at(SUM_DIGITS);
+    let payload = rest
+        .strip_prefix(RECORD_MID)
+        .ok_or("not a journal record")?;
+    if format!("{:016x}", fnv1a(payload)).as_bytes() != sum {
+        return Err("checksum mismatch".to_owned());
+    }
+    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+    serde_json::from_str(text).map_err(|e| format!("unreadable tenant snapshot: {e}"))
+}
+
+/// What a state directory holds, read and checked: the registry a restart
+/// restores (manifest + journal), and where the journal's valid prefix
+/// ends.
+struct StoredState {
+    /// `None` without a manifest.
+    snapshot: Option<RegistrySnapshot>,
+    manifest_bytes: u64,
+    log_bytes: u64,
+    /// The journal has bytes past its valid prefix (a torn last write).
+    torn: bool,
+}
+
+/// Read the manifest and replay the journal over it. A missing or empty
+/// journal costs one failed open and no parse.
+fn read_state(dir: &Path) -> io::Result<StoredState> {
+    let invalid = |path: &Path, reason: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {reason}", path.display()),
+        )
+    };
+    let manifest_path = dir.join(STATE_FILE);
+    let (mut snapshot, manifest_bytes) = match std::fs::read_to_string(&manifest_path) {
+        Ok(text) => (
+            Some(parse_manifest(&text).map_err(|reason| invalid(&manifest_path, reason))?),
+            text.len() as u64,
+        ),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (None, 0),
+        Err(e) => return Err(e),
+    };
+    let log_path = dir.join(JOURNAL_FILE);
+    let log = match std::fs::read(&log_path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    let mut tenants = snapshot.as_mut().map(|s| &mut s.tenants);
+    let mut offset = 0;
+    // Only whole lines count: the bytes after the last newline are a
+    // write the crash cut short, so they are ignored.
+    while let Some(len) = log[offset..].iter().position(|&b| b == b'\n') {
+        let record = decode_record(&log[offset..offset + len])
+            .map_err(|reason| invalid(&log_path, format!("record at byte {offset}: {reason}")))?;
+        if let Some(entry) = tenants
+            .as_deref_mut()
+            .and_then(|tenants| tenants.iter_mut().find(|t| t.tenant == record.tenant))
+        {
+            if record.checkpoint.tick > entry.checkpoint.tick {
+                *entry = record;
+            }
+        }
+        offset += len + 1;
+    }
+    Ok(StoredState {
+        snapshot,
+        manifest_bytes,
+        log_bytes: offset as u64,
+        torn: offset < log.len(),
+    })
+}
+
+/// Parse and check a manifest: the version, and unique tenant ids.
+fn parse_manifest(text: &str) -> Result<RegistrySnapshot, String> {
+    let snapshot: RegistrySnapshot =
+        serde_json::from_str(text).map_err(|e| format!("malformed snapshot: {e}"))?;
+    if snapshot.version != SNAPSHOT_VERSION {
+        return Err(format!(
+            "snapshot version {} unsupported (this daemon writes {SNAPSHOT_VERSION})",
+            snapshot.version
+        ));
+    }
+    // The daemon never writes colliding ids, so a duplicate means a
+    // hand-edited or corrupted snapshot: fail loud at startup (like a
+    // version mismatch) instead of letting `slot()` silently serve
+    // whichever twin attached first.
+    for (i, snap) in snapshot.tenants.iter().enumerate() {
+        if snapshot.tenants[..i]
+            .iter()
+            .any(|t| t.tenant == snap.tenant)
+        {
+            return Err(format!("duplicate tenant id {} in snapshot", snap.tenant));
+        }
+    }
+    Ok(snapshot)
+}
+
+/// The registry a restart in `dir` would restore: the manifest with the
+/// journal replayed over it, or `None` when there is no manifest. Errors
+/// as [`Registry::open`] does, without building any tenant session.
+pub fn load_state(dir: &Path) -> io::Result<Option<RegistrySnapshot>> {
+    read_state(dir).map(|stored| stored.snapshot)
 }
 
 /// Whether a durability point reached the disk: `Err` carries why the
@@ -253,7 +634,8 @@ pub struct RegistryConfig {
     /// Kept only for source compatibility: there is no shared estimate
     /// cache to size, and the registry ignores it.
     pub cache_capacity: usize,
-    /// Directory for the registry snapshot; `None` disables persistence.
+    /// Directory for the registry's manifest and journal; `None` disables
+    /// persistence.
     pub state_dir: Option<PathBuf>,
     /// Per-tenant in-flight observe budget (running + queued); the
     /// request over the budget is answered [`ProtocolError::Busy`].
@@ -285,10 +667,10 @@ struct TenantSlot {
     /// snapshot stays valid, so a restart recovers the tenant).
     fault: Mutex<Option<String>>,
     /// The last durably-consistent snapshot, refreshed at attach, on
-    /// every applied migration, and at graceful shutdown. `persist` reads
-    /// only this (never the live state), so snapshotting the registry
-    /// does not wait on in-flight ticks.
-    durable: Mutex<TenantSnapshot>,
+    /// every applied migration, and at graceful shutdown. Persistence
+    /// reads only this (never the live state), so it does not wait on
+    /// in-flight ticks; the persister shares it instead of copying it.
+    durable: Mutex<Arc<TenantSnapshot>>,
 }
 
 /// The parts of a tenant that change as it ticks.
@@ -335,7 +717,9 @@ pub struct TenantSnapshot {
     pub elapsed_ms: u64,
 }
 
-/// The whole registry on disk: one JSON document, written atomically.
+/// The whole registry on disk: the manifest, one JSON document written
+/// atomically — and, with the journal replayed over it, what a restart
+/// restores ([`load_state`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegistrySnapshot {
     /// [`SNAPSHOT_VERSION`] at write time.
@@ -409,7 +793,7 @@ pub struct Registry {
     tenants: Mutex<Vec<Arc<TenantSlot>>>,
     next_id: AtomicU64,
     shutting_down: AtomicBool,
-    /// The snapshot writer; `None` without a `state_dir`.
+    /// The manifest and journal writer; `None` without a `state_dir`.
     persister: Option<Persister>,
 }
 
@@ -418,78 +802,92 @@ impl Registry {
     /// `state_dir`, but nothing is restored — use [`open`](Registry::open)
     /// for the restore-on-startup path.
     pub fn new(config: RegistryConfig) -> Registry {
+        let journal = config.state_dir.clone().map(Journal::unread);
+        let mut registry = Registry::unpersisted(config);
+        registry.persister = journal.map(Persister::start);
+        registry
+    }
+
+    fn unpersisted(config: RegistryConfig) -> Registry {
         Registry {
             cache: Arc::new(CachedEstimator::new()),
             tenants: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
-            persister: config.state_dir.clone().map(Persister::start),
+            persister: None,
             config,
         }
     }
 
     /// Open a registry: create the state directory if configured, and
-    /// restore the snapshot found there (if any) so tenants survive a
-    /// daemon restart. A snapshot that cannot be restored — unreadable,
-    /// wrong version, or a problem that no longer resolves — is a typed
-    /// startup error, never a silently-empty registry.
+    /// restore the manifest and journal found there (if any) so tenants
+    /// survive a daemon restart. State that cannot be restored — an
+    /// unreadable manifest, a wrong version, a journal line that fails its
+    /// checksum before the last, or a problem that no longer resolves — is
+    /// a typed startup error, never a silently-empty registry. Opening
+    /// writes nothing.
     pub fn open(config: RegistryConfig) -> io::Result<Registry> {
-        let registry = Registry::new(config);
-        if let Some(dir) = registry.config.state_dir.clone() {
-            std::fs::create_dir_all(&dir)?;
-            let path = dir.join(STATE_FILE);
-            match std::fs::read_to_string(&path) {
-                Ok(text) => registry.restore(&text).map_err(|reason| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: {reason}", path.display()),
-                    )
-                })?,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let Some(dir) = config.state_dir.clone() else {
+            return Ok(Registry::new(config));
+        };
+        std::fs::create_dir_all(&dir)?;
+        let stored = read_state(&dir)?;
+        let mut registry = Registry::unpersisted(config);
+        let tenants = match stored.snapshot {
+            Some(snapshot) => registry.restore(snapshot).map_err(|reason| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: {reason}", dir.join(STATE_FILE).display()),
+                )
+            })?,
+            None => Vec::new(),
+        };
+        let journal = Journal {
+            in_manifest: tenants.iter().map(|t| t.tenant).collect(),
+            registry: Manifest {
+                version: SNAPSHOT_VERSION,
+                next_id: registry.next_id.load(Ordering::SeqCst),
+                tenants,
+            },
+            manifest_bytes: stored.manifest_bytes,
+            log_bytes: stored.log_bytes,
+            stale_tail: stored.torn,
+            ..Journal::unread(dir)
+        };
+        registry.persister = Some(Persister::start(journal));
         Ok(registry)
     }
 
-    /// Rebuild the tenant map from a serialized [`RegistrySnapshot`].
-    fn restore(&self, text: &str) -> Result<(), String> {
-        let snapshot: RegistrySnapshot =
-            serde_json::from_str(text).map_err(|e| format!("malformed snapshot: {e}"))?;
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(format!(
-                "snapshot version {} unsupported (this daemon writes {SNAPSHOT_VERSION})",
-                snapshot.version
-            ));
-        }
+    /// Rebuild the tenant map from a restored [`RegistrySnapshot`],
+    /// answering the tenants' snapshots for the persister to share.
+    fn restore(&self, snapshot: RegistrySnapshot) -> Result<Vec<Arc<TenantSnapshot>>, String> {
         let mut max_id = 0;
-        let mut tenants: Vec<Arc<TenantSlot>> = Vec::with_capacity(snapshot.tenants.len());
+        let mut tenants = Vec::with_capacity(snapshot.tenants.len());
+        let mut durable = Vec::with_capacity(snapshot.tenants.len());
         for snap in snapshot.tenants {
-            // The daemon never writes colliding ids, so a duplicate means
-            // a hand-edited or corrupted snapshot: fail loud at startup
-            // (like a version mismatch) instead of letting `slot()`
-            // silently serve whichever twin attached first.
-            if tenants.iter().any(|slot| slot.id == snap.tenant) {
-                return Err(format!("duplicate tenant id {} in snapshot", snap.tenant));
-            }
             max_id = max_id.max(snap.tenant);
+            let snap = Arc::new(snap);
             let slot = self
-                .restore_slot(snap)
+                .restore_slot(&snap)
                 .map_err(|(name, e)| format!("tenant {name:?}: {e}"))?;
             tenants.push(Arc::new(slot));
+            durable.push(snap);
         }
         // Ids stay unique even against a snapshot whose counter lagged.
         self.next_id
             .store(snapshot.next_id.max(max_id + 1), Ordering::SeqCst);
         *lock_recover(&self.tenants) = tenants;
-        Ok(())
+        Ok(durable)
     }
 
     /// Reopen one tenant's session from its snapshot: re-resolve the
     /// problem, rebuild the controller, and resume its checkpoint. No
     /// solving happens here — the deployed layout comes from the
     /// checkpoint, so restore latency is parsing plus construction.
-    fn restore_slot(&self, snap: TenantSnapshot) -> Result<TenantSlot, (String, ProvisionError)> {
+    fn restore_slot(
+        &self,
+        snap: &Arc<TenantSnapshot>,
+    ) -> Result<TenantSlot, (String, ProvisionError)> {
         let fail = |e| (snap.name.clone(), e);
         let resolved = snap.problem.resolve().map_err(fail)?;
         let mut controller = Controller::new(
@@ -523,20 +921,30 @@ impl Registry {
             }),
             inflight: AtomicUsize::new(0),
             fault: Mutex::new(None),
-            durable: Mutex::new(snap),
+            durable: Mutex::new(Arc::clone(snap)),
         })
     }
 
-    /// Hand the current tenant map to the persister (no-op without one).
-    /// Reads only the durable per-tenant snapshots, so it never waits on
-    /// an in-flight tick, and the disk write happens on the writer
-    /// thread — the returned ticket is what [`persist_sync`] waits on.
+    /// Hand the current tenant map to the persister as a manifest (no-op
+    /// without one). Reads only the durable per-tenant snapshots, so it
+    /// never waits on an in-flight tick, and the disk write happens on the
+    /// writer thread — the returned ticket is what [`persist_sync`] waits
+    /// on.
     fn persist(&self) -> u64 {
         match &self.persister {
-            Some(p) => p.enqueue(|| {
+            Some(p) => p.enqueue_manifest(|| {
                 let slots: Vec<Arc<TenantSlot>> = lock_recover(&self.tenants).clone();
-                self.build_snapshot(&slots)
+                self.manifest(&slots)
             }),
+            None => 0,
+        }
+    }
+
+    /// Hand one tenant's durable snapshot to the persister as a journal
+    /// record (no-op without one); returns the ticket to sync on.
+    fn persist_tenant(&self, slot: &TenantSlot) -> u64 {
+        match &self.persister {
+            Some(p) => p.enqueue_record(|| Arc::clone(&lock_recover(&slot.durable))),
             None => 0,
         }
     }
@@ -556,19 +964,27 @@ impl Registry {
         let Some(p) = &self.persister else {
             return Ok(());
         };
-        let ticket = p.enqueue(|| self.build_snapshot(slots));
+        let ticket = p.enqueue_manifest(|| self.manifest(slots));
         p.sync(ticket)
     }
 
-    fn build_snapshot(&self, slots: &[Arc<TenantSlot>]) -> RegistrySnapshot {
-        RegistrySnapshot {
+    fn manifest(&self, slots: &[Arc<TenantSlot>]) -> Manifest {
+        Manifest {
             version: SNAPSHOT_VERSION,
             next_id: self.next_id.load(Ordering::SeqCst),
             tenants: slots
                 .iter()
-                .map(|s| lock_recover(&s.durable).clone())
+                .map(|s| Arc::clone(&lock_recover(&s.durable)))
                 .collect(),
         }
+    }
+
+    /// Bytes the registry has written to its state directory so far:
+    /// manifest rewrites and journal appends (0 without persistence).
+    pub fn bytes_persisted(&self) -> u64 {
+        self.persister
+            .as_ref()
+            .map_or(0, |p| p.shared.bytes_written.load(Ordering::Relaxed))
     }
 
     /// The replan-reuse counters every tenant's controller counts in.
@@ -722,7 +1138,7 @@ impl Registry {
                 }),
                 inflight: AtomicUsize::new(0),
                 fault: Mutex::new(None),
-                durable: Mutex::new(durable),
+                durable: Mutex::new(Arc::new(durable)),
             }));
             drop(tenants);
             Ok((id, name, self.persist_sync()))
@@ -836,14 +1252,15 @@ impl Registry {
             }
             if applied {
                 // A migration landed: this tick is a durability point.
-                // Refresh the snapshot and enqueue it right away — the
+                // Refresh the snapshot and enqueue its journal record right
+                // away — the
                 // writer thread races the rest of the step, so even a
                 // `kill -9` before the step ends usually resumes from the
                 // migrated layout — at worst the ticks after it are
                 // re-fed. Only memory work happens here; the tenant never
                 // waits on the disk under its own lock.
                 refresh_durable(&slot, state);
-                durability = Some(self.persist());
+                durability = Some(self.persist_tenant(&slot));
             }
             if let Some(e) = failed {
                 return Err(e.into());
@@ -929,39 +1346,11 @@ impl Registry {
     }
 }
 
-/// Atomic, durable snapshot write: a temp file synced and renamed into
-/// place, so a crash mid-write can never leave a truncated
-/// `registry.json` — and the fsyncs extend that past process death to
-/// power loss (the bytes reach stable storage before the rename
-/// publishes them; the rename reaches the directory before the write is
-/// declared done). Called only from the persister's writer thread, which
-/// is what makes the shared temp path race-free.
-fn write_snapshot(dir: &Path, snapshot: &RegistrySnapshot) -> io::Result<()> {
-    #[cfg(feature = "test-hooks")]
-    if snapshot
-        .tenants
-        .iter()
-        .any(|t| t.name.contains("__nodisk__"))
-    {
-        // Fault-injection hook: a registry holding a "__nodisk__" tenant
-        // behaves like a full disk.
-        return Err(io::Error::other("test-hooks: injected write failure"));
-    }
-    let tmp = dir.join(format!("{STATE_FILE}.tmp"));
-    let mut file = std::fs::File::create(&tmp)?;
-    crate::framing::write_json(&mut file, snapshot, "")?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, dir.join(STATE_FILE))?;
-    #[cfg(unix)]
-    std::fs::File::open(dir)?.sync_all()?;
-    Ok(())
-}
-
 /// Refresh a tenant's durable snapshot from its live state (caller holds
 /// the state lock, which is what makes the copy consistent).
 fn refresh_durable(slot: &TenantSlot, state: &TenantState) {
-    let mut durable = lock_recover(&slot.durable);
+    let mut shared = lock_recover(&slot.durable);
+    let durable = Arc::make_mut(&mut shared);
     durable.checkpoint = state.controller.checkpoint();
     durable.triggers = state.triggers;
     durable.applications = state.applications;
@@ -1190,6 +1579,49 @@ mod tests {
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("duplicate tenant id 1"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_journal_never_outgrows_its_compaction_ratio() {
+        let dir = temp_state_dir("ratio");
+        let registry = open(&dir).expect("open");
+        let config = ControllerConfig {
+            cooldown_ticks: 2,
+            ..ControllerConfig::default()
+        };
+        let (tenant, _) = registry
+            .attach(None, &spec(), None, Some(config))
+            .expect("attach");
+        let size = |file: &str| std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+        let flips = [
+            step("{\"phase\": \"analytical\", \"repeat\": 3}"),
+            step("{\"baseline\": true, \"repeat\": 3}"),
+        ];
+        let mut compactions = 0;
+        let mut last_log = 0;
+        for round in 0..16 {
+            let counters = registry
+                .observe(tenant, &flips[round % 2], &mut |_| Ok(()))
+                .expect("observe");
+            assert_eq!(counters.applications, round + 1, "each flip migrates");
+            counters.durability.expect("durable");
+            let log = size(JOURNAL_FILE);
+            assert!(
+                log <= COMPACT_RATIO * size(STATE_FILE),
+                "a {log}-byte journal beside a {}-byte manifest",
+                size(STATE_FILE)
+            );
+            if log < last_log {
+                compactions += 1;
+            }
+            last_log = log;
+        }
+        assert!(
+            compactions >= 2,
+            "{compactions} compactions in 16 migrations"
+        );
+        drop(registry);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -47,9 +47,9 @@ pub struct ServerConfig {
     pub max_frame_bytes: usize,
     /// Socket read timeout: how quickly idle workers notice shutdown.
     pub poll_interval: Duration,
-    /// Registry snapshot directory; `None` disables persistence. With a
-    /// directory, `bind` restores any snapshot found there, so tenants
-    /// survive restarts and clients resume by tenant id.
+    /// Registry state directory (manifest + journal); `None` disables
+    /// persistence. With a directory, `bind` restores the state found
+    /// there, so tenants survive restarts and clients resume by tenant id.
     pub state_dir: Option<PathBuf>,
     /// Per-tenant in-flight observe budget (overflow answers
     /// [`ProtocolError::Busy`]).

@@ -419,7 +419,9 @@ fn a_frame_nested_past_the_recursion_limit_is_malformed_and_the_daemon_serves_on
     let (addr, handle) = start(small_config());
     let mut client = Client::connect(addr);
     client.send_raw(&line);
-    match client.recv().response {
+    let frame = client.recv();
+    assert_eq!(frame.id, 1, "the reject answers the frame's leading id");
+    match frame.response {
         Response::Error {
             error: ProtocolError::Malformed { reason },
         } => assert!(reason.contains("recursion limit"), "{reason}"),

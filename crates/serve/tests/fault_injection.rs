@@ -416,3 +416,82 @@ fn a_failed_durability_write_is_reported_not_acknowledged() {
     assert!(on_disk.contains("healthy") && !on_disk.contains("__nodisk__"));
     let _ = std::fs::remove_dir_all(&state_dir);
 }
+
+#[test]
+fn a_failed_journal_append_fails_only_its_own_tenants_record() {
+    use dot_serve::registry::{load_state, RegistryConfig};
+    use dot_serve::Registry;
+
+    let state_dir =
+        std::env::temp_dir().join(format!("dot-serve-nodisk-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let registry = Registry::open(RegistryConfig {
+        state_dir: Some(state_dir.clone()),
+        ..RegistryConfig::default()
+    })
+    .expect("open");
+    let attach = |name: &str| {
+        registry
+            .attach_with_durability(Some(name.to_owned()), &spec(), None, None)
+            .expect("attach")
+    };
+    let flip = step("{\"phase\": \"analytical\"}");
+    let migrate = |tenant: TenantId| {
+        let counters = registry
+            .observe(tenant, &flip, &mut |_| Ok(()))
+            .unwrap_or_else(|_| panic!("tenant {tenant} observes"));
+        assert_eq!(counters.applications, 1, "the phase flip applies a plan");
+        counters.durability
+    };
+
+    let (healthy, _, durability) = attach("healthy");
+    durability.expect("a healthy attach compacts");
+    let (nodisk, _, durability) = attach("tenant-__nodisk__");
+    let reason = durability.expect_err("a compaction holding the hooked tenant fails");
+    assert!(reason.contains("injected write failure"), "{reason}");
+
+    // While the hooked tenant is attached, the healthy tenant's record
+    // still reaches the journal, and the hooked tenant's does not.
+    migrate(healthy).expect("the healthy tenant's record is appended");
+    let reason = migrate(nodisk).expect_err("the hooked tenant's record fails");
+    assert!(reason.contains("injected write failure"), "{reason}");
+    let on_disk = load_state(&state_dir)
+        .expect("state loads")
+        .expect("a manifest");
+    assert_eq!(on_disk.tenants.len(), 1, "the hooked tenant never landed");
+    assert_eq!(on_disk.tenants[0].tenant, healthy);
+    assert_eq!(
+        on_disk.tenants[0].applications, 1,
+        "the record was replayed"
+    );
+
+    // A tenant whose attach could not compact is not in the manifest on
+    // disk, where restore would skip its records: its migration cannot
+    // be journaled either, and says so.
+    let (late, _, durability) = attach("late");
+    assert!(
+        durability.is_err(),
+        "a compaction holding the hooked tenant fails"
+    );
+    let reason = migrate(late).expect_err("a record the manifest cannot restore");
+    assert!(reason.contains("injected write failure"), "{reason}");
+
+    // Every compaction fails while the hooked tenant is attached — a
+    // detach of the healthy tenant among them — and the next one after it
+    // leaves succeeds.
+    let (_, durability) = registry.detach(healthy).expect("detach");
+    assert!(
+        durability.is_err(),
+        "a compaction holding the hooked tenant fails"
+    );
+    let (_, durability) = registry.detach(nodisk).expect("detach");
+    durability.expect("the compaction without the hooked tenant lands");
+    drop(registry);
+    let on_disk = load_state(&state_dir)
+        .expect("state loads")
+        .expect("a manifest");
+    assert_eq!(on_disk.tenants.len(), 1);
+    assert_eq!(on_disk.tenants[0].tenant, late);
+    assert_eq!(on_disk.tenants[0].applications, 1, "its migration landed");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}

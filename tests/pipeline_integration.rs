@@ -133,7 +133,8 @@ fn tpcc_additive_es_close_to_dot_and_fast() {
         &PlanMemo::new(&workload.queries, &schema, &pool, &cfg),
         ProfileSource::Estimate,
     );
-    let es = exhaustive::exhaustive_search_additive(&problem, &profile, &cons);
+    let es =
+        exhaustive::exhaustive_search_additive(&problem, &profile, &cons).expect("within budget");
     assert!(es.layouts_pruned <= es.layouts_investigated);
     let dot_out = dot::optimize(&problem, &profile, &cons);
     let es_obj = es.estimate.expect("es feasible").objective_cents;

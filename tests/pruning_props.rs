@@ -181,7 +181,7 @@ fn pruning_fires_on_paper_workloads() {
         &PlanMemo::new(&w.queries, &s, &pool, &p.cfg),
         ProfileSource::Estimate,
     );
-    let es = exhaustive::exhaustive_search_additive(&p, &prof, &cons);
+    let es = exhaustive::exhaustive_search_additive(&p, &prof, &cons).expect("within budget");
     assert!(es.layouts_pruned > 0, "additive ES pruned nothing on TPC-C");
     assert!(
         es.layouts_pruned <= es.layouts_investigated,

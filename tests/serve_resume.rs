@@ -224,3 +224,113 @@ fn kill_dash_nine_then_restart_resumes_the_golden_trajectory() {
     assert!(status.success(), "{status:?}");
     let _ = std::fs::remove_dir_all(&state_dir);
 }
+
+#[test]
+fn kill_dash_nine_with_a_torn_journal_tail_resumes_both_tenants() {
+    // Two tenants each run the whole flip trajectory (migrations at ticks
+    // 2 and 5, each a journal record), the daemon is SIGKILLed, and a
+    // half-written record is appended to the journal before the restart —
+    // what a crash mid-append leaves. The restart ignores the torn tail
+    // and restores both tenants at their last migration.
+    let scenarios = scenario::scenarios();
+    let flip = scenarios
+        .iter()
+        .find(|s| s.name == "flip")
+        .expect("flip scenario");
+    let golden = scenario::run(&flip.steps);
+    let last_apply = golden
+        .iter()
+        .filter(|e| matches!(e, ControlEvent::Applied { .. }))
+        .map(ControlEvent::tick)
+        .max()
+        .expect("the flip trajectory migrates");
+    let applied = golden
+        .iter()
+        .filter(|e| matches!(e, ControlEvent::Applied { .. }))
+        .count();
+    assert!(applied >= 2, "the flip golden applies {applied} plans");
+
+    let state_dir: PathBuf =
+        std::env::temp_dir().join(format!("dot-serve-kill9-torn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+
+    let (mut child, addr, _stdout) = spawn_daemon(&state_dir);
+    let mut client = Client::connect(addr);
+    let tenants = [client.attach("acme"), client.attach("globex")];
+    for s in &flip.steps {
+        for &tenant in &tenants {
+            client.observe(tenant, s);
+        }
+    }
+    child.kill().expect("kill -9 the daemon");
+    child.wait().expect("reap");
+
+    let journal = state_dir.join(dot_serve::registry::JOURNAL_FILE);
+    let mut log = std::fs::read(&journal).expect("applied ticks left a journal");
+    let records: Vec<&[u8]> = log
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(
+        records.len(),
+        applied * tenants.len(),
+        "one record per applied tick"
+    );
+    let half = records[0][..records[0].len() / 2].to_vec();
+    log.extend_from_slice(&half);
+    std::fs::write(&journal, &log).expect("append the torn record");
+
+    // The durable checkpoint is the last migration; the quiet ticks after
+    // it are the documented loss window.
+    let resumed_at = last_apply + 1;
+    let (mut child, addr, _stdout) = spawn_daemon(&state_dir);
+    let mut client = Client::connect(addr);
+    client.request(Request::Stats);
+    match client.recv().response {
+        Response::Stats {
+            tenants: n, ticks, ..
+        } => {
+            assert_eq!(n, 2, "both tenants survived the kill");
+            assert_eq!(
+                ticks,
+                2 * resumed_at,
+                "each resumes after its last migration"
+            );
+        }
+        other => panic!("stats: {other:?}"),
+    }
+    let total: u64 = flip
+        .steps
+        .iter()
+        .map(|s| s.repeat.unwrap_or(1) as u64)
+        .sum();
+    let rest = step(&format!(
+        "{{\"baseline\": true, \"repeat\": {}}}",
+        total - resumed_at
+    ));
+    let expected: Vec<ControlEvent> = golden
+        .iter()
+        .filter(|e| e.tick() >= resumed_at)
+        .cloned()
+        .collect();
+    for &tenant in &tenants {
+        let (events, ticks) = client.observe(tenant, &rest);
+        assert_eq!(ticks, total, "lifetime ticks span the crash");
+        assert_eq!(events, expected, "tenant {tenant} resumes the golden");
+    }
+
+    // A graceful shutdown compacts the journal into the manifest.
+    client.request(Request::Shutdown);
+    match client.recv().response {
+        Response::ShuttingDown { tenants: flushed } => assert_eq!(flushed.len(), 2),
+        other => panic!("shutdown: {other:?}"),
+    }
+    let status = child.wait().expect("daemon exits");
+    assert!(status.success(), "{status:?}");
+    assert_eq!(
+        std::fs::metadata(&journal).expect("journal").len(),
+        0,
+        "shutdown leaves the state in the manifest"
+    );
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
