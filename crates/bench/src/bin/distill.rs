@@ -17,7 +17,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dot-bench --bin distill                 # write BENCH_21.json
+//! cargo run --release -p dot-bench --bin distill                 # write BENCH_22.json
 //! cargo run --release -p dot-bench --bin distill -- --out <path> # write elsewhere
 //! cargo run --release -p dot-bench --bin distill -- --check <path> # validate a file
 //! ```
@@ -51,7 +51,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Where the trajectory for this PR lives, relative to the repo root.
-const DEFAULT_PATH: &str = "BENCH_21.json";
+const DEFAULT_PATH: &str = "BENCH_22.json";
 /// Timed samples per measurement (a warmup run precedes them).
 const SAMPLES: usize = 5;
 /// `--check`: a pruned sweep may be up to this factor slower than the
@@ -108,6 +108,11 @@ struct HotPaths {
     warm_replan_ms: f64,
     /// Quiescent controller tick — incremental delta re-estimation.
     tick_quiescent_ms: f64,
+    /// The same quiescent tick through the step API (`begin_step` +
+    /// `tick_step`): the observation derived in place, no workload built.
+    /// Absent from files before schema 9.
+    #[serde(default)]
+    tick_step_ms: Option<f64>,
     /// The tick cost this replaced: two full TOC estimates of the observed
     /// problem (deployed layout + premium reference).
     tick_two_full_estimates_ms: f64,
@@ -332,6 +337,29 @@ fn measure_hot_paths() -> HotPaths {
         black_box(supervisor.observe(&noisy).expect("tick"));
     });
 
+    // The same tick as a daemon takes it from an `Observe` frame: begin
+    // the step, then tick it in place.
+    let mut stepper = Controller::new(
+        &schema,
+        &pool,
+        &night,
+        night_deployed.clone(),
+        0.5,
+        ControllerConfig::default(),
+    )
+    .expect("controller opens");
+    let step = TraceStep {
+        shift: Some(0.05),
+        ..TraceStep::default()
+    };
+    stepper.begin_step(&step).expect("valid step");
+    let first = stepper.tick_step().expect("first step tick");
+    assert!(!first.triggered(), "noise must not trigger");
+    let tick_step_ms = median_ms(|| {
+        stepper.begin_step(&step).expect("valid step");
+        black_box(stepper.tick_step().expect("step tick"));
+    });
+
     // What that tick used to pay: two full estimates of the observed
     // problem — the deployed layout and the premium reference.
     let observed = Problem::new(
@@ -351,6 +379,7 @@ fn measure_hot_paths() -> HotPaths {
         cold_solve_ms,
         warm_replan_ms,
         tick_quiescent_ms,
+        tick_step_ms: Some(tick_step_ms),
         tick_two_full_estimates_ms,
     }
 }
@@ -956,8 +985,8 @@ fn measure_pruning() -> Vec<PruningCell> {
 
 fn distill(path: &str) {
     let trajectory = Trajectory {
-        schema_version: 8,
-        pr: 21,
+        schema_version: 9,
+        pr: 22,
         samples: SAMPLES,
         hot_paths: measure_hot_paths(),
         telemetry: measure_telemetry(),
@@ -978,12 +1007,13 @@ fn summarize(t: &Trajectory) {
     let h = &t.hot_paths;
     println!(
         "distill: cold solve {:.1} ms, warm replan {:.2} ms, quiescent tick {:.4} ms \
-         (two-full-estimate tick {:.3} ms, {:.0}x)",
+         (two-full-estimate tick {:.3} ms, {:.0}x; step tick {:.4} ms)",
         h.cold_solve_ms,
         h.warm_replan_ms,
         h.tick_quiescent_ms,
         h.tick_two_full_estimates_ms,
         h.tick_two_full_estimates_ms / h.tick_quiescent_ms.max(1e-9),
+        h.tick_step_ms.unwrap_or(f64::NAN),
     );
     println!(
         "distill: telemetry tick {:.4} ms scripted vs {:.4} ms measured ({:.1}x)",
@@ -1071,6 +1101,16 @@ fn check(path: &str) {
         if !v.is_finite() || v <= 0.0 {
             fail(&format!("{path}: {name} = {v} is not a positive median"));
         }
+    }
+    match h.tick_step_ms {
+        Some(v) if !v.is_finite() || v <= 0.0 => fail(&format!(
+            "{path}: tick_step_ms = {v} is not a positive median"
+        )),
+        None if t.schema_version >= 9 => fail(&format!(
+            "{path}: schema {} must carry hot_paths.tick_step_ms",
+            t.schema_version
+        )),
+        _ => {}
     }
     if h.tick_quiescent_ms >= h.tick_two_full_estimates_ms {
         fail(&format!(

@@ -30,11 +30,33 @@ pub struct ViolationMargin {
 /// The graded pressure a set of margins exerts: how far the worst class
 /// sits *beyond* its constraint (`0` when every class is within its cap).
 pub fn sla_pressure(margins: &[ViolationMargin]) -> f64 {
-    margins
-        .iter()
-        .map(|m| m.ratio - 1.0)
-        .fold(0.0, f64::max)
-        .max(0.0)
+    worst_excess(margins.iter().map(|m| m.ratio))
+}
+
+/// How far the worst of some violation ratios sits beyond 1 (`0` when
+/// none does).
+fn worst_excess(ratios: impl Iterator<Item = f64>) -> f64 {
+    ratios.map(|r| r - 1.0).fold(0.0, f64::max).max(0.0)
+}
+
+/// A query's violation ratio: its time over its cap.
+fn cap_ratio(time_ms: f64, cap_ms: f64) -> f64 {
+    if cap_ms > 0.0 {
+        time_ms / cap_ms
+    } else {
+        1.0
+    }
+}
+
+/// A throughput floor's violation ratio: the floor over the throughput.
+fn floor_ratio(floor: f64, tasks_per_hour: f64) -> f64 {
+    if tasks_per_hour > 0.0 {
+        floor / tasks_per_hour
+    } else if floor > 0.0 {
+        f64::MAX // a stalled workload violates any positive floor
+    } else {
+        1.0
+    }
 }
 
 /// Derived constraints for one problem instance.
@@ -190,23 +212,36 @@ impl Constraints {
                 .zip(&workload.queries)
                 .map(|((t, cap), q)| ViolationMargin {
                     class: q.name.clone(),
-                    ratio: if *cap > 0.0 { t / cap } else { 1.0 },
+                    ratio: cap_ratio(*t, *cap),
                 })
                 .collect()
         } else if let Some(floor) = self.throughput_floor {
-            let ratio = if est.throughput_tasks_per_hour > 0.0 {
-                floor / est.throughput_tasks_per_hour
-            } else if floor > 0.0 {
-                f64::MAX // a stalled workload violates any positive floor
-            } else {
-                1.0
-            };
             vec![ViolationMargin {
                 class: "throughput".to_owned(),
-                ratio,
+                ratio: floor_ratio(floor, est.throughput_tasks_per_hour),
             }]
         } else {
             Vec::new()
+        }
+    }
+
+    /// [`sla_pressure`] of an estimate's [`violation_margins`](Self::violation_margins),
+    /// without building the margins (no class names are copied).
+    pub fn pressure(&self, est: &TocEstimate) -> f64 {
+        if let Some(caps) = &self.response_caps_ms {
+            worst_excess(
+                est.per_query_ms
+                    .iter()
+                    .zip(caps)
+                    .map(|(t, cap)| cap_ratio(*t, *cap)),
+            )
+        } else if let Some(floor) = self.throughput_floor {
+            worst_excess(std::iter::once(floor_ratio(
+                floor,
+                est.throughput_tasks_per_hour,
+            )))
+        } else {
+            worst_excess(std::iter::empty())
         }
     }
 
@@ -341,6 +376,7 @@ mod tests {
         let est = crate::toc::estimate_toc(&p, &hdd);
         let margins = c.violation_margins(&w, &est);
         assert!(sla_pressure(&margins) > 0.0, "HDD must violate a 0.9 SLA");
+        assert_eq!(c.pressure(&est), sla_pressure(&margins));
         assert_eq!(
             margins.iter().any(|m| m.ratio > 1.0),
             !c.performance_satisfied(&est)
@@ -361,6 +397,12 @@ mod tests {
         assert_eq!(margins.len(), 1);
         assert_eq!(margins[0].class, "throughput");
         assert!((margins[0].ratio - 0.5).abs() < 1e-9);
+        let stalled = crate::toc::TocEstimate {
+            throughput_tasks_per_hour: 0.0,
+            ..tc.reference.clone()
+        };
+        let margins = tc.violation_margins(&tw, &stalled);
+        assert_eq!(tc.pressure(&stalled), sla_pressure(&margins));
     }
 
     #[test]

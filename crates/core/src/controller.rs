@@ -83,9 +83,9 @@ use crate::replan::{MigrationBudget, MigrationDecision, ReplanRecommendation};
 use crate::toc::{ProblemDelta, TocEstimate};
 use dot_dbms::{EngineConfig, Layout, Schema};
 use dot_storage::StoragePool;
-use dot_workloads::drift::{self, WorkloadSignature};
+use dot_workloads::drift::{self, SignatureShape, WorkloadSignature};
 use dot_workloads::telemetry::TelemetrySource;
-use dot_workloads::Workload;
+use dot_workloads::{SlaSpec, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -342,9 +342,12 @@ impl TickOutcome {
 /// workload: an optional phase selection followed by optional drift
 /// operators, repeated for `repeat` ticks. The CLI's `--trace` files, the
 /// fleet's supervision requests, and the test suite's scenario simulator
-/// all speak this vocabulary; [`expand_trace`] turns a script into the
-/// workload sequence a [`Controller`] observes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// all speak this vocabulary. A [`Controller`] ticks a step in place
+/// ([`begin_step`](Controller::begin_step) /
+/// [`tick_step`](Controller::tick_step)); [`expand_trace`] turns a script
+/// into the equivalent workload sequence for
+/// [`observe`](Controller::observe).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceStep {
     /// Read/write shift in `(-1, 1)` applied to the step's workload
     /// (positive drifts toward writes); see
@@ -364,14 +367,74 @@ pub struct TraceStep {
     pub repeat: Option<usize>,
 }
 
-/// Ceiling on an expanded trace's length: each tick materializes a
-/// workload clone and costs two TOC estimates, so a runaway `repeat` is a
-/// typed error rather than an out-of-memory.
+/// Ceiling on a script's length in ticks: each tick costs at least an
+/// `O(queries)` re-score, so a runaway `repeat` is a typed error rather
+/// than a stalled session.
 pub const MAX_TRACE_TICKS: usize = 100_000;
 
+/// The workload a [`TraceStep`] observes before drifting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Baseline,
+    Analytical,
+}
+
+/// Validate step `i` of a script, `ticks_before` ticks in: its phase and
+/// drift operators' domains, and that its repeats keep the script within
+/// [`MAX_TRACE_TICKS`]. Answers the step's phase and tick count.
+fn check_step(
+    i: usize,
+    step: &TraceStep,
+    ticks_before: usize,
+) -> Result<(Phase, usize), ProvisionError> {
+    let bad = |what: String| ProvisionError::InvalidRequest {
+        reason: format!("trace step {i}: {what}"),
+    };
+    let phase = match step.phase.as_deref() {
+        None | Some("baseline") => Phase::Baseline,
+        Some("analytical") => Phase::Analytical,
+        Some(other) => {
+            return Err(bad(format!(
+                "unknown phase {other:?} (known: baseline, analytical)"
+            )))
+        }
+    };
+    if let Some(shift) = step.shift {
+        if !(shift > -1.0 && shift < 1.0) {
+            return Err(bad(format!("shift {shift} out of (-1, 1)")));
+        }
+    }
+    if let Some(scale) = step.scale {
+        if !(scale > 0.0 && scale.is_finite()) {
+            return Err(bad(format!("scale {scale} must be positive and finite")));
+        }
+    }
+    let repeat = step.repeat.unwrap_or(1);
+    if !(1..=MAX_TRACE_TICKS).contains(&repeat) || ticks_before + repeat > MAX_TRACE_TICKS {
+        return Err(bad(format!(
+            "repeat {repeat} must be >= 1 and keep the trace within \
+             {MAX_TRACE_TICKS} ticks"
+        )));
+    }
+    Ok((phase, repeat))
+}
+
+/// Validate a trace script, every step with a typed error naming the
+/// offender (domain errors, unknown phases, and traces longer than
+/// [`MAX_TRACE_TICKS`]) — the errors [`expand_trace`] reports, without
+/// building a workload.
+pub fn validate_trace(steps: &[TraceStep]) -> Result<(), ProvisionError> {
+    let mut ticks = 0;
+    for (i, step) in steps.iter().enumerate() {
+        ticks += check_step(i, step, ticks)?.1;
+    }
+    Ok(())
+}
+
 /// Expand a trace script into the observed-workload sequence, validating
-/// every step with a typed error naming the offender (domain errors,
-/// unknown phases, and traces longer than [`MAX_TRACE_TICKS`]).
+/// it as [`validate_trace`] does. Every tick is a whole workload, so hosts
+/// tick steps in place instead ([`Controller::begin_step`]); this is the
+/// reference those ticks are checked against.
 pub fn expand_trace(
     schema: &Schema,
     baseline: &Workload,
@@ -379,36 +442,16 @@ pub fn expand_trace(
 ) -> Result<Vec<Workload>, ProvisionError> {
     let mut out = Vec::new();
     for (i, step) in steps.iter().enumerate() {
-        let bad = |what: String| ProvisionError::InvalidRequest {
-            reason: format!("trace step {i}: {what}"),
-        };
-        let mut w = match step.phase.as_deref() {
-            None | Some("baseline") => baseline.clone(),
-            Some("analytical") => drift::analytical_phase(schema),
-            Some(other) => {
-                return Err(bad(format!(
-                    "unknown phase {other:?} (known: baseline, analytical)"
-                )))
-            }
+        let (phase, repeat) = check_step(i, step, out.len())?;
+        let mut w = match phase {
+            Phase::Baseline => baseline.clone(),
+            Phase::Analytical => drift::analytical_phase(schema),
         };
         if let Some(shift) = step.shift {
-            if !(shift > -1.0 && shift < 1.0) {
-                return Err(bad(format!("shift {shift} out of (-1, 1)")));
-            }
             w = drift::shift_read_write(&w, shift);
         }
         if let Some(scale) = step.scale {
-            if !(scale > 0.0 && scale.is_finite()) {
-                return Err(bad(format!("scale {scale} must be positive and finite")));
-            }
             w = drift::scale_throughput(&w, scale);
-        }
-        let repeat = step.repeat.unwrap_or(1);
-        if !(1..=MAX_TRACE_TICKS).contains(&repeat) || out.len() + repeat > MAX_TRACE_TICKS {
-            return Err(bad(format!(
-                "repeat {repeat} must be >= 1 and keep the trace within \
-                 {MAX_TRACE_TICKS} ticks"
-            )));
         }
         out.extend(std::iter::repeat(w).take(repeat));
     }
@@ -427,6 +470,10 @@ pub fn expand_trace(
 struct DeltaAnchor {
     /// The observation the anchored estimates were computed under.
     workload: Workload,
+    /// The trace phase `workload` reweights, when a step was ticked: a
+    /// later step of the same phase is inside the envelope by
+    /// construction, so it re-targets without comparing workloads.
+    phase: Option<Phase>,
     /// Engine configuration the anchor session resolved to.
     cfg: EngineConfig,
     /// Cost model of the anchor problem.
@@ -616,16 +663,87 @@ fn validate_deployed(
     Ok(())
 }
 
+/// One trace phase's workload, kept for ticking steps in place: the
+/// declared demand every step starts from, and one reusable copy the
+/// current step's drift operators reweight.
+struct PhaseView {
+    /// The phase reweighted to the current step's observation. Its name
+    /// stays the phase's: [`Controller::materialize`] names a copy.
+    observed: Workload,
+    /// The phase's declared per-query weights, stream count and tasks.
+    weights: Vec<f64>,
+    concurrency: u32,
+    tasks_per_stream: f64,
+    shape: SignatureShape,
+    /// Whether a session opens over the declared phase. If so, one opens
+    /// over every reweighting whose demand is in the workload's domain:
+    /// the queries are the same, and nothing else a session checks moves.
+    opens: bool,
+}
+
+/// The step [`Controller::tick_step`] observes, derived once per step.
+struct StepView {
+    phase: Phase,
+    shift: Option<f64>,
+    scale: Option<f64>,
+    /// Whether a session opens over the observation (else its ticks take
+    /// the full path, which reports the typed error).
+    opens: bool,
+    /// `(write_fraction, tasks_per_pass)` of the observation's signature.
+    sign: (f64, f64),
+    /// Its class shares, parallel to the phase shape's classes.
+    shares: Vec<f64>,
+}
+
+/// Open the advisory session a tick scores and replans in.
+fn open_session<'s>(
+    schema: &'s Schema,
+    pool: &'s StoragePool,
+    observed: &'s Workload,
+    sla: f64,
+    engine: Option<EngineConfig>,
+    refinements: Option<usize>,
+) -> Result<Advisor<'s>, ProvisionError> {
+    let mut builder = Advisor::builder(schema, pool, observed).sla(sla);
+    if let Some(engine) = engine {
+        builder = builder.engine(engine);
+    }
+    if let Some(rounds) = refinements {
+        builder = builder.refinements(rounds);
+    }
+    builder.build()
+}
+
+/// Grade a deployed layout's estimate against the constraints: the SLA
+/// pressure and whether the layout is feasible.
+fn grade(
+    cons: &constraints::Constraints,
+    problem: &Problem<'_>,
+    deployed: &Layout,
+    estimate: &TocEstimate,
+) -> (f64, bool) {
+    (
+        cons.pressure(estimate),
+        cons.satisfied(problem, deployed, estimate),
+    )
+}
+
 /// The online re-provisioning controller: one deployed layout under
 /// supervision. See the [module docs](self) for the loop's semantics.
 ///
-/// The controller *owns* its problem inputs (the schema and pool are
-/// cloned at construction), so long-running hosts — the `dot-serve`
-/// session registry, where tenants attach and detach while the daemon
-/// runs — can store controllers without tying them to a caller's borrow.
+/// The controller *owns* its problem inputs (the schema, pool and baseline
+/// workload), so long-running hosts — the `dot-serve` session registry,
+/// where tenants attach and detach while the daemon runs — can store
+/// controllers without tying them to a caller's borrow.
 pub struct Controller {
     schema: Schema,
     pool: StoragePool,
+    /// The declared baseline workload trace steps drift relative to.
+    workload: Workload,
+    /// Trace phases ticked so far, built on first use (by [`Phase`]).
+    phases: [Option<Box<PhaseView>>; 2],
+    /// The step `tick_step` observes.
+    step: Option<StepView>,
     sla: f64,
     engine: Option<EngineConfig>,
     config: ControllerConfig,
@@ -658,17 +776,40 @@ impl Controller {
         sla: f64,
         config: ControllerConfig,
     ) -> Result<Controller, ProvisionError> {
+        Controller::from_parts(
+            schema.clone(),
+            pool.clone(),
+            baseline.clone(),
+            deployed,
+            sla,
+            config,
+        )
+    }
+
+    /// [`new`](Self::new) over owned inputs, for hosts that resolved them
+    /// for this controller alone (no copies are made).
+    pub fn from_parts(
+        schema: Schema,
+        pool: StoragePool,
+        baseline: Workload,
+        deployed: Layout,
+        sla: f64,
+        config: ControllerConfig,
+    ) -> Result<Controller, ProvisionError> {
         ProvisionError::check_sla(sla, "")?;
         config.validate()?;
-        validate_deployed(schema, pool, &deployed)?;
+        validate_deployed(&schema, &pool, &deployed)?;
         Ok(Controller {
-            schema: schema.clone(),
-            pool: pool.clone(),
+            baseline: drift::signature(&baseline),
+            schema,
+            pool,
+            workload: baseline,
+            phases: [None, None],
+            step: None,
             sla,
             engine: None,
             config,
             replans: ReplanMemo::default(),
-            baseline: drift::signature(baseline),
             deployed,
             anchor: None,
             refinements: None,
@@ -696,6 +837,7 @@ impl Controller {
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = Some(engine);
         self.replans.clear();
+        self.anchor = None;
         self
     }
 
@@ -822,67 +964,233 @@ impl Controller {
         observed: &Workload,
         signature: WorkloadSignature,
     ) -> Result<TickOutcome, ProvisionError> {
-        let tick = self.tick;
+        self.tick(Some((observed, signature)))
+    }
 
-        let mut builder = Advisor::builder(&self.schema, &self.pool, observed).sla(self.sla);
-        if let Some(engine) = self.engine {
-            builder = builder.engine(engine);
+    /// Begin a trace step: validate it — the errors [`expand_trace`]
+    /// reports for a one-step script, text included — and derive its
+    /// observation in place, over this controller's baseline or the
+    /// analytical phase (built once, on first use). Answers how many ticks
+    /// the step holds; each is one [`tick_step`](Self::tick_step). Nothing
+    /// here allocates per tick, and a step's memory does not grow with its
+    /// `repeat`.
+    pub fn begin_step(&mut self, step: &TraceStep) -> Result<usize, ProvisionError> {
+        let (phase, repeat) = check_step(0, step, 0)?;
+        let slot = &mut self.phases[phase as usize];
+        let view = match slot {
+            Some(view) => view,
+            None => {
+                let declared = match phase {
+                    Phase::Baseline => self.workload.clone(),
+                    Phase::Analytical => drift::analytical_phase(&self.schema),
+                };
+                let opens = open_session(
+                    &self.schema,
+                    &self.pool,
+                    &declared,
+                    self.sla,
+                    self.engine,
+                    self.refinements,
+                )
+                .is_ok();
+                slot.insert(Box::new(PhaseView {
+                    weights: declared.queries.iter().map(|q| q.weight).collect(),
+                    concurrency: declared.concurrency,
+                    tasks_per_stream: declared.tasks_per_stream,
+                    shape: SignatureShape::of(&declared),
+                    opens,
+                    observed: declared,
+                }))
+            }
+        };
+        let w = &mut view.observed;
+        for (q, &weight) in w.queries.iter_mut().zip(&view.weights) {
+            q.weight = weight;
         }
-        if let Some(rounds) = self.refinements {
-            builder = builder.refinements(rounds);
+        w.concurrency = view.concurrency;
+        w.tasks_per_stream = view.tasks_per_stream;
+        if let Some(shift) = step.shift {
+            drift::shift_in_place(w, shift);
         }
+        if let Some(scale) = step.scale {
+            drift::scale_in_place(w, scale);
+        }
+        let in_domain = |x: f64| x.is_finite() && x > 0.0;
+        let mut shares = self.step.take().map(|s| s.shares).unwrap_or_default();
+        let sign = view.shape.sign(w, &mut shares);
+        self.step = Some(StepView {
+            phase,
+            shift: step.shift,
+            scale: step.scale,
+            opens: view.opens
+                && w.concurrency > 0
+                && in_domain(w.tasks_per_stream)
+                && w.queries.iter().all(|q| in_domain(q.weight)),
+            sign,
+            shares,
+        });
+        Ok(repeat)
+    }
+
+    /// One tick of the step begun last (the undrifted baseline before any
+    /// step): exactly [`observe`](Self::observe) of the workload
+    /// [`expand_trace`] would produce for it. While the delta anchor was
+    /// taken on the step's phase and the deployed layout, the tick scores
+    /// in place, with no workload copy, session or deep compare; a
+    /// workload is built only to refresh the anchor or to replan.
+    pub fn tick_step(&mut self) -> Result<TickOutcome, ProvisionError> {
+        if self.step.is_none() {
+            self.begin_step(&TraceStep::default())?;
+        }
+        self.tick(None)
+    }
+
+    /// Tick a whole script through [`begin_step`](Self::begin_step) and
+    /// [`tick_step`](Self::tick_step), handing each tick's result to
+    /// `on_tick` (which may drain the event log). The script is validated
+    /// first, so a bad step ticks nothing, with [`expand_trace`]'s error.
+    /// Stops at the first error `on_tick` returns.
+    pub fn run_steps<E: From<ProvisionError>>(
+        &mut self,
+        steps: &[TraceStep],
+        mut on_tick: impl FnMut(&mut Controller, Result<TickOutcome, ProvisionError>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        validate_trace(steps)?;
+        for step in steps {
+            for _ in 0..self.begin_step(step)? {
+                let outcome = self.tick_step();
+                on_tick(self, outcome)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The current step's observation as a workload of its own, named as
+    /// [`expand_trace`] names it.
+    fn materialize(&self) -> Workload {
+        let step = self.step.as_ref().expect("a step was begun");
+        let view = self.phases[step.phase as usize]
+            .as_deref()
+            .expect("begin_step builds the step's phase");
+        Workload {
+            name: drift::drift_name(&view.observed.name, step.shift, step.scale),
+            ..view.observed.clone()
+        }
+    }
+
+    /// One tick over `input` — an observed workload and the signature
+    /// drift is scored with — or, when `None`, over the current step.
+    fn tick(
+        &mut self,
+        input: Option<(&Workload, WorkloadSignature)>,
+    ) -> Result<TickOutcome, ProvisionError> {
+        let tick = self.tick;
+        // A step scores in place while the anchor was taken on its phase
+        // under the deployed layout; any other tick materializes its
+        // observation and opens a session over it.
+        let step = match input {
+            Some(_) => None,
+            None => self.step.as_ref().map(|step| {
+                let view = self.phases[step.phase as usize].as_deref();
+                (step, view.expect("begin_step builds the step's phase"))
+            }),
+        };
+        let in_place = step.filter(|(s, _)| {
+            s.opens
+                && self
+                    .anchor
+                    .as_ref()
+                    .is_some_and(|a| a.phase == Some(s.phase) && a.deployed == self.deployed)
+        });
+        let materialized;
+        let (observed, distance, mut signature) = match (input, in_place) {
+            (Some((observed, signature)), _) => (
+                observed,
+                self.baseline.distance(&signature),
+                Some(signature),
+            ),
+            (None, Some((step, view))) => {
+                let distance = view
+                    .shape
+                    .distance_from(&self.baseline, step.sign, &step.shares);
+                (&view.observed, distance, None)
+            }
+            (None, None) => {
+                materialized = self.materialize();
+                let signature = drift::signature(&materialized);
+                let distance = self.baseline.distance(&signature);
+                (&materialized, distance, Some(signature))
+            }
+        };
         // A rejected observation is not a tick: the counter only advances
         // once the session opens, so ticks() always equals the number of
         // Observed events in the log.
-        let advisor = builder.build()?;
+        let session = match in_place {
+            Some(_) => None,
+            None => Some(open_session(
+                &self.schema,
+                &self.pool,
+                observed,
+                self.sla,
+                self.engine,
+                self.refinements,
+            )?),
+        };
         self.tick += 1;
 
-        let distance = self.baseline.distance(&signature);
-        let problem = advisor.problem();
-        // Incremental hot path: when the observation differs from the
-        // anchored one only by reweighting (the [`ProblemDelta`] envelope)
-        // and the deployed layout is unchanged, both per-tick estimates are
-        // re-targeted in O(queries) instead of two planner runs. The delta
-        // path is bit-identical to full recomputation, so the event log
-        // never depends on which path scored a tick; anything outside the
-        // envelope falls through and refreshes the anchor.
-        let incremental = self.anchor.as_ref().and_then(|a| {
-            if a.deployed != self.deployed {
-                return None;
+        // Incremental path: when the observation differs from the anchored
+        // one only by reweighting (the [`ProblemDelta`] envelope) and the
+        // deployed layout is unchanged, both per-tick estimates are
+        // re-targeted in O(queries) instead of two planner runs. An
+        // in-place step is inside the envelope by construction; a session's
+        // observation is compared with the anchor's. The delta path is
+        // bit-identical to full recomputation, so the event log never
+        // depends on which path scored a tick; anything outside the
+        // envelope refreshes the anchor.
+        let anchor = self.anchor.as_ref().filter(|a| a.deployed == self.deployed);
+        let (problem, delta) = match (&session, anchor) {
+            (Some(advisor), _) => {
+                let problem = advisor.problem().clone();
+                let delta = anchor.and_then(|a| {
+                    let anchored =
+                        Problem::new(&self.schema, &self.pool, &a.workload, problem.sla, a.cfg)
+                            .with_cost_model(a.cost_model);
+                    ProblemDelta::between(&anchored, &problem)
+                });
+                (problem, delta)
             }
-            let anchor_problem =
-                Problem::new(&self.schema, &self.pool, &a.workload, problem.sla, a.cfg)
+            (None, Some(a)) => {
+                let sla = SlaSpec::relative(self.sla);
+                let problem = Problem::new(&self.schema, &self.pool, observed, sla, a.cfg)
                     .with_cost_model(a.cost_model);
-            ProblemDelta::between(&anchor_problem, problem).map(|delta| {
-                (
-                    a.deployed_estimate.apply_delta(&delta),
-                    a.reference_estimate.apply_delta(&delta),
-                )
-            })
-        });
-        let mut owned_cons = None;
-        let estimate = match incremental {
-            Some((estimate, reference)) => {
-                owned_cons = Some(constraints::from_reference(problem, reference, problem.sla));
-                estimate
+                (problem, Some(ProblemDelta::reweighting(observed)))
             }
-            None => {
-                let estimate = advisor.estimator().estimate(problem, &self.deployed);
+            (None, None) => unreachable!("in-place ticks have an anchor"),
+        };
+        let (sla_pressure, feasible) = match (delta, anchor, &session) {
+            (Some(delta), Some(a), _) => {
+                let estimate = a.deployed_estimate.apply_delta(&delta);
+                let reference = a.reference_estimate.apply_delta(&delta);
+                let cons = constraints::from_reference(&problem, reference, problem.sla);
+                grade(&cons, &problem, &self.deployed, &estimate)
+            }
+            (_, _, Some(advisor)) => {
+                let estimate = advisor.estimator().estimate(&problem, &self.deployed);
+                let cons = advisor.constraints();
+                let graded = grade(cons, &problem, &self.deployed, &estimate);
                 self.anchor = Some(DeltaAnchor {
                     workload: observed.clone(),
+                    phase: step.map(|(s, _)| s.phase),
                     cfg: problem.cfg,
                     cost_model: problem.cost_model,
                     deployed: self.deployed.clone(),
-                    deployed_estimate: estimate.clone(),
-                    reference_estimate: advisor.constraints().reference.clone(),
+                    deployed_estimate: estimate,
+                    reference_estimate: cons.reference.clone(),
                 });
-                estimate
+                graded
             }
+            _ => unreachable!("in-place ticks have an anchor"),
         };
-        let cons = owned_cons.as_ref().unwrap_or_else(|| advisor.constraints());
-        let margins = cons.violation_margins(observed, &estimate);
-        let sla_pressure = constraints::sla_pressure(&margins);
-        let feasible = cons.satisfied(problem, &self.deployed, &estimate);
 
         let mut events = vec![ControlEvent::Observed {
             tick,
@@ -951,18 +1259,41 @@ impl Controller {
                 };
                 events.push(ControlEvent::Triggered { tick, reason });
                 self.last_trigger = Some(tick);
-                let solved = match self.replans.get(observed, &self.deployed) {
-                    Some(reused) => Ok(reused),
+                // An in-place tick builds its workload and session only
+                // now: the replan and its memo key need them.
+                let step_observed;
+                let step_session;
+                let (observed, advisor) = match &session {
+                    Some(advisor) => (observed, Ok(advisor)),
                     None => {
-                        let solved = advisor.replan_with(
-                            &self.deployed,
-                            &self.config.solver,
-                            &self.config.budget,
+                        step_observed = self.materialize();
+                        signature = Some(drift::signature(&step_observed));
+                        step_session = open_session(
+                            &self.schema,
+                            &self.pool,
+                            &step_observed,
+                            self.sla,
+                            self.engine,
+                            self.refinements,
                         );
-                        self.replans.solved(observed, &self.deployed, &solved);
-                        solved
+                        (&step_observed, step_session.as_ref())
                     }
                 };
+                let solved = advisor.map_err(Clone::clone).and_then(|advisor| {
+                    if let Some(reused) = self.replans.get(observed, &self.deployed) {
+                        return Ok(reused);
+                    }
+                    let solved = advisor.replan_with(
+                        &self.deployed,
+                        &self.config.solver,
+                        &self.config.budget,
+                    );
+                    self.replans.solved(observed, &self.deployed, &solved);
+                    solved
+                });
+                let signature = signature
+                    .take()
+                    .expect("a replanned tick has its signature");
                 let rec = match solved {
                     Ok(rec) => rec,
                     Err(e) => {
@@ -1041,12 +1372,6 @@ impl Controller {
         })
     }
 
-    /// Run a whole observation sequence through [`observe`](Self::observe),
-    /// collecting every tick's outcome. Stops at the first typed error.
-    pub fn run_trace(&mut self, trace: &[Workload]) -> Result<Vec<TickOutcome>, ProvisionError> {
-        trace.iter().map(|w| self.observe(w)).collect()
-    }
-
     /// Drain a [`TelemetrySource`] through
     /// [`observe_with_signature`](Self::observe_with_signature), collecting
     /// every tick's outcome. Each tick the source is handed the layout
@@ -1076,6 +1401,22 @@ mod tests {
         let pool = catalog::box2();
         let baseline = tpcc::workload(&schema);
         (schema, pool, baseline)
+    }
+
+    fn step(shift: Option<f64>, phase: Option<&str>) -> TraceStep {
+        TraceStep {
+            shift,
+            phase: phase.map(str::to_owned),
+            ..TraceStep::default()
+        }
+    }
+
+    /// Tick a script through the step API, collecting every outcome.
+    fn run_steps(c: &mut Controller, steps: &[TraceStep]) -> Vec<TickOutcome> {
+        let mut outcomes = Vec::new();
+        c.run_steps(steps, |_, tick| tick.map(|o| outcomes.push(o)))
+            .unwrap();
+        outcomes
     }
 
     fn deployed_for(schema: &Schema, pool: &StoragePool, w: &Workload) -> Layout {
@@ -1135,13 +1476,14 @@ mod tests {
         // toward the trace-length cap.
         let (schema, pool, baseline) = setup();
         let deployed = deployed_for(&schema, &pool, &baseline);
-        let steps = [
-            baseline.clone(),
-            drift::shift_read_write(&baseline, 0.05),
-            drift::analytical_phase(&schema),
-            drift::analytical_phase(&schema),
-            baseline.clone(),
+        let script = [
+            step(None, None),
+            step(Some(0.05), None),
+            step(None, Some("analytical")),
+            step(None, Some("analytical")),
+            step(None, None),
         ];
+        let steps = expand_trace(&schema, &baseline, &script).unwrap();
         let mut accumulated = Controller::new(
             &schema,
             &pool,
@@ -1151,7 +1493,7 @@ mod tests {
             ControllerConfig::default(),
         )
         .unwrap();
-        accumulated.run_trace(&steps).unwrap();
+        run_steps(&mut accumulated, &script);
 
         let mut drained = Controller::new(
             &schema,
@@ -1364,18 +1706,20 @@ mod tests {
     }
 
     #[test]
-    fn scripted_source_reproduces_run_trace_bit_identically() {
+    fn scripted_source_reproduces_step_ticks_bit_identically() {
         // The telemetry seam must be invisible for scripted observations:
-        // draining a ScriptedSource through run_source yields exactly the
-        // event log run_trace produces — the contract that keeps every
-        // committed golden trajectory valid under the source abstraction.
+        // draining a ScriptedSource of the expanded script through
+        // run_source yields exactly the event log ticking the script's
+        // steps in place produces — the contract that keeps every
+        // committed golden trajectory valid under both paths.
         let (schema, pool, baseline) = setup();
         let deployed = deployed_for(&schema, &pool, &baseline);
-        let trace = vec![
-            drift::shift_read_write(&baseline, 0.05),
-            drift::analytical_phase(&schema),
-            baseline.clone(),
+        let script = [
+            step(Some(0.05), None),
+            step(None, Some("analytical")),
+            step(None, None),
         ];
+        let trace = expand_trace(&schema, &baseline, &script).unwrap();
         let mut direct = Controller::new(
             &schema,
             &pool,
@@ -1385,7 +1729,7 @@ mod tests {
             ControllerConfig::default(),
         )
         .unwrap();
-        direct.run_trace(&trace).unwrap();
+        run_steps(&mut direct, &script);
 
         let mut sourced = Controller::new(
             &schema,
@@ -1607,11 +1951,11 @@ mod tests {
             ..ControllerConfig::default()
         };
         let steps = [
-            drift::shift_read_write(&baseline, 0.02),
-            drift::analytical_phase(&schema),
-            drift::analytical_phase(&schema),
-            baseline.clone(),
-            baseline.clone(),
+            step(Some(0.02), None),
+            step(None, Some("analytical")),
+            step(None, Some("analytical")),
+            step(None, None),
+            step(None, None),
         ];
         let mut uninterrupted = Controller::new(
             &schema,
@@ -1622,14 +1966,14 @@ mod tests {
             config.clone(),
         )
         .unwrap();
-        uninterrupted.run_trace(&steps).unwrap();
+        run_steps(&mut uninterrupted, &steps);
         let golden = uninterrupted.drain_events();
 
         // Run the prefix, checkpoint right after the migration landed,
         // and resume a fresh controller for the suffix.
         let mut prefix =
             Controller::new(&schema, &pool, &baseline, deployed, 0.5, config.clone()).unwrap();
-        prefix.run_trace(&steps[..2]).unwrap();
+        run_steps(&mut prefix, &steps[..2]);
         let mut events = prefix.drain_events();
         let checkpoint = prefix.checkpoint();
         assert_eq!(checkpoint.tick, 2);
@@ -1654,7 +1998,7 @@ mod tests {
         .with_checkpoint(&restored)
         .unwrap();
         assert_eq!(resumed.ticks(), 2);
-        resumed.run_trace(&steps[2..]).unwrap();
+        run_steps(&mut resumed, &steps[2..]);
         events.extend(resumed.drain_events());
         assert_eq!(events, golden, "resume must not fork the event log");
 

@@ -39,7 +39,7 @@
 
 use crate::advisor::{Advisor, ProvisionError, Recommendation};
 use crate::controller::{
-    expand_trace, ControlEvent, ControlProvenance, Controller, ControllerConfig, TraceStep,
+    validate_trace, ControlEvent, ControlProvenance, Controller, ControllerConfig, TraceStep,
     TriggerReason,
 };
 use crate::controller::{CacheStats, CachedEstimator};
@@ -611,10 +611,9 @@ fn supervise_one(
         },
         error: Some(error),
     };
-    let trace = match expand_trace(&tenant.schema, &tenant.workload, &tenant.trace) {
-        Ok(trace) => trace,
-        Err(e) => return failed(e),
-    };
+    if let Err(e) = validate_trace(&tenant.trace) {
+        return failed(e);
+    }
     let mut controller = match Controller::new(
         &tenant.schema,
         &tenant.pool,
@@ -630,7 +629,6 @@ fn supervise_one(
         controller = controller.with_engine(engine);
     }
     controller = controller.with_refinements(tenant.refinements.unwrap_or(fleet_refinements));
-    let mut error = None;
     // Drain the controller's log every tick instead of letting it grow for
     // the whole trace: the report still carries the full log, but the
     // controller itself stays bounded — the same discipline the `dot-serve`
@@ -638,14 +636,12 @@ fn supervise_one(
     // a failed tick still collects the events the tick logged before the
     // error surfaced (the observation and the trigger).
     let mut events = Vec::new();
-    for observed in &trace {
-        let failed = controller.observe(observed).err();
-        events.extend(controller.drain_events());
-        if let Some(e) = failed {
-            error = Some(e);
-            break;
-        }
-    }
+    let error = controller
+        .run_steps(&tenant.trace, |controller, outcome| {
+            events.extend(controller.drain_events());
+            outcome.map(drop)
+        })
+        .err();
     let triggers = events
         .iter()
         .filter(|e| matches!(e, ControlEvent::Triggered { .. }))

@@ -105,8 +105,8 @@ impl TocEstimate {
     /// times instead of a planner run (the delta's existence proves the
     /// planner would produce the same per-query times; see
     /// [`ProblemDelta::between`]).
-    pub fn apply_delta(&self, delta: &ProblemDelta) -> TocEstimate {
-        let w = &delta.workload;
+    pub fn apply_delta(&self, delta: &ProblemDelta<'_>) -> TocEstimate {
+        let w = delta.workload;
         // Re-accumulate the stream time exactly as the planner does: in
         // query order, starting from zero.
         let mut stream_time_ms = 0.0f64;
@@ -157,16 +157,16 @@ impl TocEstimate {
 /// in `tests/toc_delta_props.rs`). A shift outside the envelope — e.g. a
 /// phase change to different queries — yields `None`: that is the validity
 /// bound, and callers fall back to full recomputation.
-#[derive(Debug, Clone)]
-pub struct ProblemDelta {
+#[derive(Debug, Clone, Copy)]
+pub struct ProblemDelta<'a> {
     /// The observed workload estimates are re-targeted to.
-    workload: Workload,
+    workload: &'a Workload,
 }
 
-impl ProblemDelta {
+impl<'a> ProblemDelta<'a> {
     /// Validate that `observed` differs from `anchor` only by reweighting,
     /// returning the delta if so and `None` (recompute in full) otherwise.
-    pub fn between(anchor: &Problem<'_>, observed: &Problem<'_>) -> Option<ProblemDelta> {
+    pub fn between(anchor: &Problem<'_>, observed: &Problem<'a>) -> Option<ProblemDelta<'a>> {
         // The planner inputs must match: schema and pool by identity
         // (distinct-but-equal instances conservatively recompute), engine
         // configuration and cost model by value.
@@ -190,14 +190,21 @@ impl ProblemDelta {
                 return None;
             }
         }
-        Some(ProblemDelta {
-            workload: o.clone(),
-        })
+        Some(ProblemDelta { workload: o })
+    }
+
+    /// The delta to `observed` from an anchor its caller already knows to
+    /// be inside the envelope: a problem over the same schema, pool, engine
+    /// configuration and cost model, whose workload is a reweighting of the
+    /// same queries — the controller's proof is that both are reweightings
+    /// of one trace phase. `observed`'s weights must not be NaN.
+    pub(crate) fn reweighting(observed: &'a Workload) -> ProblemDelta<'a> {
+        ProblemDelta { workload: observed }
     }
 
     /// The observed workload this delta re-targets estimates to.
-    pub fn workload(&self) -> &Workload {
-        &self.workload
+    pub fn workload(&self) -> &'a Workload {
+        self.workload
     }
 }
 

@@ -57,13 +57,12 @@
 
 use crate::protocol::{ProblemSpec, ProtocolError, ScheduleSummary, TenantId, TenantSummary};
 use dot_core::advisor::{Advisor, ProvisionError, Recommendation};
-use dot_core::controller::{
-    expand_trace, ControlEvent, ControlProvenance, Controller, ControllerCheckpoint,
-    ControllerConfig, TraceStep, TriggerReason,
-};
 use dot_core::controller::{CacheStats, CachedEstimator};
-use dot_dbms::{Layout, Schema};
-use dot_workloads::Workload;
+use dot_core::controller::{
+    ControlEvent, ControlProvenance, Controller, ControllerCheckpoint, ControllerConfig, TraceStep,
+    TriggerReason,
+};
+use dot_dbms::Layout;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -676,10 +675,6 @@ struct TenantSlot {
 /// The parts of a tenant that change as it ticks.
 struct TenantState {
     controller: Controller,
-    /// Schema clone for [`expand_trace`] (the controller owns its own).
-    schema: Schema,
-    /// The baseline workload trace steps drift relative to.
-    baseline: Workload,
     triggers: usize,
     applications: usize,
     last_trigger: Option<TriggerReason>,
@@ -890,10 +885,10 @@ impl Registry {
     ) -> Result<TenantSlot, (String, ProvisionError)> {
         let fail = |e| (snap.name.clone(), e);
         let resolved = snap.problem.resolve().map_err(fail)?;
-        let mut controller = Controller::new(
-            &resolved.schema,
-            &resolved.pool,
-            &resolved.workload,
+        let mut controller = Controller::from_parts(
+            resolved.schema,
+            resolved.pool,
+            resolved.workload,
             snap.checkpoint.deployed.clone(),
             resolved.sla,
             snap.controller.clone(),
@@ -910,8 +905,6 @@ impl Registry {
             name: snap.name.clone(),
             state: Mutex::new(TenantState {
                 controller,
-                schema: resolved.schema,
-                baseline: resolved.workload,
                 triggers: snap.triggers,
                 applications: snap.applications,
                 last_trigger: snap.last_trigger.clone(),
@@ -1087,10 +1080,10 @@ impl Registry {
                     .layout
             }
         };
-        let mut controller = Controller::new(
-            &resolved.schema,
-            &resolved.pool,
-            &resolved.workload,
+        let mut controller = Controller::from_parts(
+            resolved.schema,
+            resolved.pool,
+            resolved.workload,
             deployed,
             resolved.sla,
             config.clone(),
@@ -1127,8 +1120,6 @@ impl Registry {
                 name: name.clone(),
                 state: Mutex::new(TenantState {
                     controller,
-                    schema: resolved.schema,
-                    baseline: resolved.workload,
                     triggers: 0,
                     applications: 0,
                     last_trigger: None,
@@ -1191,9 +1182,11 @@ impl Registry {
                 reason,
             }));
         }
-        let trace = expand_trace(&state.schema, &state.baseline, std::slice::from_ref(step))?;
+        // Deriving the step (its phase's first use opens a session) and
+        // every tick are contained: a panic faults this tenant only.
+        let ticks = contained(&slot, || state.controller.begin_step(step))??;
         let mut durability = None;
-        for observed in &trace {
+        for _ in 0..ticks {
             #[cfg(feature = "test-hooks")]
             if slot.name.contains("__slow__") {
                 // Fault-injection hook: make each tick slow enough that a
@@ -1201,28 +1194,14 @@ impl Registry {
                 std::thread::sleep(std::time::Duration::from_millis(25));
             }
             let state = &mut *state;
-            let ticked = catch_unwind(AssertUnwindSafe(|| {
+            let failed = contained(&slot, || {
                 #[cfg(feature = "test-hooks")]
                 if slot.name.contains("__panic__") {
                     panic!("test-hooks: injected tick panic");
                 }
-                state.controller.observe(observed)
-            }));
-            let failed = match ticked {
-                Ok(outcome) => outcome.err(),
-                Err(payload) => {
-                    // The panic was contained before it could poison the
-                    // state mutex, but the controller may have died
-                    // mid-update: latch the fault so this tenant is never
-                    // ticked again, and answer with the typed frame.
-                    let reason = panic_reason(payload);
-                    *lock_recover(&slot.fault) = Some(reason.clone());
-                    return Err(ObserveFailure::Protocol(ProtocolError::Faulted {
-                        tenant,
-                        reason,
-                    }));
-                }
-            };
+                state.controller.tick_step()
+            })?
+            .err();
             // Even a failed tick logged its observation (and possibly the
             // trigger) before erroring — stream those, then the error.
             let mut applied = false;
@@ -1344,6 +1323,21 @@ impl Registry {
         let durability = self.persist_slots_sync(&slots);
         (summaries, durability)
     }
+}
+
+/// Run a tenant's controller work under `catch_unwind`. A panic is
+/// contained before it can poison the state mutex, but the controller may
+/// have died mid-update: latch the fault so this tenant is never ticked
+/// again, and answer with the typed frame.
+fn contained<T>(slot: &TenantSlot, work: impl FnOnce() -> T) -> Result<T, ObserveFailure> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
+        let reason = panic_reason(payload);
+        *lock_recover(&slot.fault) = Some(reason.clone());
+        ObserveFailure::Protocol(ProtocolError::Faulted {
+            tenant: slot.id,
+            reason,
+        })
+    })
 }
 
 /// Refresh a tenant's durable snapshot from its live state (caller holds

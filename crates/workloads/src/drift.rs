@@ -55,23 +55,10 @@ pub fn shift_read_write(workload: &Workload, shift: f64) -> Workload {
         shift > -1.0 && shift < 1.0,
         "shift {shift} out of (-1, 1): weights must stay positive"
     );
-    let old_total: f64 = workload.queries.iter().map(|q| q.weight).sum();
-    let queries: Vec<QuerySpec> = workload
-        .queries
-        .iter()
-        .map(|q| {
-            let factor = if writes(q) { 1.0 + shift } else { 1.0 - shift };
-            q.clone().with_weight(q.weight * factor)
-        })
-        .collect();
-    let new_total: f64 = queries.iter().map(|q| q.weight).sum();
-    Workload {
-        name: format!("{}+rw{shift:+.2}", workload.name),
-        queries,
-        concurrency: workload.concurrency,
-        metric: workload.metric,
-        tasks_per_stream: workload.tasks_per_stream * new_total / old_total,
-    }
+    let mut drifted = workload.clone();
+    shift_in_place(&mut drifted, shift);
+    drifted.name = drift_name(&workload.name, Some(shift), None);
+    drifted
 }
 
 /// Scale a workload's demand by `factor > 0`.
@@ -90,20 +77,54 @@ pub fn scale_throughput(workload: &Workload, factor: f64) -> Workload {
         "scale factor {factor} must be positive and finite"
     );
     let mut drifted = workload.clone();
-    drifted.name = format!("{}+x{factor:.2}", workload.name);
+    scale_in_place(&mut drifted, factor);
+    drifted.name = drift_name(&workload.name, None, Some(factor));
+    drifted
+}
+
+/// The arithmetic of [`shift_read_write`], in place: only the weights and
+/// `tasks_per_stream` change (the name is left alone, and the caller
+/// checks the domain). A controller reweights one reusable copy of a
+/// workload with this instead of cloning it every tick.
+pub fn shift_in_place(workload: &mut Workload, shift: f64) {
+    let old_total: f64 = workload.queries.iter().map(|q| q.weight).sum();
+    for q in &mut workload.queries {
+        let factor = if writes(q) { 1.0 + shift } else { 1.0 - shift };
+        q.weight *= factor;
+    }
+    let new_total: f64 = workload.queries.iter().map(|q| q.weight).sum();
+    workload.tasks_per_stream = workload.tasks_per_stream * new_total / old_total;
+}
+
+/// The arithmetic of [`scale_throughput`], in place (name untouched,
+/// domain checked by the caller).
+pub fn scale_in_place(workload: &mut Workload, factor: f64) {
     match workload.metric {
         PerfMetric::Throughput => {
             let c = (workload.concurrency as f64 * factor).round().max(1.0);
-            drifted.concurrency = c as u32;
+            workload.concurrency = c as u32;
         }
         PerfMetric::ResponseTime => {
-            for q in &mut drifted.queries {
+            for q in &mut workload.queries {
                 q.weight *= factor;
             }
-            drifted.tasks_per_stream *= factor;
+            workload.tasks_per_stream *= factor;
         }
     }
-    drifted
+}
+
+/// The name [`shift_read_write`] then [`scale_throughput`] give a workload
+/// called `base`: `+rw±s.ss` for a shift, then `+xf.ff` for a scale.
+pub fn drift_name(base: &str, shift: Option<f64>, scale: Option<f64>) -> String {
+    use std::fmt::Write;
+    let mut name = base.to_owned();
+    if let Some(shift) = shift {
+        let _ = write!(name, "+rw{shift:+.2}");
+    }
+    if let Some(factor) = scale {
+        let _ = write!(name, "+x{factor:.2}");
+    }
+    name
 }
 
 /// One query class's share of a workload's total weight, keyed by the
@@ -145,30 +166,184 @@ pub struct WorkloadSignature {
 
 /// Collapse a workload to its [`WorkloadSignature`].
 pub fn signature(workload: &Workload) -> WorkloadSignature {
-    let total: f64 = workload.queries.iter().map(|q| q.weight).sum();
-    let write: f64 = workload
-        .queries
-        .iter()
-        .filter(|q| writes(q))
-        .map(|q| q.weight)
-        .sum();
-    let mut class_weights: Vec<ClassWeight> = Vec::new();
-    for q in &workload.queries {
-        let share = if total > 0.0 { q.weight / total } else { 0.0 };
-        match class_weights.iter_mut().find(|c| c.class == q.name) {
-            Some(c) => c.weight += share,
-            None => class_weights.push(ClassWeight {
-                class: q.name.clone(),
-                weight: share,
-            }),
+    let shape = SignatureShape::of(workload);
+    let mut shares = Vec::new();
+    let (write_fraction, tasks_per_pass) = shape.sign(workload, &mut shares);
+    WorkloadSignature {
+        write_fraction,
+        tasks_per_pass,
+        class_weights: shape
+            .classes
+            .into_iter()
+            .zip(shares)
+            .map(|(class, weight)| ClassWeight { class, weight })
+            .collect(),
+    }
+}
+
+/// What a signature needs of a workload's *shape* — its query classes and
+/// which queries write — computed once, so that signing every reweighting
+/// of the workload (a drift step's observation) allocates nothing.
+/// [`signature`] itself signs through it, so the two never disagree.
+#[derive(Debug, Clone)]
+pub struct SignatureShape {
+    /// Distinct query-class names, sorted.
+    classes: Vec<String>,
+    /// Per query, in workload order.
+    slots: Vec<Slot>,
+}
+
+/// One query's place in a [`SignatureShape`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Its class's index in the sorted classes.
+    class: usize,
+    /// Whether it is the first query of its class.
+    first: bool,
+    writes: bool,
+}
+
+impl SignatureShape {
+    /// The shape of `workload`.
+    pub fn of(workload: &Workload) -> SignatureShape {
+        // Classes in first-seen order, then renumbered by sorted name.
+        let mut seen: Vec<&str> = Vec::with_capacity(workload.queries.len());
+        let mut slots: Vec<Slot> = workload
+            .queries
+            .iter()
+            .map(|q| {
+                let found = seen.iter().position(|c| *c == q.name);
+                let class = found.unwrap_or_else(|| {
+                    seen.push(&q.name);
+                    seen.len() - 1
+                });
+                Slot {
+                    class,
+                    first: found.is_none(),
+                    writes: writes(q),
+                }
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..seen.len()).collect();
+        order.sort_unstable_by_key(|&k| seen[k]);
+        let mut rank = vec![0; seen.len()];
+        for (r, &k) in order.iter().enumerate() {
+            rank[k] = r;
+        }
+        for slot in &mut slots {
+            slot.class = rank[slot.class];
+        }
+        SignatureShape {
+            classes: order.iter().map(|&k| seen[k].to_owned()).collect(),
+            slots,
         }
     }
-    class_weights.sort_by(|a, b| a.class.cmp(&b.class));
-    WorkloadSignature {
-        write_fraction: if total > 0.0 { write / total } else { 0.0 },
-        tasks_per_pass: workload.concurrency as f64 * workload.tasks_per_stream,
-        class_weights,
+
+    /// Sign `workload`, which must have this shape (a reweighting of the
+    /// workload the shape was taken of): its class shares go into
+    /// `shares`, parallel to the sorted classes, and the answer is
+    /// `(write_fraction, tasks_per_pass)` — exactly [`signature`]'s.
+    pub fn sign(&self, workload: &Workload, shares: &mut Vec<f64>) -> (f64, f64) {
+        let total: f64 = workload.queries.iter().map(|q| q.weight).sum();
+        let write: f64 = workload
+            .queries
+            .iter()
+            .zip(&self.slots)
+            .filter(|(_, slot)| slot.writes)
+            .map(|(q, _)| q.weight)
+            .sum();
+        shares.clear();
+        shares.resize(self.classes.len(), 0.0);
+        for (q, slot) in workload.queries.iter().zip(&self.slots) {
+            let share = if total > 0.0 { q.weight / total } else { 0.0 };
+            if slot.first {
+                shares[slot.class] = share;
+            } else {
+                shares[slot.class] += share;
+            }
+        }
+        (
+            if total > 0.0 { write / total } else { 0.0 },
+            workload.concurrency as f64 * workload.tasks_per_stream,
+        )
     }
+
+    /// [`WorkloadSignature::distance`] from `baseline` to the signature
+    /// [`sign`](Self::sign) answered, without materializing it.
+    pub fn distance_from(
+        &self,
+        baseline: &WorkloadSignature,
+        (write_fraction, tasks_per_pass): (f64, f64),
+        shares: &[f64],
+    ) -> f64 {
+        distance(
+            baseline.write_fraction,
+            baseline.tasks_per_pass,
+            baseline
+                .class_weights
+                .iter()
+                .map(|c| (c.class.as_str(), c.weight)),
+            write_fraction,
+            tasks_per_pass,
+            self.classes
+                .iter()
+                .map(String::as_str)
+                .zip(shares.iter().copied()),
+        )
+    }
+}
+
+/// The profile distance between two signatures given as parts, each with
+/// its class shares sorted by class name (see
+/// [`WorkloadSignature::distance`]).
+fn distance<'a, 'b>(
+    rw_a: f64,
+    tasks_a: f64,
+    classes_a: impl Iterator<Item = (&'a str, f64)>,
+    rw_b: f64,
+    tasks_b: f64,
+    classes_b: impl Iterator<Item = (&'b str, f64)>,
+) -> f64 {
+    let rw = (rw_a - rw_b).abs();
+    let peak = tasks_a.max(tasks_b);
+    let demand = if peak > 0.0 {
+        (tasks_a - tasks_b).abs() / peak
+    } else {
+        0.0
+    };
+    // Total variation over the merged (sorted) class lists.
+    let mut variation = 0.0;
+    let (mut a, mut b) = (classes_a.peekable(), classes_b.peekable());
+    loop {
+        match (a.peek(), b.peek()) {
+            (Some(&(ca, wa)), Some(&(cb, wb))) if ca == cb => {
+                variation += (wa - wb).abs();
+                a.next();
+                b.next();
+            }
+            (Some(&(ca, wa)), Some(&(cb, _))) if ca < cb => {
+                variation += wa;
+                a.next();
+            }
+            (Some(_), Some(&(_, wb))) => {
+                variation += wb;
+                b.next();
+            }
+            (Some(&(_, wa)), None) => {
+                variation += wa;
+                a.next();
+            }
+            (None, Some(&(_, wb))) => {
+                variation += wb;
+                b.next();
+            }
+            (None, None) => break,
+        }
+    }
+    let classes = variation / 2.0;
+    // Each axis is ≤ 1 by construction; the summed variation can creep
+    // past it by a few ulps, so pin the documented bound exactly.
+    rw.max(demand).max(classes).min(1.0)
 }
 
 impl WorkloadSignature {
@@ -181,48 +356,19 @@ impl WorkloadSignature {
     /// symmetric, `0` exactly for identical signatures, and monotone in
     /// each generator's drift parameter (the property suite pins this).
     pub fn distance(&self, other: &WorkloadSignature) -> f64 {
-        let rw = (self.write_fraction - other.write_fraction).abs();
-        let peak = self.tasks_per_pass.max(other.tasks_per_pass);
-        let demand = if peak > 0.0 {
-            (self.tasks_per_pass - other.tasks_per_pass).abs() / peak
-        } else {
-            0.0
-        };
-        // Total variation over the merged (sorted) class lists.
-        let mut variation = 0.0;
-        let (mut i, mut j) = (0, 0);
-        while i < self.class_weights.len() || j < other.class_weights.len() {
-            let a = self.class_weights.get(i);
-            let b = other.class_weights.get(j);
-            match (a, b) {
-                (Some(a), Some(b)) if a.class == b.class => {
-                    variation += (a.weight - b.weight).abs();
-                    i += 1;
-                    j += 1;
-                }
-                (Some(a), Some(b)) if a.class < b.class => {
-                    variation += a.weight;
-                    i += 1;
-                }
-                (Some(_), Some(b)) => {
-                    variation += b.weight;
-                    j += 1;
-                }
-                (Some(a), None) => {
-                    variation += a.weight;
-                    i += 1;
-                }
-                (None, Some(b)) => {
-                    variation += b.weight;
-                    j += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
-        let classes = variation / 2.0;
-        // Each axis is ≤ 1 by construction; the summed variation can creep
-        // past it by a few ulps, so pin the documented bound exactly.
-        rw.max(demand).max(classes).min(1.0)
+        distance(
+            self.write_fraction,
+            self.tasks_per_pass,
+            self.class_weights
+                .iter()
+                .map(|c| (c.class.as_str(), c.weight)),
+            other.write_fraction,
+            other.tasks_per_pass,
+            other
+                .class_weights
+                .iter()
+                .map(|c| (c.class.as_str(), c.weight)),
+        )
     }
 }
 
@@ -369,6 +515,44 @@ mod tests {
         let json = serde_json::to_string(&sig).unwrap();
         let back: WorkloadSignature = serde_json::from_str(&json).unwrap();
         assert_eq!(back, sig);
+    }
+
+    #[test]
+    fn repeated_classes_merge_and_sort_and_the_shape_signs_alike() {
+        let s = synth::bench_schema(1_000_000.0, 120.0);
+        let mut w = synth::mixed_workload(&s);
+        // Two more queries reusing the first and last class names, out of
+        // name order.
+        let mut again = w.queries[0].clone().with_weight(2.0);
+        again.name = w.queries[3].name.clone();
+        w.queries.push(again);
+        w.queries.push(w.queries[0].clone().with_weight(0.5));
+        let sig = signature(&w);
+        assert_eq!(sig.class_weights.len(), 4);
+        assert!(sig
+            .class_weights
+            .windows(2)
+            .all(|p| p[0].class < p[1].class));
+        let total: f64 = sig.class_weights.iter().map(|c| c.weight).sum();
+        assert!((total - 1.0).abs() < 1e-12);
+
+        let shape = SignatureShape::of(&w);
+        let mut shares = Vec::new();
+        let baseline = signature(&tpcc::workload(&tpcc::schema(1.0)));
+        for shift in [-0.5, 0.0, 0.3] {
+            let drifted = scale_throughput(&shift_read_write(&w, shift), 1.5);
+            let sign = shape.sign(&drifted, &mut shares);
+            let expect = signature(&drifted);
+            assert_eq!(sign, (expect.write_fraction, expect.tasks_per_pass));
+            let weights: Vec<f64> = expect.class_weights.iter().map(|c| c.weight).collect();
+            assert_eq!(shares, weights);
+            for from in [&baseline, &sig, &expect] {
+                assert_eq!(
+                    shape.distance_from(from, sign, &shares),
+                    from.distance(&expect)
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example online_controller`
 
 use dot_core::advisor::Advisor;
-use dot_core::controller::{expand_trace, ControlEvent, Controller, ControllerConfig, TraceStep};
+use dot_core::controller::{ControlEvent, Controller, ControllerConfig, TraceStep};
 use dot_storage::catalog;
 use dot_workloads::tpcc;
 
@@ -54,8 +54,10 @@ fn main() {
         step(Some("analytical"), None, 3),
         step(Some("baseline"), None, 2),
     ];
-    let trace = expand_trace(&schema, &baseline, &script).expect("script expands");
-    let outcomes = controller.run_trace(&trace).expect("trace runs");
+    let mut outcomes = Vec::new();
+    controller
+        .run_steps(&script, |_, tick| tick.map(|o| outcomes.push(o)))
+        .expect("trace runs");
 
     for outcome in &outcomes {
         for event in &outcome.events {

@@ -851,7 +851,7 @@ fn stream_supervise(
                 reason: format!("write stream: {e}"),
             })
     };
-    let observations = dot_core::controller::expand_trace(&req.schema, &req.workload, trace)?;
+    dot_core::controller::validate_trace(trace)?;
     let mut controller = dot_core::controller::Controller::new(
         &req.schema,
         &req.pool,
@@ -867,8 +867,7 @@ fn stream_supervise(
     let mut triggers = 0;
     let mut applications = 0;
     let mut last_trigger = None;
-    for observed in &observations {
-        let failed = controller.observe(observed).err();
+    controller.run_steps(trace, |controller, outcome| {
         // A failed tick still logged its observation (and possibly the
         // trigger): stream those, then the typed error frame.
         for event in controller.drain_events() {
@@ -882,7 +881,7 @@ fn stream_supervise(
             }
             emit(Response::Event { tenant: 0, event })?;
         }
-        if let Some(error) = failed {
+        if let Err(error) = outcome {
             emit(Response::Error {
                 error: ProtocolError::Provision {
                     error: error.clone(),
@@ -890,7 +889,8 @@ fn stream_supervise(
             })?;
             return Err(error);
         }
-    }
+        Ok(())
+    })?;
     emit(Response::Detached {
         summary: TenantSummary {
             tenant: 0,

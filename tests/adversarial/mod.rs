@@ -11,7 +11,8 @@
 
 use dot_core::advisor::{Advisor, ProvisionError};
 use dot_core::controller::{
-    expand_trace, ControlEvent, Controller, ControllerConfig, DeferReason, TraceStep, TriggerReason,
+    validate_trace, ControlEvent, Controller, ControllerConfig, DeferReason, TraceStep,
+    TriggerReason,
 };
 use dot_core::replan::MigrationDecision;
 use dot_dbms::query::{Op, QuerySpec, ReadOp, Rel, ScanSpec, UpdateOp};
@@ -112,7 +113,7 @@ pub fn run_case(case: &HostileCase) -> Result<Vec<ControlEvent>, ProvisionError>
     let schema = tiny_schema();
     let pool = catalog::box2();
     let baseline = mixed_workload(&schema);
-    let observations = expand_trace(&schema, &baseline, &case.trace)?;
+    validate_trace(&case.trace)?;
     let deployed = if case.deploy_hdd {
         dot_dbms::Layout::uniform(
             pool.class_by_name("HDD").expect("box2 has an HDD tier").id,
@@ -133,7 +134,7 @@ pub fn run_case(case: &HostileCase) -> Result<Vec<ControlEvent>, ProvisionError>
         case.sla,
         case.config.clone(),
     )?;
-    controller.run_trace(&observations)?;
+    controller.run_steps(&case.trace, |_, tick| tick.map(drop))?;
     Ok(controller.events().to_vec())
 }
 

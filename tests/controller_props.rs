@@ -15,7 +15,7 @@
 //!   `Unchanged`.
 
 use dot_core::advisor::Advisor;
-use dot_core::controller::{ControlEvent, Controller, ControllerConfig};
+use dot_core::controller::{ControlEvent, Controller, ControllerConfig, TickOutcome, TraceStep};
 use dot_core::replan::MigrationDecision;
 use dot_dbms::query::{Op, QuerySpec, ReadOp, Rel, ScanSpec, UpdateOp};
 use dot_dbms::{Schema, SchemaBuilder};
@@ -74,6 +74,34 @@ fn controller_for(
     Controller::new(schema, pool, baseline, deployed, 0.25, config).expect("controller opens")
 }
 
+/// One step per shift, each one tick of the shifted baseline.
+fn shift_steps(shifts: &[f64]) -> Vec<TraceStep> {
+    shifts
+        .iter()
+        .map(|&shift| TraceStep {
+            shift: Some(shift),
+            ..TraceStep::default()
+        })
+        .collect()
+}
+
+/// The undrifted baseline, held for `ticks` ticks.
+fn baseline_step(ticks: usize) -> TraceStep {
+    TraceStep {
+        repeat: Some(ticks),
+        ..TraceStep::default()
+    }
+}
+
+/// Tick a script through the controller's step API, collecting outcomes.
+fn run_steps(controller: &mut Controller, steps: &[TraceStep]) -> Vec<TickOutcome> {
+    let mut outcomes = Vec::new();
+    controller
+        .run_steps(steps, |_, tick| tick.map(|o| outcomes.push(o)))
+        .expect("trace runs");
+    outcomes
+}
+
 fn triggered_ticks(events: &[ControlEvent]) -> Vec<u64> {
     events
         .iter()
@@ -116,7 +144,7 @@ proptest! {
         };
         let mut controller = controller_for(&schema, &pool, &baseline, config);
         let before = controller.deployed().clone();
-        let outcomes = controller.run_trace(&observations).expect("trace runs");
+        let outcomes = run_steps(&mut controller, &shift_steps(&amps));
         for outcome in &outcomes {
             prop_assert!(!outcome.triggered());
             prop_assert_eq!(outcome.events.len(), 1, "quiet ticks only observe");
@@ -155,7 +183,7 @@ proptest! {
         };
         let threshold = config.drift_threshold;
         let mut controller = controller_for(&schema, &pool, &baseline, config);
-        let outcomes = controller.run_trace(&observations).expect("trace runs");
+        let outcomes = run_steps(&mut controller, &shift_steps(&shifts));
         let first_trigger = outcomes.iter().position(|o| o.triggered());
         prop_assert!(first_trigger.is_some(), "monotone drift must trigger");
         for outcome in &outcomes[..first_trigger.expect("checked")] {
@@ -187,8 +215,7 @@ proptest! {
             ..ControllerConfig::default()
         };
         let mut controller = controller_for(&schema, &pool, &baseline, config);
-        let trace = vec![baseline.clone(); ticks];
-        controller.run_trace(&trace).expect("trace runs");
+        run_steps(&mut controller, &[baseline_step(ticks)]);
         let triggers = triggered_ticks(controller.events());
         let expected: Vec<u64> = (0..ticks as u64).step_by(cooldown).collect();
         prop_assert_eq!(
@@ -214,8 +241,7 @@ proptest! {
         };
         let mut controller = controller_for(&schema, &pool, &baseline, config);
         let before = controller.deployed().clone();
-        let trace = vec![baseline.clone(); ticks];
-        let outcomes = controller.run_trace(&trace).expect("trace runs");
+        let outcomes = run_steps(&mut controller, &[baseline_step(ticks)]);
         for outcome in &outcomes {
             prop_assert!(outcome.triggered(), "threshold 0 triggers every tick");
             let rec = outcome.replan.as_ref().expect("triggered ticks replan");

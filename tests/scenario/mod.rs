@@ -10,7 +10,7 @@
 //! covers randomized ones.
 
 use dot_core::advisor::Advisor;
-use dot_core::controller::{expand_trace, ControlEvent, Controller, ControllerConfig, TraceStep};
+use dot_core::controller::{ControlEvent, Controller, ControllerConfig, TraceStep};
 use dot_storage::catalog;
 use dot_workloads::tpcc;
 
@@ -121,7 +121,8 @@ pub fn run(steps: &[TraceStep]) -> Vec<ControlEvent> {
         .layout;
     let mut controller = Controller::new(&schema, &pool, &baseline, deployed, 0.5, config())
         .expect("controller opens");
-    let trace = expand_trace(&schema, &baseline, steps).expect("script expands");
-    controller.run_trace(&trace).expect("trace replays");
+    controller
+        .run_steps(steps, |_, tick| tick.map(drop))
+        .expect("trace replays");
     controller.events().to_vec()
 }

@@ -4,8 +4,9 @@
 //!
 //! 1. **The telemetry seam is invisible for scripted observations** —
 //!    replaying each committed scenario through a
-//!    [`dot_workloads::telemetry::ScriptedSource`] (instead of
-//!    `run_trace`) reproduces its committed golden log bit for bit.
+//!    [`dot_workloads::telemetry::ScriptedSource`] of the expanded script
+//!    (instead of ticking its steps in place) reproduces its committed
+//!    golden log bit for bit.
 //! 2. **A measured drift-triggered migration is itself pinned** — a
 //!    [`dot_workloads::telemetry::MeasuredSource`] streams simulated test
 //!    runs of a transactional→analytical flip into the controller, the
@@ -65,7 +66,7 @@ fn scripted_source_reproduces_every_committed_golden_log() {
             controller.events(),
             expected,
             "{}: a ScriptedSource replay must be bit-identical to the \
-             committed run_trace golden log",
+             committed step-ticked golden log",
             s.name
         );
     }
