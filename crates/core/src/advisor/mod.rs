@@ -579,7 +579,11 @@ impl<'a> Advisor<'a> {
         budget: &crate::replan::MigrationBudget,
     ) -> Result<crate::replan::ReplanRecommendation, ProvisionError> {
         let target = self.recommend(solver)?;
-        crate::replan::plan_migration(&self.context(), current, target, budget)
+        let opts = crate::replan::ReplanOptions {
+            budget: *budget,
+            sla_during_migration: None,
+        };
+        crate::replan::plan_migration_with(&self.context(), current, target, &opts)
     }
 
     /// [`replan_with`](Self::replan_with) with the full option set: the

@@ -74,12 +74,7 @@ pub struct Constraints {
 
 /// Derive constraints from the premium layout under the problem's SLA.
 pub fn derive(problem: &Problem<'_>) -> Constraints {
-    derive_with_sla(problem, problem.sla)
-}
-
-/// Derive constraints for an explicit SLA (used by the relaxation loop).
-pub fn derive_with_sla(problem: &Problem<'_>, sla: SlaSpec) -> Constraints {
-    derive_with_estimator(problem, sla, &Estimator::direct())
+    derive_with_estimator(problem, problem.sla, &Estimator::direct())
 }
 
 /// Derive constraints for an explicit SLA, obtaining the premium-layout

@@ -48,9 +48,9 @@
 //! reuses the answer instead of re-solving. Controllers of one host count
 //! that reuse in a shared [`CachedEstimator`].
 //!
-//! [`fleet::supervise_fleet`](crate::fleet::supervise_fleet) runs one
-//! controller per tenant; `dot-cli supervise` drives a single controller
-//! from a problem file plus a [`TraceStep`] script.
+//! [`fleet::supervise_tenant`](crate::fleet::supervise_tenant) runs a
+//! [`TraceStep`] script through one controller, for `supervise_fleet` and
+//! `dot-cli supervise`; hosts read its counters from [`Controller::stats`].
 //!
 //! ```
 //! use dot_core::controller::{Controller, ControllerConfig};
@@ -318,6 +318,76 @@ pub struct ReplanEnvelope {
     pub provenance: ControlProvenance,
     /// The full re-provisioning answer.
     pub replan: ReplanRecommendation,
+}
+
+/// How the most recent plan's transfers pack into parallel waves — the
+/// schedule digest `Observe` streams surface next to the tenant counters,
+/// so operators can see the in-flight wall-clock a migration commits the
+/// tenant to without parsing the full plan.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ScheduleSummary {
+    /// Parallel transfer waves in the plan (`0` for plans moving nothing).
+    pub waves: usize,
+    /// The wave critical path in seconds — never more than the sequential
+    /// copy time.
+    pub makespan_seconds: f64,
+}
+
+/// A controller's running counters over the events it has logged, updated
+/// as each tick appends them — so hosts read them instead of re-deriving
+/// them from event logs they may already have drained.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ControllerStats {
+    /// `Triggered` events logged.
+    pub triggers: usize,
+    /// `Applied` events logged (plans that moved the deployed layout).
+    pub applications: usize,
+    /// The reason of the last `Triggered` event.
+    pub last_trigger: Option<TriggerReason>,
+    /// The schedule digest of the last `Planned` event.
+    pub last_schedule: Option<ScheduleSummary>,
+    /// Bytes moved, summed over the `Applied` events in log order.
+    pub bytes_moved: f64,
+}
+
+impl ControllerStats {
+    fn count(&mut self, events: &[ControlEvent]) {
+        for event in events {
+            match event {
+                ControlEvent::Triggered { reason, .. } => {
+                    self.triggers += 1;
+                    self.last_trigger = Some(reason.clone());
+                }
+                ControlEvent::Planned {
+                    waves,
+                    makespan_seconds,
+                    ..
+                } => {
+                    self.last_schedule = Some(ScheduleSummary {
+                        waves: *waves,
+                        makespan_seconds: *makespan_seconds,
+                    });
+                }
+                ControlEvent::Applied { bytes_moved, .. } => {
+                    self.applications += 1;
+                    self.bytes_moved += bytes_moved;
+                }
+                ControlEvent::Observed { .. } | ControlEvent::Deferred { .. } => {}
+            }
+        }
+    }
+
+    /// The provenance a session summary stamps: `elapsed_ms` and the last
+    /// trigger ([`TriggerReason::Quiescent`] before any).
+    pub fn provenance(&self, elapsed_ms: u64) -> ControlProvenance {
+        ControlProvenance {
+            elapsed_ms,
+            trigger: self
+                .last_trigger
+                .clone()
+                .unwrap_or(TriggerReason::Quiescent),
+        }
+    }
 }
 
 /// Everything one [`Controller::observe`] call produced.
@@ -762,6 +832,7 @@ pub struct Controller {
     /// rollout — the arming condition of the maintenance-window trigger.
     pending_rollout: bool,
     events: Vec<ControlEvent>,
+    stats: ControllerStats,
 }
 
 impl Controller {
@@ -819,6 +890,7 @@ impl Controller {
             last_trigger: None,
             pending_rollout: false,
             events: Vec::new(),
+            stats: ControllerStats::default(),
         })
     }
 
@@ -934,6 +1006,26 @@ impl Controller {
     /// Ticks ingested so far.
     pub fn ticks(&self) -> u64 {
         self.tick
+    }
+
+    /// The counters over every event this controller has logged, drained
+    /// or not (plus any a resumed session was seeded with).
+    pub fn stats(&self) -> &ControllerStats {
+        &self.stats
+    }
+
+    /// Seed the counters of a session resumed from a checkpoint, which
+    /// does not carry them.
+    pub fn with_stats(mut self, stats: ControllerStats) -> Self {
+        self.stats = stats;
+        self
+    }
+
+    /// Append a tick's events to the log and count them: the one place
+    /// events enter the log, so [`stats`](Self::stats) never drifts from it.
+    fn log(&mut self, events: &[ControlEvent]) {
+        self.stats.count(events);
+        self.events.extend_from_slice(events);
     }
 
     /// The active configuration.
@@ -1300,7 +1392,7 @@ impl Controller {
                         // The observation and the trigger happened: keep
                         // their events in the log before surfacing the
                         // replan failure (supervision reports rely on it).
-                        self.events.extend(events);
+                        self.log(&events);
                         return Err(e);
                     }
                 };
@@ -1364,7 +1456,7 @@ impl Controller {
             }
         }
 
-        self.events.extend(events.iter().cloned());
+        self.log(&events);
         Ok(TickOutcome {
             tick,
             events,

@@ -245,7 +245,7 @@ pub fn optimize_with_relaxation(
     assert!(relaxation_step > 0.0 && relaxation_step < 1.0);
     let mut sla = problem.sla;
     loop {
-        let cons = constraints::derive_with_sla(problem, sla);
+        let cons = constraints::derive_with_estimator(problem, sla, &Estimator::direct());
         let outcome = optimize(problem, profile, &cons);
         if outcome.layout.is_some() || sla.ratio <= min_ratio {
             return (outcome, sla);

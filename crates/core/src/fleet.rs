@@ -39,8 +39,8 @@
 
 use crate::advisor::{Advisor, ProvisionError, Recommendation};
 use crate::controller::{
-    validate_trace, ControlEvent, ControlProvenance, Controller, ControllerConfig, TraceStep,
-    TriggerReason,
+    validate_trace, ControlEvent, ControlProvenance, Controller, ControllerConfig, ControllerStats,
+    TraceStep,
 };
 use crate::controller::{CacheStats, CachedEstimator};
 use crate::replan::{MigrationBudget, MigrationDecision, ReplanRecommendation};
@@ -517,16 +517,16 @@ pub struct SuperviseOutcome {
     pub applications: usize,
     /// `ControlEvent`-compatible provenance: the tenant's supervision wall
     /// clock and its last trigger reason
-    /// ([`Quiescent`](TriggerReason::Quiescent) over a quiet trace) — the
-    /// same schema `dot-cli replan --json` stamps with
-    /// [`Manual`](TriggerReason::Manual).
+    /// ([`Quiescent`](crate::controller::TriggerReason::Quiescent) over a
+    /// quiet trace) — the same schema `dot-cli replan --json` stamps with
+    /// [`Manual`](crate::controller::TriggerReason::Manual).
     pub provenance: ControlProvenance,
     /// The typed failure, when supervision aborted.
     pub error: Option<ProvisionError>,
 }
 
 /// Fleet-wide supervision totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SuperviseTotals {
     /// Tenants whose whole trace ran.
     pub tenants_supervised: usize,
@@ -569,121 +569,18 @@ pub fn supervise_fleet(
     controller: &ControllerConfig,
 ) -> SuperviseFleetReport {
     let reuse = Arc::new(CachedEstimator::new());
-    let (outcomes, wall_ms) = run_pool(tenants, config, |tenant| {
-        supervise_one(tenant, &reuse, controller, config.refinements)
+    let (runs, wall_ms) = run_pool(tenants, config, |tenant| {
+        let mut events = Vec::new();
+        let (mut outcome, stats) =
+            supervise_tenant(tenant, controller, config.refinements, &reuse, |event| {
+                events.push(event);
+                Ok(())
+            });
+        outcome.events = events;
+        (outcome, stats.bytes_moved)
     });
-    let totals = supervise_totals(&outcomes);
-    SuperviseFleetReport {
-        totals,
-        cache: reuse.stats(),
-        wall_ms,
-        tenants: outcomes,
-    }
-}
-
-fn supervise_one(
-    tenant: &SuperviseTenantRequest,
-    reuse: &Arc<CachedEstimator>,
-    fleet_controller: &ControllerConfig,
-    fleet_refinements: usize,
-) -> SuperviseOutcome {
-    let start = Instant::now();
-    let mut config = tenant
-        .controller
-        .clone()
-        .unwrap_or_else(|| fleet_controller.clone());
-    if let Some(solver) = &tenant.solver {
-        config.solver = solver.clone();
-    }
-    let solver = config.solver.clone();
-    // Failures before the first tick: no events, no layout, no counters.
-    let failed = |error: ProvisionError| SuperviseOutcome {
-        tenant: tenant.name.clone(),
-        solver: solver.clone(),
-        events: Vec::new(),
-        final_layout: None,
-        ticks: 0,
-        triggers: 0,
-        applications: 0,
-        provenance: ControlProvenance {
-            elapsed_ms: start.elapsed().as_millis() as u64,
-            trigger: TriggerReason::Quiescent,
-        },
-        error: Some(error),
-    };
-    if let Err(e) = validate_trace(&tenant.trace) {
-        return failed(e);
-    }
-    let mut controller = match Controller::new(
-        &tenant.schema,
-        &tenant.pool,
-        &tenant.workload,
-        tenant.current_layout.clone(),
-        tenant.sla,
-        config,
-    ) {
-        Ok(c) => c.with_toc_cache(Arc::clone(reuse)),
-        Err(e) => return failed(e),
-    };
-    if let Some(engine) = tenant.engine {
-        controller = controller.with_engine(engine);
-    }
-    controller = controller.with_refinements(tenant.refinements.unwrap_or(fleet_refinements));
-    // Drain the controller's log every tick instead of letting it grow for
-    // the whole trace: the report still carries the full log, but the
-    // controller itself stays bounded — the same discipline the `dot-serve`
-    // daemon applies to sessions that observe indefinitely. Draining after
-    // a failed tick still collects the events the tick logged before the
-    // error surfaced (the observation and the trigger).
-    let mut events = Vec::new();
-    let error = controller
-        .run_steps(&tenant.trace, |controller, outcome| {
-            events.extend(controller.drain_events());
-            outcome.map(drop)
-        })
-        .err();
-    let triggers = events
-        .iter()
-        .filter(|e| matches!(e, ControlEvent::Triggered { .. }))
-        .count();
-    let applications = events
-        .iter()
-        .filter(|e| matches!(e, ControlEvent::Applied { .. }))
-        .count();
-    let last_trigger = events
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            ControlEvent::Triggered { reason, .. } => Some(reason.clone()),
-            _ => None,
-        })
-        .unwrap_or(TriggerReason::Quiescent);
-    SuperviseOutcome {
-        tenant: tenant.name.clone(),
-        solver,
-        final_layout: Some(controller.deployed().clone()),
-        ticks: controller.ticks(),
-        triggers,
-        applications,
-        events,
-        provenance: ControlProvenance {
-            elapsed_ms: start.elapsed().as_millis() as u64,
-            trigger: last_trigger,
-        },
-        error,
-    }
-}
-
-fn supervise_totals(outcomes: &[SuperviseOutcome]) -> SuperviseTotals {
-    let mut totals = SuperviseTotals {
-        tenants_supervised: 0,
-        tenants_failed: 0,
-        ticks: 0,
-        triggers: 0,
-        applications: 0,
-        total_bytes_moved: 0.0,
-    };
-    for outcome in outcomes {
+    let mut totals = SuperviseTotals::default();
+    for (outcome, bytes_moved) in &runs {
         if outcome.error.is_some() {
             totals.tenants_failed += 1;
         } else {
@@ -692,21 +589,99 @@ fn supervise_totals(outcomes: &[SuperviseOutcome]) -> SuperviseTotals {
         totals.ticks += outcome.ticks;
         totals.triggers += outcome.triggers;
         totals.applications += outcome.applications;
-        totals.total_bytes_moved += outcome
-            .events
-            .iter()
-            .map(|e| match e {
-                ControlEvent::Applied { bytes_moved, .. } => *bytes_moved,
-                _ => 0.0,
-            })
-            .sum::<f64>();
+        totals.total_bytes_moved += bytes_moved;
     }
-    totals
+    SuperviseFleetReport {
+        totals,
+        cache: reuse.stats(),
+        wall_ms,
+        tenants: runs.into_iter().map(|(outcome, _)| outcome).collect(),
+    }
+}
+
+/// Supervise one tenant: validate its trace, open its [`Controller`]
+/// (counting replan reuse in `reuse`), tick the whole trace, and hand
+/// each event to `sink` as its tick completes — events of a failed tick
+/// included. The outcome's counters come from the controller's
+/// [`stats`](Controller::stats), which are also returned; its `events`
+/// stay empty, since the sink received them. `controller` and
+/// `refinements` apply where the tenant names none of its own.
+///
+/// A tick's typed failure, or the sink's, ends the session as the
+/// outcome's `error`; `final_layout` is `None` only when the trace or the
+/// controller was rejected before any tick. Both [`supervise_fleet`] and
+/// `dot-cli supervise --stream` run their tenants through here.
+pub fn supervise_tenant(
+    tenant: &SuperviseTenantRequest,
+    controller: &ControllerConfig,
+    refinements: usize,
+    reuse: &Arc<CachedEstimator>,
+    mut sink: impl FnMut(ControlEvent) -> Result<(), ProvisionError>,
+) -> (SuperviseOutcome, ControllerStats) {
+    let start = Instant::now();
+    let mut config = tenant
+        .controller
+        .clone()
+        .unwrap_or_else(|| controller.clone());
+    if let Some(solver) = &tenant.solver {
+        config.solver = solver.clone();
+    }
+    let solver = config.solver.clone();
+    let opened = validate_trace(&tenant.trace).and_then(|()| {
+        let controller = Controller::new(
+            &tenant.schema,
+            &tenant.pool,
+            &tenant.workload,
+            tenant.current_layout.clone(),
+            tenant.sla,
+            config,
+        )?
+        .with_toc_cache(Arc::clone(reuse))
+        .with_refinements(tenant.refinements.unwrap_or(refinements));
+        Ok(match tenant.engine {
+            Some(engine) => controller.with_engine(engine),
+            None => controller,
+        })
+    });
+    // The controller's log is drained every tick, so it stays bounded
+    // however long the trace runs.
+    let (controller, error) = match opened {
+        Ok(mut controller) => {
+            let error = controller
+                .run_steps(&tenant.trace, |controller, outcome| {
+                    controller
+                        .drain_events()
+                        .into_iter()
+                        .try_for_each(&mut sink)?;
+                    outcome.map(drop)
+                })
+                .err();
+            (Some(controller), error)
+        }
+        Err(e) => (None, Some(e)),
+    };
+    let stats = controller
+        .as_ref()
+        .map(|c| c.stats().clone())
+        .unwrap_or_default();
+    let outcome = SuperviseOutcome {
+        tenant: tenant.name.clone(),
+        solver,
+        events: Vec::new(),
+        final_layout: controller.as_ref().map(|c| c.deployed().clone()),
+        ticks: controller.as_ref().map_or(0, Controller::ticks),
+        triggers: stats.triggers,
+        applications: stats.applications,
+        provenance: stats.provenance(start.elapsed().as_millis() as u64),
+        error,
+    };
+    (outcome, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::TriggerReason;
     use dot_storage::catalog;
     use dot_workloads::synth;
 

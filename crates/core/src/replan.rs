@@ -581,31 +581,12 @@ fn inflight_estimate(
     })
 }
 
-/// Plan the migration from `current` to `target`'s layout under `budget`,
-/// on the session context the target was solved in, with no in-flight SLA.
-/// See the module docs for the decision rules; `Advisor::replan` is the
-/// usual entry point.
-pub fn plan_migration(
-    cx: &SolveContext<'_, '_>,
-    current: &Layout,
-    target: Recommendation,
-    budget: &MigrationBudget,
-) -> Result<ReplanRecommendation, ProvisionError> {
-    plan_migration_with(
-        cx,
-        current,
-        target,
-        &ReplanOptions {
-            budget: *budget,
-            sla_during_migration: None,
-        },
-    )
-}
-
-/// [`plan_migration`] with the full option set: a budget whose wall-clock
-/// ceiling caps the *scheduled* makespan, and an optional SLA the in-flight
-/// estimate of every wave must keep. `Advisor::replan_scheduled` is the
-/// usual entry point.
+/// Plan the migration from `current` to `target`'s layout under
+/// `opts.budget`, on the session context the target was solved in: a
+/// budget whose wall-clock ceiling caps the *scheduled* makespan, and an
+/// optional SLA the in-flight estimate of every wave must keep. See the
+/// module docs for the decision rules; `Advisor::replan` and
+/// `Advisor::replan_scheduled` are the usual entry points.
 pub fn plan_migration_with(
     cx: &SolveContext<'_, '_>,
     current: &Layout,

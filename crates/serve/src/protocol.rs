@@ -36,6 +36,10 @@ use dot_storage::StoragePool;
 use dot_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
+/// The schedule digest an `ObserveDone` frame carries, kept by each
+/// tenant's controller.
+pub use dot_core::controller::ScheduleSummary;
+
 /// The wire-protocol version this build speaks.
 pub const PROTOCOL_VERSION: u32 = 1;
 
@@ -208,19 +212,6 @@ pub enum Response {
         /// Why.
         error: ProtocolError,
     },
-}
-
-/// How the most recent plan's transfers pack into parallel waves — the
-/// schedule digest `Observe` streams surface next to the tenant counters,
-/// so operators can see the in-flight wall-clock a migration commits the
-/// tenant to without parsing the full plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScheduleSummary {
-    /// Parallel transfer waves in the plan (`0` for plans moving nothing).
-    pub waves: usize,
-    /// The wave critical path in seconds — never more than the sequential
-    /// copy time.
-    pub makespan_seconds: f64,
 }
 
 /// A tenant's lifetime summary, flushed on detach and on shutdown.

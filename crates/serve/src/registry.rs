@@ -55,11 +55,13 @@
 //!   instead of `.unwrap()`-crashing the daemon, so one tenant's bug
 //!   never disturbs another tenant or the process.
 
-use crate::protocol::{ProblemSpec, ProtocolError, ScheduleSummary, TenantId, TenantSummary};
+use crate::protocol::{
+    ProblemSpec, ProtocolError, ResolvedProblem, ScheduleSummary, TenantId, TenantSummary,
+};
 use dot_core::advisor::{Advisor, ProvisionError, Recommendation};
 use dot_core::controller::{CacheStats, CachedEstimator};
 use dot_core::controller::{
-    ControlEvent, ControlProvenance, Controller, ControllerCheckpoint, ControllerConfig, TraceStep,
+    ControlEvent, Controller, ControllerCheckpoint, ControllerConfig, ControllerStats, TraceStep,
     TriggerReason,
 };
 use dot_dbms::Layout;
@@ -672,19 +674,49 @@ struct TenantSlot {
     durable: Mutex<Arc<TenantSnapshot>>,
 }
 
-/// The parts of a tenant that change as it ticks.
+impl TenantSlot {
+    /// The slot of a tenant opened at its durable snapshot: the snapshot
+    /// names it, seeds its controller's counters (zero for a fresh
+    /// attach), and carries the wall clock of its earlier incarnations.
+    fn new(controller: Controller, durable: Arc<TenantSnapshot>) -> TenantSlot {
+        let controller = controller.with_stats(ControllerStats {
+            triggers: durable.triggers,
+            applications: durable.applications,
+            last_trigger: durable.last_trigger.clone(),
+            ..ControllerStats::default()
+        });
+        TenantSlot {
+            id: durable.tenant,
+            name: durable.name.clone(),
+            state: Mutex::new(TenantState {
+                controller,
+                attached: Instant::now(),
+                prior_elapsed_ms: durable.elapsed_ms,
+            }),
+            inflight: AtomicUsize::new(0),
+            fault: Mutex::new(None),
+            durable: Mutex::new(durable),
+        }
+    }
+}
+
+/// The parts of a tenant that change as it ticks: the controller, whose
+/// [`stats`](Controller::stats) are the tenant's counters (a restored
+/// tenant's are seeded from its snapshot, with no schedule digest until
+/// its next replan), and its wall clock.
 struct TenantState {
     controller: Controller,
-    triggers: usize,
-    applications: usize,
-    last_trigger: Option<TriggerReason>,
-    /// Schedule digest of the most recent `Planned` event (not persisted:
-    /// a restored tenant reports `None` until its next replan).
-    last_schedule: Option<ScheduleSummary>,
     attached: Instant,
     /// Wall-clock milliseconds accumulated by earlier incarnations of a
     /// restored tenant (summaries report lifetime, not since-restart).
     prior_elapsed_ms: u64,
+}
+
+impl TenantState {
+    /// Wall-clock milliseconds over the tenant's lifetime.
+    fn elapsed_ms(&self) -> u64 {
+        self.prior_elapsed_ms + self.attached.elapsed().as_millis() as u64
+    }
 }
 
 /// Everything needed to restore one tenant after a restart: the inputs
@@ -885,36 +917,38 @@ impl Registry {
     ) -> Result<TenantSlot, (String, ProvisionError)> {
         let fail = |e| (snap.name.clone(), e);
         let resolved = snap.problem.resolve().map_err(fail)?;
-        let mut controller = Controller::from_parts(
+        let controller = self
+            .open_controller(
+                resolved,
+                snap.checkpoint.deployed.clone(),
+                snap.controller.clone(),
+            )
+            .and_then(|c| c.with_checkpoint(&snap.checkpoint))
+            .map_err(fail)?;
+        Ok(TenantSlot::new(controller, Arc::clone(snap)))
+    }
+
+    /// Open a tenant's controller over its resolved problem, counting its
+    /// replan reuse in the registry's shared counters.
+    fn open_controller(
+        &self,
+        resolved: ResolvedProblem,
+        deployed: Layout,
+        config: ControllerConfig,
+    ) -> Result<Controller, ProvisionError> {
+        let controller = Controller::from_parts(
             resolved.schema,
             resolved.pool,
             resolved.workload,
-            snap.checkpoint.deployed.clone(),
+            deployed,
             resolved.sla,
-            snap.controller.clone(),
-        )
-        .map_err(fail)?
+            config,
+        )?
         .with_toc_cache(Arc::clone(&self.cache))
         .with_refinements(resolved.refinements);
-        if let Some(engine) = resolved.engine {
-            controller = controller.with_engine(engine);
-        }
-        let controller = controller.with_checkpoint(&snap.checkpoint).map_err(fail)?;
-        Ok(TenantSlot {
-            id: snap.tenant,
-            name: snap.name.clone(),
-            state: Mutex::new(TenantState {
-                controller,
-                triggers: snap.triggers,
-                applications: snap.applications,
-                last_trigger: snap.last_trigger.clone(),
-                last_schedule: None,
-                attached: Instant::now(),
-                prior_elapsed_ms: snap.elapsed_ms,
-            }),
-            inflight: AtomicUsize::new(0),
-            fault: Mutex::new(None),
-            durable: Mutex::new(Arc::clone(snap)),
+        Ok(match resolved.engine {
+            Some(engine) => controller.with_engine(engine),
+            None => controller,
         })
     }
 
@@ -1019,14 +1053,8 @@ impl Registry {
     ) -> Result<Recommendation, ProtocolError> {
         self.reject_if_shutting_down()?;
         let resolved = spec.resolve().map_err(provision)?;
-        let mut builder = Advisor::builder(&resolved.schema, &resolved.pool, &resolved.workload);
-        builder = builder.sla(resolved.sla).refinements(resolved.refinements);
-        if let Some(engine) = resolved.engine {
-            builder = builder.engine(engine);
-        }
-        let advisor = builder.build().map_err(provision)?;
-        advisor
-            .recommend(solver.unwrap_or("dot"))
+        advisor(&resolved)
+            .and_then(|advisor| advisor.recommend(solver.unwrap_or("dot")))
             .map_err(provision)
     }
 
@@ -1066,34 +1094,15 @@ impl Registry {
         let deployed = match deployed {
             Some(layout) => layout,
             None => {
-                let mut builder =
-                    Advisor::builder(&resolved.schema, &resolved.pool, &resolved.workload);
-                builder = builder.sla(resolved.sla).refinements(resolved.refinements);
-                if let Some(engine) = resolved.engine {
-                    builder = builder.engine(engine);
-                }
-                builder
-                    .build()
-                    .map_err(provision)?
-                    .recommend(&config.solver)
+                advisor(&resolved)
+                    .and_then(|advisor| advisor.recommend(&config.solver))
                     .map_err(provision)?
                     .layout
             }
         };
-        let mut controller = Controller::from_parts(
-            resolved.schema,
-            resolved.pool,
-            resolved.workload,
-            deployed,
-            resolved.sla,
-            config.clone(),
-        )
-        .map_err(provision)?
-        .with_toc_cache(Arc::clone(&self.cache))
-        .with_refinements(resolved.refinements);
-        if let Some(engine) = resolved.engine {
-            controller = controller.with_engine(engine);
-        }
+        let controller = self
+            .open_controller(resolved, deployed, config.clone())
+            .map_err(provision)?;
         {
             let mut tenants = lock_recover(&self.tenants);
             // An attach that raced the shutdown latch must not leak a
@@ -1115,22 +1124,7 @@ impl Registry {
                 last_trigger: None,
                 elapsed_ms: 0,
             };
-            tenants.push(Arc::new(TenantSlot {
-                id,
-                name: name.clone(),
-                state: Mutex::new(TenantState {
-                    controller,
-                    triggers: 0,
-                    applications: 0,
-                    last_trigger: None,
-                    last_schedule: None,
-                    attached: Instant::now(),
-                    prior_elapsed_ms: 0,
-                }),
-                inflight: AtomicUsize::new(0),
-                fault: Mutex::new(None),
-                durable: Mutex::new(Arc::new(durable)),
-            }));
+            tenants.push(Arc::new(TenantSlot::new(controller, Arc::new(durable))));
             drop(tenants);
             Ok((id, name, self.persist_sync()))
         }
@@ -1194,6 +1188,7 @@ impl Registry {
                 std::thread::sleep(std::time::Duration::from_millis(25));
             }
             let state = &mut *state;
+            let applied_before = state.controller.stats().applications;
             let failed = contained(&slot, || {
                 #[cfg(feature = "test-hooks")]
                 if slot.name.contains("__panic__") {
@@ -1204,32 +1199,10 @@ impl Registry {
             .err();
             // Even a failed tick logged its observation (and possibly the
             // trigger) before erroring — stream those, then the error.
-            let mut applied = false;
             for event in state.controller.drain_events() {
-                match &event {
-                    ControlEvent::Triggered { reason, .. } => {
-                        state.triggers += 1;
-                        state.last_trigger = Some(reason.clone());
-                    }
-                    ControlEvent::Planned {
-                        waves,
-                        makespan_seconds,
-                        ..
-                    } => {
-                        state.last_schedule = Some(ScheduleSummary {
-                            waves: *waves,
-                            makespan_seconds: *makespan_seconds,
-                        });
-                    }
-                    ControlEvent::Applied { .. } => {
-                        state.applications += 1;
-                        applied = true;
-                    }
-                    _ => {}
-                }
                 sink(&event).map_err(ObserveFailure::Io)?;
             }
-            if applied {
+            if state.controller.stats().applications != applied_before {
                 // A migration landed: this tick is a durability point.
                 // Refresh the snapshot and enqueue its journal record right
                 // away — the
@@ -1245,11 +1218,12 @@ impl Registry {
                 return Err(e.into());
             }
         }
+        let stats = state.controller.stats();
         let mut counters = TenantCounters {
             ticks: state.controller.ticks(),
-            triggers: state.triggers,
-            applications: state.applications,
-            last_schedule: state.last_schedule,
+            triggers: stats.triggers,
+            applications: stats.applications,
+            last_schedule: stats.last_schedule,
             durability: Ok(()),
         };
         drop(state);
@@ -1293,9 +1267,10 @@ impl Registry {
         };
         for slot in &slots {
             let state = lock_recover(&slot.state);
+            let stats = state.controller.stats();
             totals.ticks += state.controller.ticks();
-            totals.triggers += state.triggers;
-            totals.applications += state.applications;
+            totals.triggers += stats.triggers;
+            totals.applications += stats.applications;
         }
         (slots.len(), totals, self.cache.stats())
     }
@@ -1345,38 +1320,48 @@ fn contained<T>(slot: &TenantSlot, work: impl FnOnce() -> T) -> Result<T, Observ
 fn refresh_durable(slot: &TenantSlot, state: &TenantState) {
     let mut shared = lock_recover(&slot.durable);
     let durable = Arc::make_mut(&mut shared);
+    let stats = state.controller.stats();
     durable.checkpoint = state.controller.checkpoint();
-    durable.triggers = state.triggers;
-    durable.applications = state.applications;
-    durable.last_trigger = state.last_trigger.clone();
-    durable.elapsed_ms = state.prior_elapsed_ms + state.attached.elapsed().as_millis() as u64;
+    durable.triggers = stats.triggers;
+    durable.applications = stats.applications;
+    durable.last_trigger = stats.last_trigger.clone();
+    durable.elapsed_ms = state.elapsed_ms();
 }
 
 fn provision(error: ProvisionError) -> ProtocolError {
     ProtocolError::Provision { error }
 }
 
-/// A tenant's lifetime summary — the same counters and provenance schema
-/// `supervise_fleet` stamps on a [`SuperviseOutcome`](dot_core::fleet::SuperviseOutcome).
+/// The advisory session over a tenant's resolved baseline problem.
+fn advisor(resolved: &ResolvedProblem) -> Result<Advisor<'_>, ProvisionError> {
+    let builder = Advisor::builder(&resolved.schema, &resolved.pool, &resolved.workload)
+        .sla(resolved.sla)
+        .refinements(resolved.refinements);
+    match resolved.engine {
+        Some(engine) => builder.engine(engine),
+        None => builder,
+    }
+    .build()
+}
+
+/// A tenant's lifetime summary, read from its controller's counters — the
+/// same counters and provenance schema
+/// [`supervise_tenant`](dot_core::fleet::supervise_tenant) stamps on a
+/// [`SuperviseOutcome`](dot_core::fleet::SuperviseOutcome).
 fn summarize(slot: &TenantSlot) -> TenantSummary {
     let state = lock_recover(&slot.state);
     summarize_locked(slot, &state)
 }
 
 fn summarize_locked(slot: &TenantSlot, state: &TenantState) -> TenantSummary {
+    let stats = state.controller.stats();
     TenantSummary {
         tenant: slot.id,
         name: slot.name.clone(),
         ticks: state.controller.ticks(),
-        triggers: state.triggers,
-        applications: state.applications,
-        provenance: ControlProvenance {
-            elapsed_ms: state.prior_elapsed_ms + state.attached.elapsed().as_millis() as u64,
-            trigger: state
-                .last_trigger
-                .clone()
-                .unwrap_or(TriggerReason::Quiescent),
-        },
+        triggers: stats.triggers,
+        applications: stats.applications,
+        provenance: stats.provenance(state.elapsed_ms()),
     }
 }
 

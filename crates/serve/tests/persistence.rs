@@ -241,11 +241,19 @@ fn graceful_shutdown_state_resumes_bit_identically_in_a_new_daemon() {
     assert_ne!(newcomer, tenant, "restored ids are reserved");
 
     // Detach the resumed tenant: its lifetime counters match the golden
-    // trajectory's triggers and applications.
+    // trajectory's triggers, applications and last trigger reason.
     let triggers = golden
         .iter()
         .filter(|e| matches!(e, ControlEvent::Triggered { .. }))
         .count();
+    let last_trigger = golden
+        .iter()
+        .rev()
+        .find_map(|e| match e {
+            ControlEvent::Triggered { reason, .. } => Some(reason.clone()),
+            _ => None,
+        })
+        .expect("the golden trajectory triggers");
     let applications = golden
         .iter()
         .filter(|e| matches!(e, ControlEvent::Applied { .. }))
@@ -257,6 +265,7 @@ fn graceful_shutdown_state_resumes_bit_identically_in_a_new_daemon() {
             assert_eq!(summary.ticks, 7);
             assert_eq!(summary.triggers, triggers);
             assert_eq!(summary.applications, applications);
+            assert_eq!(summary.provenance.trigger, last_trigger);
         }
         other => panic!("detach: {other:?}"),
     }

@@ -86,12 +86,8 @@ fn main() {
         }
     }
 
-    let triggers = outcomes.iter().filter(|o| o.triggered()).count();
-    let applied = controller
-        .events()
-        .iter()
-        .filter(|e| matches!(e, ControlEvent::Applied { .. }))
-        .count();
+    let triggers = controller.stats().triggers;
+    let applied = controller.stats().applications;
 
     // The noise ticks stay quiet; the phase flip triggers exactly once
     // (the held phase becomes the new baseline); the flip back triggers

@@ -786,9 +786,6 @@ fn cmd_supervise(
                 .layout
         }
     };
-    if stream {
-        return stream_supervise(&req, &trace, current, config);
-    }
     let tenant = SuperviseTenantRequest {
         name: "tenant-0".to_owned(),
         pool: req.pool.clone(),
@@ -802,6 +799,9 @@ fn cmd_supervise(
         trace,
         controller: None,
     };
+    if stream {
+        return stream_supervise(&tenant, &config);
+    }
     let report = fleet::supervise_fleet(&[tenant], &FleetConfig::default(), &config);
     // A single-tenant batch never fails as a batch; the tenant's own typed
     // error is the command's failure, surfaced through the usual exit-code
@@ -828,21 +828,18 @@ fn cmd_supervise(
     Ok(())
 }
 
-/// `--stream`: replay the trace through one controller inline, emitting
-/// the `dot-serve` wire protocol's response frames as JSON lines — one
-/// `Event` frame per control event as each tick completes, then a
+/// `--stream`: supervise the tenant through [`fleet::supervise_tenant`],
+/// emitting the `dot-serve` wire protocol's response frames as JSON lines
+/// — one `Event` frame per control event as each tick completes, then a
 /// `Detached` frame with the tenant's summary (an `Error` frame carries a
-/// mid-trace typed failure; events already streamed stay valid). The
-/// controller's log is drained every tick, so memory stays bounded no
-/// matter how long the trace runs.
+/// mid-trace typed failure; events already streamed stay valid). A trace
+/// or controller rejected before any tick is the command's error, with no
+/// frame.
 fn stream_supervise(
-    req: &Request,
-    trace: &[TraceStep],
-    current: Layout,
-    config: ControllerConfig,
+    tenant: &SuperviseTenantRequest,
+    config: &ControllerConfig,
 ) -> Result<(), ProvisionError> {
     use dot_serve::protocol::{ProtocolError, Response, ResponseFrame, TenantSummary};
-    let start = Instant::now();
     let mut out = std::io::stdout().lock();
     let mut emit = |response: Response| -> Result<(), ProvisionError> {
         dot_serve::framing::write_frame(&mut out, &ResponseFrame { id: 0, response })
@@ -851,59 +848,32 @@ fn stream_supervise(
                 reason: format!("write stream: {e}"),
             })
     };
-    dot_core::controller::validate_trace(trace)?;
-    let mut controller = dot_core::controller::Controller::new(
-        &req.schema,
-        &req.pool,
-        &req.workload,
-        current,
-        req.sla,
-        config,
-    )?
-    .with_refinements(req.refinements);
-    if req.engine_explicit {
-        controller = controller.with_engine(req.engine);
-    }
-    let mut triggers = 0;
-    let mut applications = 0;
-    let mut last_trigger = None;
-    controller.run_steps(trace, |controller, outcome| {
-        // A failed tick still logged its observation (and possibly the
-        // trigger): stream those, then the typed error frame.
-        for event in controller.drain_events() {
-            match &event {
-                ControlEvent::Triggered { reason, .. } => {
-                    triggers += 1;
-                    last_trigger = Some(reason.clone());
-                }
-                ControlEvent::Applied { .. } => applications += 1,
-                _ => {}
-            }
-            emit(Response::Event { tenant: 0, event })?;
-        }
-        if let Err(error) = outcome {
+    let reuse = Default::default();
+    let refinements = FleetConfig::default().refinements;
+    let (outcome, _) = fleet::supervise_tenant(tenant, config, refinements, &reuse, |event| {
+        emit(Response::Event { tenant: 0, event })
+    });
+    match outcome.error {
+        Some(error) if outcome.final_layout.is_none() => Err(error),
+        Some(error) => {
             emit(Response::Error {
                 error: ProtocolError::Provision {
                     error: error.clone(),
                 },
             })?;
-            return Err(error);
+            Err(error)
         }
-        Ok(())
-    })?;
-    emit(Response::Detached {
-        summary: TenantSummary {
-            tenant: 0,
-            name: "tenant-0".to_owned(),
-            ticks: controller.ticks(),
-            triggers,
-            applications,
-            provenance: ControlProvenance {
-                elapsed_ms: start.elapsed().as_millis() as u64,
-                trigger: last_trigger.unwrap_or(TriggerReason::Quiescent),
+        None => emit(Response::Detached {
+            summary: TenantSummary {
+                tenant: 0,
+                name: outcome.tenant,
+                ticks: outcome.ticks,
+                triggers: outcome.triggers,
+                applications: outcome.applications,
+                provenance: outcome.provenance,
             },
-        },
-    })
+        }),
+    }
 }
 
 fn print_supervise_report(

@@ -952,6 +952,106 @@ fn supervise_stream_emits_daemon_protocol_frames() {
     assert!(err.contains("mutually exclusive"), "{err}");
 }
 
+/// Parse a `supervise --stream` stdout into its frames.
+fn stream_frames(out: &Output) -> Vec<dot_serve::protocol::Response> {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|line| {
+            dot_serve::framing::parse_response(line)
+                .expect("protocol frame")
+                .response
+        })
+        .collect()
+}
+
+#[test]
+fn supervise_stream_and_json_report_the_same_session() {
+    use dot_serve::protocol::Response;
+    let problem = problem_file("supervise_parity.json", OLTP_PROBLEM);
+    let trace = problem_file("supervise_parity_trace.json", SUPERVISE_TRACE);
+    let run = |mode: &str| {
+        cli()
+            .arg("supervise")
+            .arg(&problem)
+            .args(["--trace", trace.to_str().unwrap(), mode])
+            .output()
+            .expect("run dot-cli")
+    };
+    let json = run("--json");
+    let report: dot_core::fleet::SuperviseFleetReport =
+        serde_json::from_str(&stdout_of(&json)).expect("supervise report deserializes");
+    let tenant = &report.tenants[0];
+    let stream = run("--stream");
+    stdout_of(&stream);
+    let mut frames = stream_frames(&stream);
+    let Some(Response::Detached { summary }) = frames.pop() else {
+        panic!("the stream must end with a Detached frame: {frames:?}");
+    };
+    let events: Vec<dot_core::controller::ControlEvent> = frames
+        .into_iter()
+        .map(|frame| match frame {
+            Response::Event { tenant: 0, event } => event,
+            other => panic!("expected an Event frame, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(events, tenant.events, "the two modes log different events");
+    assert_eq!(summary.ticks, tenant.ticks);
+    assert_eq!(summary.triggers, tenant.triggers);
+    assert_eq!(summary.applications, tenant.applications);
+    assert_eq!(summary.provenance.trigger, tenant.provenance.trigger);
+    assert!(tenant.triggers >= 1 && tenant.applications >= 1);
+}
+
+#[test]
+fn supervise_stream_ends_a_failed_replan_with_an_error_frame() {
+    // `es` refuses tpcc (3^19 layouts past its enumeration limit), so the
+    // phase flip's replan fails after its trigger: the stream carries the
+    // two observations and the trigger, then the typed error, and no
+    // summary.
+    use dot_core::controller::ControlEvent;
+    use dot_serve::protocol::{ProtocolError, Response};
+    let problem = problem_file("supervise_es.json", OLTP_PROBLEM);
+    let trace = problem_file("supervise_es_trace.json", SUPERVISE_TRACE);
+    let provisioned = cli()
+        .arg("provision")
+        .arg(&problem)
+        .arg("--json")
+        .output()
+        .expect("run dot-cli");
+    let current = problem_file("supervise_es_current.json", &stdout_of(&provisioned));
+    let out = cli()
+        .arg("supervise")
+        .arg(&problem)
+        .args(["--trace", trace.to_str().unwrap(), "--solver", "es"])
+        .args(["--current", current.to_str().unwrap(), "--stream"])
+        .output()
+        .expect("run dot-cli");
+    assert_eq!(
+        out.status.code(),
+        Some(9),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let frames = stream_frames(&out);
+    assert_eq!(frames.len(), 4, "{frames:?}");
+    let event = |i: usize| match &frames[i] {
+        Response::Event { tenant: 0, event } => event.clone(),
+        other => panic!("frame {i}: expected an Event frame, got {other:?}"),
+    };
+    assert!(matches!(event(0), ControlEvent::Observed { tick: 0, .. }));
+    assert!(matches!(event(1), ControlEvent::Observed { tick: 1, .. }));
+    assert!(matches!(event(2), ControlEvent::Triggered { tick: 1, .. }));
+    match &frames[3] {
+        Response::Error {
+            error:
+                ProtocolError::Provision {
+                    error: dot_core::advisor::ProvisionError::UnsupportedWorkload { solver, .. },
+                },
+        } => assert_eq!(solver, "es"),
+        other => panic!("expected the UnsupportedWorkload Error frame, got {other:?}"),
+    }
+}
+
 #[test]
 fn supervise_usage_and_malformed_traces_fail_with_typed_codes() {
     // Missing --trace is a usage error.

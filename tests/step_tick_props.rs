@@ -12,10 +12,16 @@
 //! Two drivers are checked: a whole script through `run_steps` (the fleet
 //! and `dot-cli supervise`), and one step at a time, carrying on after a
 //! rejected step or a failed tick (the `dot-serve` registry).
+//!
+//! A third property checks the counters hosts read instead of the log:
+//! under both drivers, draining the log every tick, `Controller::stats`
+//! equals the counters re-derived from the drained events, failed ticks
+//! (a replan whose solver id is unknown) included.
 
 use dot_core::advisor::{presets, Advisor, ProvisionError};
 use dot_core::controller::{
-    expand_trace, Controller, ControllerConfig, TickOutcome, TraceStep, MAX_TRACE_TICKS,
+    expand_trace, ControlEvent, Controller, ControllerConfig, ControllerStats, ScheduleSummary,
+    TickOutcome, TraceStep, MAX_TRACE_TICKS,
 };
 use dot_dbms::{Layout, Schema};
 use dot_storage::{catalog, StoragePool};
@@ -216,8 +222,95 @@ fn whole_script(family: &Family, config: &ControllerConfig, steps: &[TraceStep])
     assert_same_controllers(&stepped, &observed);
 }
 
+/// The counters re-derived from a drained log, by matching its events the
+/// way hosts counted before the controller kept them.
+fn recount(events: &[ControlEvent]) -> ControllerStats {
+    let mut stats = ControllerStats::default();
+    for event in events {
+        match event {
+            ControlEvent::Triggered { reason, .. } => {
+                stats.triggers += 1;
+                stats.last_trigger = Some(reason.clone());
+            }
+            ControlEvent::Planned {
+                waves,
+                makespan_seconds,
+                ..
+            } => {
+                stats.last_schedule = Some(ScheduleSummary {
+                    waves: *waves,
+                    makespan_seconds: *makespan_seconds,
+                });
+            }
+            ControlEvent::Applied { bytes_moved, .. } => {
+                stats.applications += 1;
+                stats.bytes_moved += bytes_moved;
+            }
+            _ => {}
+        }
+    }
+    stats
+}
+
+fn assert_stats_match(controller: &Controller, drained: &[ControlEvent], steps: &[TraceStep]) {
+    let want = recount(drained);
+    let got = controller.stats();
+    assert_eq!(got, &want, "stats diverge from the log, steps {steps:?}");
+    assert_eq!(
+        got.bytes_moved.to_bits(),
+        want.bytes_moved.to_bits(),
+        "steps {steps:?}"
+    );
+}
+
+/// Both drivers, draining the log after every tick: the controller's
+/// counters track the drained log through rejected steps and failed ticks.
+fn stats_track_the_drained_log(family: &Family, config: &ControllerConfig, steps: &[TraceStep]) {
+    let mut stepped = controller(family, config);
+    let mut drained = Vec::new();
+    for step in steps {
+        let Ok(ticks) = stepped.begin_step(step) else {
+            continue;
+        };
+        for _ in 0..ticks {
+            let failed = stepped.tick_step().is_err();
+            drained.extend(stepped.drain_events());
+            assert_stats_match(&stepped, &drained, steps);
+            if failed {
+                break;
+            }
+        }
+    }
+
+    let mut whole = controller(family, config);
+    let mut drained = Vec::new();
+    let _ = whole.run_steps(steps, |controller, tick| {
+        drained.extend(controller.drain_events());
+        assert_stats_match(controller, &drained, steps);
+        tick.map(drop)
+    });
+    assert_stats_match(&whole, &drained, steps);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn controller_stats_equal_the_counters_of_the_drained_log(
+        family in 0usize..4,
+        knobs in (0.05..0.6f64, 0usize..3),
+        refused in proptest::bool::ANY,
+        steps in proptest::collection::vec((0usize..15, 0.0..1.0f64, 0usize..4), 1..8),
+    ) {
+        let steps: Vec<TraceStep> = steps.into_iter().map(step).collect();
+        let mut config = config(knobs);
+        if refused {
+            // An unknown solver id: every trigger's replan fails after
+            // its `Triggered` event is logged.
+            config.solver = "simplex".to_owned();
+        }
+        stats_track_the_drained_log(&families()[family], &config, &steps);
+    }
 
     #[test]
     fn stepping_one_step_at_a_time_matches_expand_and_observe(
