@@ -2,9 +2,10 @@
 //!
 //! Re-measures the repo's headline hot paths with the same fixtures the
 //! criterion benches use — cold solve, warm replan, quiescent controller
-//! tick (against the two-full-estimate tick it replaced), replan reuse on a
-//! supervised fleet, the `dot-serve` daemon's concurrent observe-tick throughput
-//! (the median of several samples, with their range), the
+//! tick (against the two-full-estimate tick it replaced), the decode of one
+//! `Observe` request line, replan reuse on a supervised fleet, the
+//! `dot-serve` daemon's concurrent observe-tick throughput (the median of
+//! several samples, with their range), the
 //! registry restore latency from a persisted multi-tenant snapshot, the
 //! bytes the registry writes per applied migration at two tenant counts, the
 //! scripted vs. measured telemetry observe tick, the scheduled-vs-
@@ -17,7 +18,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dot-bench --bin distill                 # write BENCH_22.json
+//! cargo run --release -p dot-bench --bin distill                 # write BENCH_24.json
 //! cargo run --release -p dot-bench --bin distill -- --out <path> # write elsewhere
 //! cargo run --release -p dot-bench --bin distill -- --check <path> # validate a file
 //! ```
@@ -51,9 +52,11 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Where the trajectory for this PR lives, relative to the repo root.
-const DEFAULT_PATH: &str = "BENCH_22.json";
+const DEFAULT_PATH: &str = "BENCH_24.json";
 /// Timed samples per measurement (a warmup run precedes them).
 const SAMPLES: usize = 5;
+/// Frame decodes per timed sample of `hot_paths.decode_observe_us`.
+const DECODES_PER_SAMPLE: usize = 2_000;
 /// `--check`: a pruned sweep may be up to this factor slower than the
 /// estimate-everything sweep before it counts as a regression (headroom
 /// for machine noise on the near-tie families).
@@ -116,6 +119,12 @@ struct HotPaths {
     /// The tick cost this replaced: two full TOC estimates of the observed
     /// problem (deployed layout + premium reference).
     tick_two_full_estimates_ms: f64,
+    /// Decode of one `Observe` request line as the daemon receives it, in
+    /// µs: the median over samples of [`DECODES_PER_SAMPLE`] decodes each
+    /// (a single decode is too short to time on its own). Absent from
+    /// files before schema 10.
+    #[serde(default)]
+    decode_observe_us: Option<f64>,
 }
 
 /// Telemetry-tick medians: one quiescent controller observation fed from a
@@ -381,7 +390,32 @@ fn measure_hot_paths() -> HotPaths {
         tick_quiescent_ms,
         tick_step_ms: Some(tick_step_ms),
         tick_two_full_estimates_ms,
+        decode_observe_us: Some(measure_decode_observe_us()),
     }
+}
+
+/// The decode of a quiescent tenant's `Observe` line, shaped like the
+/// replay benchmark's: `dot_serve::framing::parse_request` on the line.
+fn measure_decode_observe_us() -> f64 {
+    use dot_serve::framing::parse_request;
+    use dot_serve::protocol::{Request, RequestFrame};
+    let line = serde_json::to_string(&RequestFrame {
+        id: 123_457,
+        request: Request::Observe {
+            tenant: 17,
+            step: TraceStep {
+                scale: Some(1.082_341_257_913_4),
+                ..TraceStep::default()
+            },
+        },
+    })
+    .expect("frame encodes");
+    let batch_ms = median_ms(|| {
+        for _ in 0..DECODES_PER_SAMPLE {
+            black_box(parse_request(black_box(&line)).expect("frame decodes"));
+        }
+    });
+    batch_ms * 1e3 / DECODES_PER_SAMPLE as f64
 }
 
 /// Telemetry-tick medians on the TPC-C fixture: the same sub-threshold
@@ -985,8 +1019,8 @@ fn measure_pruning() -> Vec<PruningCell> {
 
 fn distill(path: &str) {
     let trajectory = Trajectory {
-        schema_version: 9,
-        pr: 22,
+        schema_version: 10,
+        pr: 24,
         samples: SAMPLES,
         hot_paths: measure_hot_paths(),
         telemetry: measure_telemetry(),
@@ -1007,13 +1041,15 @@ fn summarize(t: &Trajectory) {
     let h = &t.hot_paths;
     println!(
         "distill: cold solve {:.1} ms, warm replan {:.2} ms, quiescent tick {:.4} ms \
-         (two-full-estimate tick {:.3} ms, {:.0}x; step tick {:.4} ms)",
+         (two-full-estimate tick {:.3} ms, {:.0}x; step tick {:.4} ms); \
+         Observe line decode {:.3} us",
         h.cold_solve_ms,
         h.warm_replan_ms,
         h.tick_quiescent_ms,
         h.tick_two_full_estimates_ms,
         h.tick_two_full_estimates_ms / h.tick_quiescent_ms.max(1e-9),
         h.tick_step_ms.unwrap_or(f64::NAN),
+        h.decode_observe_us.unwrap_or(f64::NAN),
     );
     println!(
         "distill: telemetry tick {:.4} ms scripted vs {:.4} ms measured ({:.1}x)",
@@ -1108,6 +1144,16 @@ fn check(path: &str) {
         )),
         None if t.schema_version >= 9 => fail(&format!(
             "{path}: schema {} must carry hot_paths.tick_step_ms",
+            t.schema_version
+        )),
+        _ => {}
+    }
+    match h.decode_observe_us {
+        Some(v) if !v.is_finite() || v <= 0.0 => fail(&format!(
+            "{path}: decode_observe_us = {v} is not a positive median"
+        )),
+        None if t.schema_version >= 10 => fail(&format!(
+            "{path}: schema {} must carry hot_paths.decode_observe_us",
             t.schema_version
         )),
         _ => {}

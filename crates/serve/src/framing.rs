@@ -9,8 +9,9 @@
 //! be resynchronized). Blank lines are skipped; a final line terminated by
 //! EOF instead of `\n` still counts as a frame.
 
-use crate::protocol::{ProtocolError, RequestFrame, Response, ResponseFrame};
-use serde::Serialize;
+use crate::protocol::{ProtocolError, Request, RequestFrame, Response, ResponseFrame};
+use serde::{Deserialize, Deserializer, Kind, Serialize};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::io::{self, Read, Write};
 
@@ -71,11 +72,8 @@ impl<R: Read> FrameReader<R> {
                     self.poisoned = true;
                     return Ok(Lined::Oversized);
                 }
-                let line: Vec<u8> = self.buf.drain(..=end).collect();
+                let text = take_line(&mut self.buf, end, end + 1);
                 self.scanned = 0;
-                let text = String::from_utf8_lossy(&line[..line.len() - 1])
-                    .trim()
-                    .to_string();
                 if text.is_empty() {
                     continue; // blank keep-alive line
                 }
@@ -91,8 +89,8 @@ impl<R: Read> FrameReader<R> {
                 Ok(0) => {
                     // EOF: a non-empty remainder is the final, unterminated
                     // frame.
-                    let text = String::from_utf8_lossy(&self.buf).trim().to_string();
-                    self.buf.clear();
+                    let len = self.buf.len();
+                    let text = take_line(&mut self.buf, len, len);
                     self.scanned = 0;
                     if text.is_empty() {
                         return Ok(Lined::Eof);
@@ -113,64 +111,96 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// Parse one line into a [`RequestFrame`].
-///
-/// On failure the error frame carries the client's correlation id when the
-/// line got far enough to reveal one, and id `0` otherwise — so clients
-/// can still match rejects to requests. A line that is valid JSON reveals
-/// its id as an object's numeric `id`; a line that is not (a parse error
-/// after the id, such as nesting past the recursion limit) reveals it as
-/// a leading `{"id":<u64>`.
-pub fn parse_request(line: &str) -> Result<RequestFrame, ResponseFrame> {
-    match serde_json::from_str::<RequestFrame>(line) {
-        Ok(frame) => Ok(frame),
-        Err(err) => {
-            let id = match serde_json::from_str::<serde::Value>(line) {
-                // `as_u64`, not `as_f64 as u64`: the cast corrupted ids
-                // above 2^53 and rounded negatives to huge positives.
-                // Non-u64 ids (negative, fractional) fall back to 0 like a
-                // missing id.
-                Ok(serde::Value::Object(fields)) => {
-                    fields
-                        .iter()
-                        .find_map(|(k, v)| if k == "id" { v.as_u64() } else { None })
-                }
-                Ok(_) => None,
-                Err(_) => leading_id(line),
-            }
-            .unwrap_or(0);
-            Err(ResponseFrame {
-                id,
-                response: Response::Error {
-                    error: ProtocolError::Malformed {
-                        reason: err.to_string(),
-                    },
-                },
-            })
+/// Take the first `consumed` bytes off `buf`, answering the first `len`
+/// of them as text: invalid UTF-8 replaced, surrounding whitespace
+/// trimmed. The text is the one allocation.
+fn take_line(buf: &mut Vec<u8>, len: usize, consumed: usize) -> String {
+    let text = match String::from_utf8_lossy(&buf[..len]) {
+        Cow::Borrowed(text) => text.trim().to_owned(),
+        Cow::Owned(mut text) => {
+            text.truncate(text.trim_end().len());
+            let lead = text.len() - text.trim_start().len();
+            text.drain(..lead);
+            text
         }
-    }
+    };
+    buf.drain(..consumed);
+    text
 }
 
-/// The id of a line that opens like a frame: `{`, the key `"id"`, `:`
-/// and an unsigned integer ended by `,`, `}` or whitespace (JSON
-/// whitespace allowed between the tokens). An id cut off by the end of
-/// the line is not trusted: more digits may have followed.
-fn leading_id(line: &str) -> Option<u64> {
-    let rest = line
-        .trim_start()
-        .strip_prefix('{')?
-        .trim_start()
-        .strip_prefix("\"id\"")?
-        .trim_start()
-        .strip_prefix(':')?
-        .trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    let (digits, after) = rest.split_at(end);
-    if after.starts_with(|c: char| c == ',' || c == '}' || c.is_ascii_whitespace()) {
-        digits.parse().ok()
-    } else {
-        None
+/// Parse one line into a [`RequestFrame`], in one pass.
+///
+/// On failure the error frame carries the client's correlation id when the
+/// line revealed one, and id `0` otherwise — so clients can still match
+/// rejects to requests. A line that is well-formed JSON reveals the
+/// top-level numeric `id` wherever it stands. A line that is not (it is
+/// cut short, or nests past the recursion limit) reveals an `id` read
+/// before anything went wrong, provided a `,`, `}` or whitespace follows
+/// its digits: an id cut off by the end of the line is not trusted, since
+/// more digits may have followed.
+pub fn parse_request(line: &str) -> Result<RequestFrame, ResponseFrame> {
+    let mut de = serde_json::Deserializer::new(line);
+    let mut id_seen = None;
+    decode_request(&mut de, &mut id_seen).map_err(|err| ResponseFrame {
+        id: id_seen.unwrap_or(0),
+        response: Response::Error {
+            error: ProtocolError::Malformed {
+                reason: err.to_string(),
+            },
+        },
+    })
+}
+
+/// The body of [`parse_request`]: the derived `RequestFrame` decode (first
+/// key wins, unknown keys skipped, errors in field order), noting in
+/// `id_seen` the id a reject may answer.
+fn decode_request(
+    de: &mut serde_json::Deserializer<'_>,
+    id_seen: &mut Option<u64>,
+) -> Result<RequestFrame, serde::Error> {
+    if de.peek()? != Kind::Map {
+        let err = serde::Error::expected("object", "RequestFrame");
+        de.recover(de.mark())?;
+        de.end()?;
+        return Err(err);
     }
+    de.begin_map()?;
+    let mut id: Option<Result<u64, serde::Error>> = None;
+    let mut request: Option<Result<Request, serde::Error>> = None;
+    // Every field so far decoded.
+    let mut clean = true;
+    while let Some(key) = de.next_key()? {
+        match key {
+            "id" if id.is_none() => {
+                let read = serde::attempt(de, u64::deserialize)?;
+                let ended = de.rest().starts_with([',', '}', ' ', '\t', '\n', '\r']);
+                if let (Ok(n), true, true) = (&read, clean, ended) {
+                    *id_seen = Some(*n);
+                }
+                clean &= read.is_ok();
+                id = Some(read);
+            }
+            "request" if request.is_none() => {
+                let mark = de.mark();
+                let read = request.insert(Request::deserialize(de));
+                if read.is_err() {
+                    clean = false;
+                    de.recover(mark)?;
+                }
+            }
+            _ => de.skip()?,
+        }
+    }
+    de.end()?;
+    // Well-formed JSON: any id that decoded answers.
+    if let Some(Ok(n)) = id {
+        *id_seen = Some(n);
+    }
+    Ok(RequestFrame {
+        id: id.unwrap_or_else(|| Err(serde::Error::missing_field("RequestFrame", "id")))?,
+        request: request
+            .unwrap_or_else(|| Err(serde::Error::missing_field("RequestFrame", "request")))?,
+    })
 }
 
 /// Write one frame as a JSON line (the only encoder the daemon uses, so
@@ -237,6 +267,19 @@ mod tests {
     }
 
     #[test]
+    fn invalid_utf8_is_replaced_and_the_line_trimmed() {
+        let data = b"  {\"a\":\xff}\t \n \xfe\n";
+        let mut r = FrameReader::new(&data[..], 1024);
+        for want in ["{\"a\":\u{fffd}}", "\u{fffd}"] {
+            match r.next_line().unwrap() {
+                Lined::Line(l) => assert_eq!(l, want),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert!(matches!(r.next_line().unwrap(), Lined::Eof));
+    }
+
+    #[test]
     fn oversized_lines_poison_the_reader() {
         let data = [b'x'; 64];
         let mut r = FrameReader::new(&data[..], 16);
@@ -288,6 +331,7 @@ mod tests {
                 .id,
             9
         );
+        assert_eq!(parse_request("{\"id\":7,").unwrap_err().id, 7);
         // No trustworthy leading id: a negative or cut-off number, a
         // later key, or no object at all.
         for line in [
@@ -299,6 +343,24 @@ mod tests {
             "{\"id\":99999999999999999999,\"request\":[",
         ] {
             assert_eq!(parse_request(line).unwrap_err().id, 0, "{line}");
+        }
+    }
+
+    #[test]
+    fn a_frame_whose_request_fails_answers_the_id_on_either_side_of_it() {
+        // The id decoded before the request failed to.
+        let err =
+            parse_request("{\"id\":7,\"request\":{\"Observe\":{\"tenant\":\"x\",\"step\":{}}}}")
+                .unwrap_err();
+        assert_eq!(err.id, 7);
+        // The failed request is skipped and the scan goes on to the id.
+        let err = parse_request("{\"request\":{\"Nope\":{}},\"id\":42}").unwrap_err();
+        assert_eq!(err.id, 42);
+        match err.response {
+            Response::Error {
+                error: ProtocolError::Malformed { reason },
+            } => assert_eq!(reason, "unknown variant `Nope` of Request"),
+            other => panic!("{other:?}"),
         }
     }
 

@@ -21,8 +21,11 @@
 //! [`ProtocolError`]; per-tenant failures (an infeasible SLA, a malformed
 //! trace step) are [`ProtocolError::Provision`] frames scoped to that
 //! request — they never terminate the connection, the tenant, or the
-//! daemon. Frames that cannot be parsed far enough to recover the client's
-//! id are answered with id `0`.
+//! daemon. A rejected frame is answered with the client's id whenever the
+//! line revealed one — any top-level `id` of a well-formed line, or an id
+//! read in full before the line went wrong — and with id `0` otherwise.
+//! Ids are exact: integer fields decode and encode as exact integers, so
+//! every `u64` id round-trips.
 //!
 //! The protocol is versioned by [`PROTOCOL_VERSION`]; `Hello` performs the
 //! handshake and an unsupported version is a typed error, not a hangup.

@@ -405,6 +405,30 @@ fn an_infinite_inline_weight_gets_a_typed_invalid_request() {
     handle.join().unwrap();
 }
 
+/// Ids past 2^53 are exact on the wire both ways: decoded as integers,
+/// not rounded through a double, and echoed as their exact digits — on
+/// answers and on rejects alike.
+#[test]
+fn ids_past_two_to_the_53_round_trip_exactly() {
+    let (addr, handle) = start(small_config());
+    let mut client = Client::connect(addr);
+    for id in [(1u64 << 53) + 1, u64::MAX - 1] {
+        for request in ["\"Stats\"", "{\"Nope\":{}}"] {
+            client.send_raw(&format!("{{\"id\":{id},\"request\":{request}}}"));
+            let mut line = String::new();
+            client.reader.read_line(&mut line).expect("recv");
+            assert!(line.starts_with(&format!("{{\"id\":{id},")), "{line}");
+            let frame: ResponseFrame = serde_json::from_str(line.trim()).expect("parse response");
+            assert_eq!(frame.id, id);
+        }
+    }
+    client.send(u64::MAX - 1, Request::Shutdown);
+    let frame = client.recv();
+    assert_eq!(frame.id, u64::MAX - 1);
+    assert!(matches!(frame.response, Response::ShuttingDown { .. }));
+    handle.join().unwrap();
+}
+
 /// A request line nested 100,000 deep fits well under the frame ceiling;
 /// parsing it must end in a typed reject, not a stack overflow that takes
 /// every tenant down with the daemon.
