@@ -18,7 +18,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dot-bench --bin distill                 # write BENCH_24.json
+//! cargo run --release -p dot-bench --bin distill                 # write BENCH_25.json
 //! cargo run --release -p dot-bench --bin distill -- --out <path> # write elsewhere
 //! cargo run --release -p dot-bench --bin distill -- --check <path> # validate a file
 //! ```
@@ -52,11 +52,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Where the trajectory for this PR lives, relative to the repo root.
-const DEFAULT_PATH: &str = "BENCH_24.json";
+const DEFAULT_PATH: &str = "BENCH_25.json";
 /// Timed samples per measurement (a warmup run precedes them).
 const SAMPLES: usize = 5;
-/// Frame decodes per timed sample of `hot_paths.decode_observe_us`.
-const DECODES_PER_SAMPLE: usize = 2_000;
 /// `--check`: a pruned sweep may be up to this factor slower than the
 /// estimate-everything sweep before it counts as a regression (headroom
 /// for machine noise on the near-tie families).
@@ -120,9 +118,8 @@ struct HotPaths {
     /// problem (deployed layout + premium reference).
     tick_two_full_estimates_ms: f64,
     /// Decode of one `Observe` request line as the daemon receives it, in
-    /// µs: the median over samples of [`DECODES_PER_SAMPLE`] decodes each
-    /// (a single decode is too short to time on its own). Absent from
-    /// files before schema 10.
+    /// µs: the median per decode over batched samples (a single decode is
+    /// too short to time on its own). Absent from files before schema 10.
     #[serde(default)]
     decode_observe_us: Option<f64>,
 }
@@ -242,26 +239,16 @@ struct PruningCell {
 
 /// Interleaved samples per pruned-vs-unpruned comparison.
 const PAIRED_SAMPLES: usize = 15;
-/// Each paired sample times a batch of sweeps lasting at least this long,
-/// so scheduler jitter averages out of sub-millisecond sweeps.
+/// Each timed sample is a batch of calls lasting at least this long, so
+/// scheduler jitter averages out of sub-millisecond calls.
 const PAIRED_BATCH_MS: f64 = 5.0;
 
 /// Median per-sweep ms of `a` and of `b`, sampled interleaved: each sample
 /// times a batch of `a` and a batch of `b`, alternating which runs first,
 /// so a slow stretch of the machine lands on both sides of the comparison.
 fn paired_median_ms(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    fn batch_ms(f: &mut dyn FnMut(), reps: usize) -> f64 {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        start.elapsed().as_secs_f64() * 1e3 / reps as f64
-    }
     // One warmup run each, which also sizes the batch.
-    let slower_ms = batch_ms(&mut a, 1).max(batch_ms(&mut b, 1));
-    let reps = (PAIRED_BATCH_MS / slower_ms.max(1e-6))
-        .ceil()
-        .clamp(1.0, 10_000.0) as usize;
+    let reps = batch_reps(batch_ms(&mut a, 1).max(batch_ms(&mut b, 1)));
     let (mut a_ms, mut b_ms) = (Vec::new(), Vec::new());
     for sample in 0..PAIRED_SAMPLES {
         if sample % 2 == 0 {
@@ -272,23 +259,36 @@ fn paired_median_ms(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
             a_ms.push(batch_ms(&mut a, reps));
         }
     }
-    let median = |mut samples: Vec<f64>| {
-        samples.sort_by(|x, y| x.partial_cmp(y).expect("finite sample"));
-        samples[samples.len() / 2]
-    };
     (median(a_ms), median(b_ms))
 }
 
-fn median_ms<F: FnMut()>(mut f: F) -> f64 {
-    f(); // warmup
-    let mut samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
+/// Median per-call ms of `f` over [`SAMPLES`] samples, each a batch of
+/// calls lasting at least [`PAIRED_BATCH_MS`] (a warmup call sizes it), so
+/// a sub-millisecond call is not one scheduler hiccup away from doubling.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    let reps = batch_reps(batch_ms(&mut f, 1));
+    median((0..SAMPLES).map(|_| batch_ms(&mut f, reps)).collect())
+}
+
+/// Per-call ms of `reps` back-to-back calls of `f`.
+fn batch_ms(f: &mut dyn FnMut(), reps: usize) -> f64 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e3 / reps as f64
+}
+
+/// Calls per batch for a call lasting `call_ms`: enough to fill
+/// [`PAIRED_BATCH_MS`].
+fn batch_reps(call_ms: f64) -> usize {
+    (PAIRED_BATCH_MS / call_ms.max(1e-6))
+        .ceil()
+        .clamp(1.0, 10_000.0) as usize
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|x, y| x.partial_cmp(y).expect("finite sample"));
     samples[samples.len() / 2]
 }
 
@@ -410,12 +410,10 @@ fn measure_decode_observe_us() -> f64 {
         },
     })
     .expect("frame encodes");
-    let batch_ms = median_ms(|| {
-        for _ in 0..DECODES_PER_SAMPLE {
-            black_box(parse_request(black_box(&line)).expect("frame decodes"));
-        }
+    let decode_ms = median_ms(|| {
+        black_box(parse_request(black_box(&line)).expect("frame decodes"));
     });
-    batch_ms * 1e3 / DECODES_PER_SAMPLE as f64
+    decode_ms * 1e3
 }
 
 /// Telemetry-tick medians on the TPC-C fixture: the same sub-threshold
@@ -1020,7 +1018,7 @@ fn measure_pruning() -> Vec<PruningCell> {
 fn distill(path: &str) {
     let trajectory = Trajectory {
         schema_version: 10,
-        pr: 24,
+        pr: 25,
         samples: SAMPLES,
         hot_paths: measure_hot_paths(),
         telemetry: measure_telemetry(),

@@ -3,7 +3,7 @@
 //! SLA-relaxation loop of §4.5.3.
 
 use crate::constraints::{self, Constraints};
-use crate::moves::enumerate_moves;
+use crate::moves::coded_moves;
 use crate::problem::Problem;
 use crate::toc::{Estimator, ObjectiveBound, TocEstimate};
 use dot_dbms::layout::space_fits;
@@ -81,8 +81,10 @@ pub fn optimize_with_pruning(
     prune: bool,
 ) -> DotOutcome {
     let start = Instant::now();
-    // Consecutive candidates differ in one or two groups, so each one
-    // re-prices only the queries that read a moved object.
+    // Every candidate is the incumbent plus one group move, so each is
+    // priced against the committed incumbent: only the queries that read
+    // the moved group are chosen again, and only an accepted candidate is
+    // committed.
     let mut pricer = toc.pricer(problem);
     let mut current = problem.premium_layout();
     let est0 = pricer.estimate(&current);
@@ -100,13 +102,13 @@ pub fn optimize_with_pruning(
 
     // Each candidate is stepped in place from `current`, and its `S_j`
     // vector, summed once, feeds the bound, `C(L)` and the capacity check.
+    // A rejected estimate's per-query buffer is handed to the next trial.
     let mut candidate = current.clone();
     let mut space = Vec::with_capacity(problem.pool.len());
-    for m in enumerate_moves(problem, profile) {
+    let mut spare = Vec::new();
+    for m in coded_moves(problem, profile) {
         candidate.clone_from(&current);
-        for (obj, &class) in m.objects.iter().zip(&m.placement) {
-            candidate.place(*obj, class);
-        }
+        m.step(profile, &mut candidate);
         investigated += 1;
         candidate.space_per_class_into(problem.schema, problem.pool, &mut space);
         // Dominance cut: a candidate whose objective lower bound already
@@ -124,11 +126,16 @@ pub fn optimize_with_pruning(
         if !space_fits(&space, problem.pool) {
             continue;
         }
-        let est = pricer.estimate_of_space(&candidate, &space);
+        let est = pricer.trial(&candidate, &space, std::mem::take(&mut spare));
         if cons.performance_satisfied(&est) && est.objective_cents < best_toc {
             best_toc = est.objective_cents;
+            pricer.commit();
             std::mem::swap(&mut current, &mut candidate);
-            best_est = Some(est);
+            if let Some(displaced) = best_est.replace(est) {
+                spare = displaced.per_query_ms;
+            }
+        } else {
+            spare = est.per_query_ms;
         }
     }
 

@@ -11,11 +11,14 @@
 //! penalty per cent of hourly layout-cost saving, both measured against the
 //! all-premium initial layout `L_0`. Moves are applied in ascending-score
 //! order, so the cheapest performance per saved cent goes first.
+//!
+//! The sweep consumes moves as placement codes: a group and the row of its
+//! dense profile table ([`GroupProfile::placement_at`] decodes it).
+//! [`Move`] is the same move with its objects and placement written out.
 
 use crate::problem::Problem;
 use dot_dbms::{Layout, ObjectId};
-use dot_profiler::baseline::group_placements;
-use dot_profiler::WorkloadProfile;
+use dot_profiler::{GroupProfile, WorkloadProfile};
 use dot_storage::ClassId;
 use serde::{Deserialize, Serialize};
 
@@ -47,6 +50,45 @@ impl Move {
     }
 }
 
+/// A [`Move`] as the sweep consumes it: the placement is its code in the
+/// group's profile table, so a move owns no allocation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CodedMove {
+    /// Index of the group in [`WorkloadProfile::groups`].
+    group_index: usize,
+    /// The target placement's code ([`GroupProfile::placement_at`]).
+    code: usize,
+    /// `δ_time[m]` (Eq. 2), ms.
+    delta_time_ms: f64,
+    /// `δ_cost[m]` (Eq. 3), cents/hour.
+    delta_cost: f64,
+    /// `σ[m]` (Eq. 4).
+    score: f64,
+}
+
+impl CodedMove {
+    /// Place the move's group onto its placement in `layout`.
+    pub(crate) fn step(self, profile: &WorkloadProfile, layout: &mut Layout) {
+        let g = &profile.groups[self.group_index];
+        for (obj, class) in g.objects.iter().zip(g.placement_at(self.code)) {
+            layout.place(*obj, class);
+        }
+    }
+
+    /// The move with its objects and placement written out.
+    fn to_move(self, profile: &WorkloadProfile) -> Move {
+        let g = &profile.groups[self.group_index];
+        Move {
+            group_index: self.group_index,
+            objects: g.objects.clone(),
+            placement: g.placement_at(self.code).collect(),
+            delta_time_ms: self.delta_time_ms,
+            delta_cost: self.delta_cost,
+            score: self.score,
+        }
+    }
+}
+
 /// `num / den`, clamped to a finite value: `0.0` when the quotient is
 /// `inf`/NaN (a zero or subnormal denominator). Scores and priority keys
 /// built from this never poison a sort — daemon ticks sort candidate moves
@@ -61,63 +103,123 @@ pub(crate) fn finite_ratio(num: f64, den: f64) -> f64 {
 }
 
 /// Enumerate all moves `m(g, p)` for every group and placement, scored and
-/// sorted ascending by `σ` (Procedure 2). The identity placement (all
-/// objects staying on `d_1`) is skipped — it saves nothing.
-///
-/// Each `δ_cost` is priced on one reused layout and one reused `S_j`
-/// buffer: the group is placed, the space summed and costed, and the
-/// group put back on the premium class.
+/// sorted ascending by `σ`, then group, then placement (Procedure 2). The
+/// identity placement (all objects staying on `d_1`) is skipped — it saves
+/// nothing — and so is every move that saves no cost. This is the list
+/// the DOT sweep walks, written out.
 pub fn enumerate_moves(problem: &Problem<'_>, profile: &WorkloadProfile) -> Vec<Move> {
-    let premium = problem.pool.most_expensive();
-    let mut moved = problem.premium_layout();
-    let c0 = problem.layout_cost_cents_per_hour(&moved);
+    coded_moves(problem, profile)
+        .iter()
+        .map(|m| m.to_move(profile))
+        .collect()
+}
+
+/// [`enumerate_moves`] as [`CodedMove`]s.
+///
+/// `δ_cost` is costed from the `S_j` vector of `m(L_0)` without summing
+/// it: off `d_1`, class `j` holds exactly the group's objects placed on
+/// it, and `d_1` holds the rest. Each of those sums depends only on which
+/// of the group's positions it covers, so it is read from a per-group
+/// table of the `2^k` subsets' sums, each summed in schema order as
+/// [`Layout::space_per_class`] sums it, bit for bit.
+pub(crate) fn coded_moves(problem: &Problem<'_>, profile: &WorkloadProfile) -> Vec<CodedMove> {
+    let pool = problem.pool;
+    let m = pool.len();
+    if m < 2 {
+        return Vec::new();
+    }
+    let premium = pool.most_expensive();
+    let c0 = problem.layout_cost_cents_per_hour(&problem.premium_layout());
     let concurrency = problem.cfg.concurrency;
-    let mut space = Vec::with_capacity(problem.pool.len());
+    let mut positions = vec![usize::MAX; problem.schema.object_count()];
+    let mut masks = vec![0usize; m];
+    let mut space = vec![0.0; m];
 
     let mut moves = Vec::new();
     for (gi, g) in profile.groups.iter().enumerate() {
-        let p0 = vec![premium; g.objects.len()];
-        let t0 = g
-            .io_time_share_ms(&p0, problem.pool, concurrency)
-            .expect("profile covers the premium placement");
-        for p in group_placements(problem.pool, g.objects.len()) {
-            if p == p0 {
+        let sums = GroupSpace::new(problem, g, &mut positions);
+        let identity = g.objects.iter().fold(0, |code, _| code * m + premium.0);
+        let t0 = g.io_time_share_at(identity, pool, concurrency);
+        for code in 0..g.placement_count() {
+            if code == identity {
                 continue;
             }
-            let tp = g
-                .io_time_share_ms(&p, problem.pool, concurrency)
-                .expect("profile covers every group placement");
-            // δ_cost via the problem's cost model so the discrete-sized
-            // extension (§5.2) scores consistently.
-            for (obj, &class) in g.objects.iter().zip(&p) {
-                moved.place(*obj, class);
+            masks.fill(0);
+            for (at, class) in g.placement_at(code).enumerate() {
+                masks[class.0] |= 1 << at;
             }
-            moved.space_per_class_into(problem.schema, problem.pool, &mut space);
-            for obj in &g.objects {
-                moved.place(*obj, premium);
+            for (j, (s, &mask)) in space.iter_mut().zip(&masks).enumerate() {
+                *s = if j == premium.0 {
+                    sums.premium[mask]
+                } else {
+                    sums.moved[mask]
+                };
             }
-            let delta_cost = c0 - problem.cost_model.cost_of_space(&space, problem.pool);
+            let delta_cost = c0 - problem.cost_model.cost_of_space(&space, pool);
             if delta_cost <= 0.0 {
                 continue;
             }
-            let delta_time_ms = tp - t0;
-            moves.push(Move {
+            let delta_time_ms = g.io_time_share_at(code, pool, concurrency) - t0;
+            moves.push(CodedMove {
                 group_index: gi,
-                objects: g.objects.clone(),
-                placement: p,
+                code,
                 delta_time_ms,
                 delta_cost,
                 score: finite_ratio(delta_time_ms, delta_cost),
             });
         }
     }
-    moves.sort_by(|a, b| {
+    moves.sort_unstable_by(|a, b| {
         a.score
             .total_cmp(&b.score)
             .then(a.group_index.cmp(&b.group_index))
-            .then(a.placement.cmp(&b.placement))
+            .then(a.code.cmp(&b.code))
     });
     moves
+}
+
+/// One group's `S_j` sums, per subset of its positions (bit `i` of the
+/// index is position `i`), each summed in schema order from `0.0`.
+struct GroupSpace {
+    /// The premium class's `S` when exactly these positions stay on it,
+    /// with every object outside the group.
+    premium: Vec<f64>,
+    /// A class's `S` when it holds exactly these positions.
+    moved: Vec<f64>,
+}
+
+impl GroupSpace {
+    /// The sums of `g`'s subsets. `positions` is per-object scratch, all
+    /// `usize::MAX`, and is left so.
+    fn new(problem: &Problem<'_>, g: &GroupProfile, positions: &mut [usize]) -> GroupSpace {
+        let subsets = 1usize << g.objects.len();
+        let mut sums = GroupSpace {
+            premium: vec![0.0; subsets],
+            moved: vec![0.0; subsets],
+        };
+        for (at, obj) in g.objects.iter().enumerate() {
+            positions[obj.0] = at;
+        }
+        for o in problem.schema.objects() {
+            match positions[o.id.0] {
+                usize::MAX => {
+                    for s in &mut sums.premium {
+                        *s += o.size_gb;
+                    }
+                }
+                at => {
+                    for mask in (0..subsets).filter(|mask| mask & 1 << at != 0) {
+                        sums.premium[mask] += o.size_gb;
+                        sums.moved[mask] += o.size_gb;
+                    }
+                }
+            }
+        }
+        for obj in &g.objects {
+            positions[obj.0] = usize::MAX;
+        }
+        sums
+    }
 }
 
 #[cfg(test)]

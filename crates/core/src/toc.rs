@@ -479,9 +479,11 @@ impl<'c> Estimator<'c> {
 
 /// [`Estimator::estimate`] for a sweep: one problem, layout after layout.
 /// Where the estimator's memo serves the problem, each layout re-prices
-/// only the queries whose objects changed class since the last layout
-/// priced (see [`Pricer`]); otherwise every layout runs [`estimate_toc`].
-/// Either way each estimate is bit-identical to [`estimate_toc`]'s.
+/// only the queries whose objects changed class since the layout last
+/// committed (see [`Pricer`]); otherwise every layout runs
+/// [`estimate_toc`]. Either way each estimate is bit-identical to
+/// [`estimate_toc`]'s. [`estimate`](Self::estimate) commits the layout it
+/// prices; [`trial`](Self::trial) does not, until [`commit`](Self::commit).
 #[derive(Debug)]
 pub struct TocPricer<'m, 'p> {
     problem: &'p Problem<'p>,
@@ -504,6 +506,35 @@ impl TocPricer<'_, '_> {
             .cost_model
             .cost_of_space(space, self.problem.pool);
         self.estimate_at_cost(layout, layout_cost)
+    }
+
+    /// [`estimate_of_space`](Self::estimate_of_space) of a candidate,
+    /// priced against the committed layout without committing it
+    /// ([`Pricer::trial`]). The estimate's per-query times are written
+    /// into `per_query_ms`, a spare buffer (a rejected trial's, say) whose
+    /// allocation the estimate takes over. Without a memo this is a full
+    /// estimate.
+    pub fn trial(&mut self, layout: &Layout, space: &[f64], per_query_ms: Vec<f64>) -> TocEstimate {
+        let layout_cost = self
+            .problem
+            .cost_model
+            .cost_of_space(space, self.problem.pool);
+        match &mut self.plans {
+            Some(plans) => {
+                let mut times = per_query_ms;
+                let plan_stats = plans.trial(layout, &mut times);
+                from_query_times(self.problem, layout_cost, times, plan_stats)
+            }
+            None => estimate_toc_at_cost(self.problem, layout, layout_cost),
+        }
+    }
+
+    /// Commit the last [`trial`](Self::trial)'s layout ([`Pricer::commit`]);
+    /// a no-op without a memo.
+    pub fn commit(&mut self) {
+        if let Some(plans) = &mut self.plans {
+            plans.commit();
+        }
     }
 
     fn estimate_at_cost(&mut self, layout: &Layout, layout_cost: f64) -> TocEstimate {

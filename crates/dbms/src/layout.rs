@@ -7,9 +7,24 @@ use dot_storage::{ClassId, StoragePool};
 use serde::{Deserialize, Serialize};
 
 /// A complete assignment of every object to a storage class.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Layout {
     assignment: Vec<ClassId>,
+}
+
+/// Written out so that `clone_from` reuses the target's buffer: the
+/// derived `clone_from` allocates a fresh `Vec`, and sweeps step a
+/// candidate from the incumbent with it once per candidate.
+impl Clone for Layout {
+    fn clone(&self) -> Self {
+        Layout {
+            assignment: self.assignment.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.assignment.clone_from(&source.assignment);
+    }
 }
 
 impl Layout {
@@ -210,6 +225,16 @@ mod tests {
         let total: usize = ids.iter().map(|&c| l.objects_on(c).count()).sum();
         assert_eq!(total, s.object_count());
         assert_eq!(l.objects_on(ids[1]).next(), Some(ObjectId(1)));
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer() {
+        let a = Layout::uniform(ClassId(1), 6);
+        let mut b = Layout::uniform(ClassId(0), 6);
+        let buffer = b.assignment().as_ptr();
+        b.clone_from(&a);
+        assert_eq!(b, a);
+        assert_eq!(b.assignment().as_ptr(), buffer, "no reallocation");
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! objects per step, and a template's plan reads only the classes of its
 //! own objects. [`PlanMemo::pricer`] hands out a [`Pricer`] that keeps
 //! every template's last answer and re-runs the choose step only for the
-//! templates that touch an object whose class changed.
+//! templates that touch an object whose class changed. A sweep that tries
+//! candidates around an incumbent prices each one with
+//! [`Pricer::trial`], against the layout last committed, and
+//! [`commit`](Pricer::commit)s only the candidate it accepts.
 
 use crate::config::EngineConfig;
 use crate::layout::Layout;
@@ -170,6 +173,7 @@ impl<'a> PlanMemo<'a> {
             codes: vec![Vec::new(); n],
             stale: vec![true; n],
             slots: Vec::new(),
+            trial: Trial::default(),
         }
     }
 
@@ -202,19 +206,51 @@ impl<'a> PlanMemo<'a> {
 /// [`choice_key`](Self::choice_key) are bit-identical to
 /// [`PlanMemo::estimate`] and [`PlanMemo::choice_key`] on every layout,
 /// whatever layouts came before it.
+///
+/// [`estimate`](Self::estimate) and [`choice_key`](Self::choice_key)
+/// commit the layout they price: the next layout is compared with it.
+/// [`trial`](Self::trial) prices a layout against the committed one and
+/// leaves it committed, so a run of candidates that each differ from one
+/// incumbent in a few objects re-prices only those objects' readers, and
+/// a rejected candidate is never priced back; [`commit`](Self::commit)
+/// adopts the last trial's layout and answers.
 pub struct Pricer<'m> {
     compiled: &'m Compiled,
     /// Per object, the templates whose objects include it.
     readers: Vec<Vec<usize>>,
-    /// Classes of the layout last priced; empty before the first.
+    /// Classes of the committed layout; empty before the first.
     classes: Vec<ClassId>,
     /// Per template, its answer under `classes`.
     times: Vec<f64>,
     stats: Vec<PlanStats>,
     codes: Vec<Vec<u8>>,
-    /// Templates whose answer no longer matches `classes`.
+    /// Templates whose answer no longer matches the layout being priced.
     stale: Vec<bool>,
     slots: Vec<IoCounts>,
+    /// The last trial, until a commit adopts it or a sync drops it.
+    trial: Trial,
+}
+
+/// What a [`Pricer::trial`] found that differs from the committed state.
+#[derive(Default)]
+struct Trial {
+    /// Whether `moved` and `answers` describe a trial not yet committed.
+    pending: bool,
+    /// The objects whose class the trial changed, with their new class.
+    moved: Vec<(usize, ClassId)>,
+    /// The templates the trial chose again, with their answers.
+    answers: Vec<Answer>,
+    /// The answers' choice codes, end to end.
+    codes: Vec<u8>,
+}
+
+/// One template's answer under a trial layout.
+struct Answer {
+    template: usize,
+    time_ms: f64,
+    stats: PlanStats,
+    /// The answer's run of [`Trial::codes`].
+    codes: std::ops::Range<usize>,
 }
 
 impl Pricer<'_> {
@@ -222,14 +258,7 @@ impl Pricer<'_> {
     /// workload order, and the plans' summed [`PlanStats`].
     pub fn estimate(&mut self, layout: &Layout) -> (Vec<f64>, PlanStats) {
         self.sync(layout);
-        let mut stats = PlanStats::default();
-        for s in &self.stats {
-            stats.joins += s.joins;
-            stats.inlj += s.inlj;
-            stats.index_scans += s.index_scans;
-            stats.scans += s.scans;
-        }
-        (self.times.clone(), stats)
+        (self.times.clone(), sum_stats(&self.stats))
     }
 
     /// [`PlanMemo::choice_key`] of `layout`.
@@ -238,10 +267,90 @@ impl Pricer<'_> {
         ChoiceKey(self.codes.concat())
     }
 
-    /// Bring every template's answer up to `layout`: mark the templates
-    /// reading an object whose class changed (all of them on the first
-    /// layout, or on one of another length), then choose those again.
+    /// [`estimate`](Self::estimate) of `layout`, priced against the
+    /// committed layout without committing it: the templates reading an
+    /// object whose class differs are chosen again, and the rest answer as
+    /// committed. Every query's `est_time_ms` is written into `times`, in
+    /// workload order, and the plans' summed [`PlanStats`] returned. With
+    /// nothing committed yet (or a layout of another length) the trial
+    /// prices every template and commits `layout` itself.
+    pub fn trial(&mut self, layout: &Layout, times: &mut Vec<f64>) -> PlanStats {
+        let assignment = layout.assignment();
+        if self.classes.len() != assignment.len() {
+            self.sync(layout);
+            times.clone_from(&self.times);
+            return sum_stats(&self.stats);
+        }
+        let trial = &mut self.trial;
+        trial.pending = true;
+        trial.moved.clear();
+        trial.answers.clear();
+        trial.codes.clear();
+        for (o, (&last, &class)) in self.classes.iter().zip(assignment).enumerate() {
+            if last != class {
+                trial.moved.push((o, class));
+                for &t in self.readers.get(o).into_iter().flatten() {
+                    self.stale[t] = true;
+                }
+            }
+        }
+        times.clear();
+        let mut total = PlanStats::default();
+        let compiled = self.compiled;
+        for (t, template) in compiled.templates.iter().enumerate() {
+            let (time_ms, stats) = if std::mem::take(&mut self.stale[t]) {
+                let mut stats = PlanStats::default();
+                let start = trial.codes.len();
+                let time_ms = template.evaluate(
+                    &compiled.latencies,
+                    layout,
+                    &mut self.slots,
+                    &mut stats,
+                    &mut trial.codes,
+                );
+                trial.answers.push(Answer {
+                    template: t,
+                    time_ms,
+                    stats,
+                    codes: start..trial.codes.len(),
+                });
+                (time_ms, stats)
+            } else {
+                (self.times[t], self.stats[t])
+            };
+            times.push(time_ms);
+            add_stats(&mut total, &stats);
+        }
+        total
+    }
+
+    /// Make the last [`trial`](Self::trial)'s layout the committed one,
+    /// with its answers. A no-op when no trial is pending: none was made,
+    /// it was committed already, or an [`estimate`](Self::estimate) or
+    /// [`choice_key`](Self::choice_key) has committed another layout since.
+    pub fn commit(&mut self) {
+        let trial = &mut self.trial;
+        if !std::mem::take(&mut trial.pending) {
+            return;
+        }
+        for &(o, class) in &trial.moved {
+            self.classes[o] = class;
+        }
+        for answer in &trial.answers {
+            let t = answer.template;
+            self.times[t] = answer.time_ms;
+            self.stats[t] = answer.stats;
+            self.codes[t].clear();
+            self.codes[t].extend_from_slice(&trial.codes[answer.codes.clone()]);
+        }
+    }
+
+    /// Bring every template's answer up to `layout` and commit it: mark
+    /// the templates reading an object whose class changed (all of them on
+    /// the first layout, or on one of another length), then choose those
+    /// again. A pending trial is dropped.
     fn sync(&mut self, layout: &Layout) {
+        self.trial.pending = false;
         let assignment = layout.assignment();
         if self.classes.len() == assignment.len() {
             for (o, (last, &class)) in self.classes.iter_mut().zip(assignment).enumerate() {
@@ -269,6 +378,22 @@ impl Pricer<'_> {
                 template.evaluate(&compiled.latencies, layout, &mut self.slots, stats, codes);
         }
     }
+}
+
+/// The sum of per-template [`PlanStats`].
+fn sum_stats(stats: &[PlanStats]) -> PlanStats {
+    let mut total = PlanStats::default();
+    for s in stats {
+        add_stats(&mut total, s);
+    }
+    total
+}
+
+fn add_stats(total: &mut PlanStats, s: &PlanStats) {
+    total.joins += s.joins;
+    total.inlj += s.inlj;
+    total.index_scans += s.index_scans;
+    total.scans += s.scans;
 }
 
 impl std::fmt::Debug for Pricer<'_> {

@@ -268,9 +268,22 @@ struct ReadTemplate {
     sort_cpu_ms: Option<f64>,
     /// An external merge sort's temp-object charges.
     sort_spill: Option<Ledger>,
+    /// The slots some ledger the choose step may absorb charges, ascending:
+    /// the only slots of the op's sum that can hold a nonzero count.
+    slots: Vec<usize>,
 }
 
 impl ReadTemplate {
+    /// Every ledger the choose step may absorb into the op's sum.
+    fn absorbable(&self) -> impl Iterator<Item = Ledger> + '_ {
+        let base = std::iter::once(self.base.seq).chain(self.base.index.map(|(_, l)| l));
+        let joins = self
+            .joins
+            .iter()
+            .flat_map(|j| j.hash.into_iter().chain(j.inlj.map(|(_, l)| l)));
+        base.chain(joins).chain(self.sort_spill)
+    }
+
     /// Add the chosen candidates into `op`, in the recursive planner's
     /// order: the base scan, each join's cheaper candidate, then the
     /// aggregate and sort charges. Returns whether a chosen operator spills.
@@ -355,7 +368,7 @@ struct Chosen {
 /// Compile `q` against `schema` and `cfg` into its layout-free template.
 pub(crate) fn compile(q: &QuerySpec, schema: &Schema, cfg: &EngineConfig) -> QueryTemplate {
     let mut charges = Vec::new();
-    let ops = q
+    let mut ops: Vec<OpTemplate> = q
         .ops
         .iter()
         .map(|op| match op {
@@ -369,6 +382,17 @@ pub(crate) fn compile(q: &QuerySpec, schema: &Schema, cfg: &EngineConfig) -> Que
     objects.dedup();
     for c in &mut charges {
         c.slot = objects.binary_search(&c.object).unwrap_or_default();
+    }
+    for op in &mut ops {
+        if let OpTemplate::Read(read) = op {
+            let mut slots: Vec<usize> = read
+                .absorbable()
+                .flat_map(|l| charges[l.start..l.end].iter().map(|c| c.slot))
+                .collect();
+            slots.sort_unstable();
+            slots.dedup();
+            read.slots = slots;
+        }
     }
     QueryTemplate {
         name: q.name.clone(),
@@ -468,7 +492,10 @@ impl QueryTemplate {
     /// report each pick, and sum the chosen ledgers into `slots[..n]` (and
     /// the returned CPU time) with the recursive planner's nesting — each
     /// read op is summed on its own, then added into the query's total —
-    /// because float addition is not associative.
+    /// because float addition is not associative. A read op clears and
+    /// adds only the slots its ledgers can charge: every other slot of its
+    /// sum is `+0.0`, and adding `+0.0` to a running sum that started at
+    /// `+0.0` changes no bit.
     fn choose(
         &self,
         latencies: &Latencies,
@@ -491,12 +518,14 @@ impl QueryTemplate {
                     ledger.absorb_into(charges, query, &mut chosen.cpu_ms);
                 }
                 OpTemplate::Read(read) => {
-                    op.fill(IoCounts::ZERO);
+                    for &slot in &read.slots {
+                        op[slot] = IoCounts::ZERO;
+                    }
                     let mut op_cpu_ms = 0.0;
                     chosen.spilled |=
                         read.choose(charges, latencies, layout, op, &mut op_cpu_ms, &mut pick);
-                    for (total, counts) in query.iter_mut().zip(op.iter()) {
-                        *total += *counts;
+                    for &slot in &read.slots {
+                        query[slot] += op[slot];
                     }
                     chosen.cpu_ms += op_cpu_ms;
                 }
@@ -590,6 +619,7 @@ fn compile_read(
         agg_cpu_ms,
         sort_cpu_ms,
         sort_spill,
+        slots: Vec::new(),
     }
 }
 

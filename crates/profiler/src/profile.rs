@@ -47,14 +47,7 @@ impl GroupProfile {
     /// placement of another length or one naming a class outside the
     /// profiled pool.
     pub fn counts(&self, placement: &[ClassId]) -> Option<&[IoCounts]> {
-        let k = self.objects.len();
-        if placement.len() != k {
-            return None;
-        }
-        let code = placement.iter().try_fold(0usize, |code, class| {
-            (class.0 < self.classes).then(|| code * self.classes + class.0)
-        })?;
-        Some(&self.table[code * k..(code + 1) * k])
+        self.code_of(placement).map(|code| self.counts_at(code))
     }
 
     /// The I/O time share `T^p[g] = Σ_{o∈g} Σ_r χ^p_r[o] · τ^{p[o]}_r`
@@ -65,15 +58,57 @@ impl GroupProfile {
         pool: &StoragePool,
         concurrency: u32,
     ) -> Option<f64> {
-        let counts = self.counts(placement)?;
+        let code = self.code_of(placement)?;
+        Some(self.io_time_share_at(code, pool, concurrency))
+    }
+
+    /// How many placements the table holds, `M^k`: codes run from 0 up to
+    /// this.
+    pub fn placement_count(&self) -> usize {
+        self.table.len() / self.objects.len()
+    }
+
+    /// The code of `placement`, or `None` for a placement of another length
+    /// or one naming a class outside the profiled pool.
+    fn code_of(&self, placement: &[ClassId]) -> Option<usize> {
+        if placement.len() != self.objects.len() {
+            return None;
+        }
+        placement.iter().try_fold(0usize, |code, class| {
+            (class.0 < self.classes).then(|| code * self.classes + class.0)
+        })
+    }
+
+    /// The placement whose code is `code` (below
+    /// [`placement_count`](Self::placement_count)), position by position.
+    pub fn placement_at(&self, code: usize) -> impl Iterator<Item = ClassId> {
+        let m = self.classes;
+        let k = self.objects.len();
+        let mut place = m.pow(k.saturating_sub(1) as u32);
+        (0..k).map(move |_| {
+            let class = ClassId(code / place % m);
+            place /= m;
+            class
+        })
+    }
+
+    /// [`counts`](Self::counts) of the placement whose code is `code`.
+    fn counts_at(&self, code: usize) -> &[IoCounts] {
+        let k = self.objects.len();
+        &self.table[code * k..(code + 1) * k]
+    }
+
+    /// [`io_time_share_ms`](Self::io_time_share_ms) of the placement whose
+    /// code is `code`, bit for bit.
+    pub fn io_time_share_at(&self, code: usize, pool: &StoragePool, concurrency: u32) -> f64 {
         let mut total = 0.0;
-        for (c, &class) in counts.iter().zip(placement) {
+        for (c, class) in self.counts_at(code).iter().zip(self.placement_at(code)) {
             total += pool
                 .class_unchecked(class)
                 .profile
                 .service_time_ms(c, concurrency);
         }
-        Some(total)
+        total
     }
 }
 
@@ -222,6 +257,26 @@ mod tests {
                 assert!(g.counts(&outside).is_none());
             }
             assert!(g.counts(&[]).is_none());
+        }
+    }
+
+    #[test]
+    fn codes_decode_to_the_placements_they_index() {
+        let (s, pool, w, cfg) = synth_setup();
+        let prof = profile_workload(
+            &PlanMemo::new(&w.queries, &s, &pool, &cfg),
+            ProfileSource::Estimate,
+        );
+        for g in &prof.groups {
+            let placements = group_placements(&pool, g.objects.len());
+            assert_eq!(g.placement_count(), placements.len());
+            for (code, p) in placements.iter().enumerate() {
+                assert_eq!(g.code_of(p), Some(code));
+                assert_eq!(g.placement_at(code).collect::<Vec<_>>(), *p);
+                assert_eq!(g.counts_at(code), g.counts(p).unwrap());
+                let share = g.io_time_share_at(code, &pool, 4);
+                assert_eq!(Some(share), g.io_time_share_ms(p, &pool, 4));
+            }
         }
     }
 

@@ -18,7 +18,12 @@
 //!   few objects, skipping layouts as pruning does, jumping to unrelated
 //!   layouts — answers every estimate and choice key bit-identically to
 //!   the memo and to the frozen recursive planner, and a query's estimate
-//!   depends on the classes of its own objects alone.
+//!   depends on the classes of its own objects alone;
+//! - walks that interleave `Pricer::trial` of candidates around a
+//!   committed incumbent, `commit`, `estimate` and `choice_key` answer bit
+//!   for bit like the memo and the frozen planner, an uncommitted trial
+//!   leaves the next estimate unchanged, and `TocPricer::trial` matches
+//!   `toc::estimate_toc` with and without a memo.
 
 mod reference_planner;
 
@@ -686,6 +691,127 @@ fn pricer_walks_answer_bit_identically_to_the_memo_and_the_reference_planner() {
     assert!(
         priced > 1_000 && skipped > 200 && keys_shared > 0 && keys_distinct > 0,
         "{priced} priced, {skipped} skipped, keys {keys_shared} shared, {keys_distinct} distinct"
+    );
+}
+
+/// `(times, stats)` against the frozen recursive planner, bit for bit.
+fn assert_matches_reference(
+    label: &str,
+    times: &[f64],
+    stats: PlanStats,
+    queries: &[QuerySpec],
+    layout: &Layout,
+    (schema, pool, cfg): (&Schema, &StoragePool, &EngineConfig),
+) {
+    let mut want_stats = PlanStats::default();
+    assert_eq!(times.len(), queries.len(), "{label}: one time per query");
+    for (q, time) in queries.iter().zip(times) {
+        let want = reference_planner::plan_query(q, schema, layout, pool, cfg);
+        assert_eq!(
+            time.to_bits(),
+            want.est_time_ms.to_bits(),
+            "{label}: {}",
+            q.name
+        );
+        want_stats.add(&want);
+    }
+    assert_eq!(stats, want_stats, "{label}: reference stats");
+}
+
+#[test]
+fn pricer_trials_and_commits_answer_bit_identically() {
+    let mut rng = 0x5EED_000Au64;
+    let (mut trials, mut commits, mut dropped) = (0usize, 0usize, 0usize);
+    for (label, schema, workload, pool, cfg) in walk_cases() {
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
+        let mut pricer = memo.pricer();
+        let mut toc_pricer = toc::Estimator::direct().memoized(&memo).pricer(&problem);
+        let mut direct = toc::Estimator::direct().pricer(&problem);
+        let env = (&schema, &pool, &cfg);
+        // The pricer's committed layout, and the last trial's candidate.
+        let mut committed = random_layout(schema.object_count(), &pool, &mut rng);
+        let (times, stats) = pricer.estimate(&committed);
+        assert_matches_reference(&label, &times, stats, &workload.queries, &committed, env);
+        toc_pricer.estimate(&committed);
+        let mut pending: Option<Layout> = None;
+        let mut times = Vec::new();
+        for i in 0..48 {
+            let label = format!("{label} step {i}");
+            match splitmix(&mut rng) % 6 {
+                // A candidate around the incumbent, most of the time.
+                0..=2 => {
+                    let candidate = step(&committed, &pool, &mut rng);
+                    let stats = pricer.trial(&candidate, &mut times);
+                    let (want_times, want_stats) = memo.estimate(&candidate);
+                    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&times), bits(&want_times), "{label}: trial vs memo");
+                    assert_eq!(stats, want_stats, "{label}: trial stats vs memo");
+                    assert_matches_reference(
+                        &label,
+                        &times,
+                        stats,
+                        &workload.queries,
+                        &candidate,
+                        env,
+                    );
+                    let space = candidate.space_per_class(&schema, &pool);
+                    let want = toc::estimate_toc(&problem, &candidate);
+                    let spare = std::mem::take(&mut times);
+                    let got = toc_pricer.trial(&candidate, &space, spare);
+                    assert_bit_identical(&format!("{label}: toc trial"), &got, &want);
+                    times = got.per_query_ms;
+                    let got = direct.trial(&candidate, &space, Vec::new());
+                    assert_bit_identical(&format!("{label}: memo-free trial"), &got, &want);
+                    trials += 1;
+                    pending = Some(candidate);
+                }
+                3 => {
+                    pricer.commit();
+                    toc_pricer.commit();
+                    direct.commit();
+                    if let Some(candidate) = pending.take() {
+                        committed = candidate;
+                        commits += 1;
+                        // The committed answers and codes are the trial's.
+                        let key = pricer.choice_key(&committed);
+                        assert_eq!(key, memo.choice_key(&committed), "{label}: key");
+                    }
+                }
+                // An estimate of the committed layout: an uncommitted trial
+                // must not have moved it.
+                4 => {
+                    dropped += usize::from(pending.take().is_some());
+                    let (times, stats) = pricer.estimate(&committed);
+                    assert_matches_reference(
+                        &label,
+                        &times,
+                        stats,
+                        &workload.queries,
+                        &committed,
+                        env,
+                    );
+                    assert_bit_identical(
+                        &format!("{label}: toc estimate"),
+                        &toc_pricer.estimate(&committed),
+                        &toc::estimate_toc(&problem, &committed),
+                    );
+                }
+                // A jump: `choice_key` commits the layout it keys, and a
+                // pending trial is dropped.
+                _ => {
+                    pending = None;
+                    committed = step(&committed, &pool, &mut rng);
+                    let key = pricer.choice_key(&committed);
+                    assert_eq!(key, memo.choice_key(&committed), "{label}: jump key");
+                    toc_pricer.estimate(&committed);
+                }
+            }
+        }
+    }
+    assert!(
+        trials > 1_000 && commits > 100 && dropped > 100,
+        "{trials} trials, {commits} commits, {dropped} dropped"
     );
 }
 
