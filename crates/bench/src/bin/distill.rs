@@ -3,7 +3,8 @@
 //! Re-measures the repo's headline hot paths with the same fixtures the
 //! criterion benches use — cold solve, warm replan, quiescent controller
 //! tick (against the two-full-estimate tick it replaced), the decode of one
-//! `Observe` request line, replan reuse on a supervised fleet, the
+//! `Observe` request line, a workload profile, a solve that refines after
+//! a failed validation, replan reuse on a supervised fleet, the
 //! `dot-serve` daemon's concurrent observe-tick throughput (the median of
 //! several samples, with their range), the
 //! registry restore latency from a persisted multi-tenant snapshot, the
@@ -18,7 +19,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dot-bench --bin distill                 # write BENCH_25.json
+//! cargo run --release -p dot-bench --bin distill                 # write BENCH_26.json
 //! cargo run --release -p dot-bench --bin distill -- --out <path> # write elsewhere
 //! cargo run --release -p dot-bench --bin distill -- --check <path> # validate a file
 //! ```
@@ -36,7 +37,7 @@
 //! number of candidates, and the pruned sweeps must not run meaningfully
 //! slower than their estimate-everything counterparts.
 
-use dot_core::advisor::Advisor;
+use dot_core::advisor::{presets, Advisor};
 use dot_core::controller::{Controller, ControllerConfig, TraceStep};
 use dot_core::fleet::{supervise_fleet, FleetConfig, SuperviseTenantRequest};
 use dot_core::problem::Problem;
@@ -52,7 +53,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Where the trajectory for this PR lives, relative to the repo root.
-const DEFAULT_PATH: &str = "BENCH_25.json";
+const DEFAULT_PATH: &str = "BENCH_26.json";
 /// Timed samples per measurement (a warmup run precedes them).
 const SAMPLES: usize = 5;
 /// `--check`: a pruned sweep may be up to this factor slower than the
@@ -122,6 +123,16 @@ struct HotPaths {
     /// too short to time on its own). Absent from files before schema 10.
     #[serde(default)]
     decode_observe_us: Option<f64>,
+    /// The estimate profile of tpcc:16 on the full pool over a fresh plan
+    /// memo, the templates' compile included. Absent from files before
+    /// schema 11.
+    #[serde(default)]
+    profile_ms: Option<f64>,
+    /// `recommend("dot")` on tpch:1:original over the full pool, on a warm
+    /// session: its first validation fails, so the solve includes a
+    /// refinement round. Absent from files before schema 11.
+    #[serde(default)]
+    refined_solve_ms: Option<f64>,
 }
 
 /// Telemetry-tick medians: one quiescent controller observation fed from a
@@ -391,7 +402,40 @@ fn measure_hot_paths() -> HotPaths {
         tick_step_ms: Some(tick_step_ms),
         tick_two_full_estimates_ms,
         decode_observe_us: Some(measure_decode_observe_us()),
+        profile_ms: Some(measure_profile_ms()),
+        refined_solve_ms: Some(measure_refined_solve_ms()),
     }
+}
+
+/// Profiling from estimates, as a fresh session pays for it: tpcc:16 on the
+/// full pool (125 baselines), a new memo per call.
+fn measure_profile_ms() -> f64 {
+    let (schema, workload) = presets::database("tpcc:16").expect("preset");
+    let pool = catalog::full_pool();
+    let cfg = presets::engine(None, &workload).expect("engine");
+    median_ms(|| {
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        black_box(profile_workload(&memo, ProfileSource::Estimate));
+    })
+}
+
+/// A solve whose first validation fails: tpch:1:original on the full pool
+/// re-profiles from a test run and sweeps again. The session is warm, so
+/// the cell times the solve, the refinement round included.
+fn measure_refined_solve_ms() -> f64 {
+    let (schema, workload) = presets::database("tpch:1:original").expect("preset");
+    let pool = catalog::full_pool();
+    let advisor = Advisor::builder(&schema, &pool, &workload)
+        .build()
+        .expect("session");
+    let rec = advisor.recommend("dot").expect("recommendation");
+    assert!(
+        rec.provenance.refinement_rounds >= 1,
+        "the refined-solve cell must refine"
+    );
+    median_ms(|| {
+        black_box(advisor.recommend("dot").expect("recommendation"));
+    })
 }
 
 /// The decode of a quiescent tenant's `Observe` line, shaped like the
@@ -1017,8 +1061,8 @@ fn measure_pruning() -> Vec<PruningCell> {
 
 fn distill(path: &str) {
     let trajectory = Trajectory {
-        schema_version: 10,
-        pr: 25,
+        schema_version: 11,
+        pr: 26,
         samples: SAMPLES,
         hot_paths: measure_hot_paths(),
         telemetry: measure_telemetry(),
@@ -1040,7 +1084,7 @@ fn summarize(t: &Trajectory) {
     println!(
         "distill: cold solve {:.1} ms, warm replan {:.2} ms, quiescent tick {:.4} ms \
          (two-full-estimate tick {:.3} ms, {:.0}x; step tick {:.4} ms); \
-         Observe line decode {:.3} us",
+         Observe line decode {:.3} us; profile {:.3} ms, refined solve {:.3} ms",
         h.cold_solve_ms,
         h.warm_replan_ms,
         h.tick_quiescent_ms,
@@ -1048,6 +1092,8 @@ fn summarize(t: &Trajectory) {
         h.tick_two_full_estimates_ms / h.tick_quiescent_ms.max(1e-9),
         h.tick_step_ms.unwrap_or(f64::NAN),
         h.decode_observe_us.unwrap_or(f64::NAN),
+        h.profile_ms.unwrap_or(f64::NAN),
+        h.refined_solve_ms.unwrap_or(f64::NAN),
     );
     println!(
         "distill: telemetry tick {:.4} ms scripted vs {:.4} ms measured ({:.1}x)",
@@ -1136,25 +1182,23 @@ fn check(path: &str) {
             fail(&format!("{path}: {name} = {v} is not a positive median"));
         }
     }
-    match h.tick_step_ms {
-        Some(v) if !v.is_finite() || v <= 0.0 => fail(&format!(
-            "{path}: tick_step_ms = {v} is not a positive median"
-        )),
-        None if t.schema_version >= 9 => fail(&format!(
-            "{path}: schema {} must carry hot_paths.tick_step_ms",
-            t.schema_version
-        )),
-        _ => {}
-    }
-    match h.decode_observe_us {
-        Some(v) if !v.is_finite() || v <= 0.0 => fail(&format!(
-            "{path}: decode_observe_us = {v} is not a positive median"
-        )),
-        None if t.schema_version >= 10 => fail(&format!(
-            "{path}: schema {} must carry hot_paths.decode_observe_us",
-            t.schema_version
-        )),
-        _ => {}
+    // Cells added after the first schema: required from their schema on.
+    for (name, value, since) in [
+        ("tick_step_ms", h.tick_step_ms, 9),
+        ("decode_observe_us", h.decode_observe_us, 10),
+        ("profile_ms", h.profile_ms, 11),
+        ("refined_solve_ms", h.refined_solve_ms, 11),
+    ] {
+        match value {
+            Some(v) if !v.is_finite() || v <= 0.0 => {
+                fail(&format!("{path}: {name} = {v} is not a positive median"))
+            }
+            None if t.schema_version >= since => fail(&format!(
+                "{path}: schema {} must carry hot_paths.{name}",
+                t.schema_version
+            )),
+            _ => {}
+        }
     }
     if h.tick_quiescent_ms >= h.tick_two_full_estimates_ms {
         fail(&format!(

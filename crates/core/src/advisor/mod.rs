@@ -125,13 +125,14 @@ pub struct Recommendation {
 pub struct SolveContext<'s, 'a> {
     /// The §2.5 problem statement.
     pub problem: &'s Problem<'a>,
-    /// The session's workload profile (§3.4), computed once.
+    /// The session's workload profile (§3.4), computed once over `plans`:
+    /// refinement recounts its baseline runs through them.
     pub profile: &'s WorkloadProfile,
     /// Derived performance + capacity constraints, computed once.
     pub constraints: &'s Constraints,
     /// The session's plan memo: each query's compiled template, priced
     /// under every layout the session looks at. Solvers that re-profile
-    /// (refinement) plan through it.
+    /// (refinement) count through it.
     pub plans: &'s PlanMemo<'a>,
     /// Maximum validation/refinement rounds for solvers that run the
     /// Figure 2 validation phase.

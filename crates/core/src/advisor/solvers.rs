@@ -11,7 +11,7 @@ use crate::dot::{self, DotOutcome, ValidationReport};
 use crate::exhaustive;
 use crate::problem::{LayoutCostModel, Problem};
 use dot_dbms::Layout;
-use dot_profiler::{profile_workload, ProfileSource};
+use dot_profiler::ProfileSource;
 use dot_workloads::PerfMetric;
 use std::rc::Rc;
 use std::time::Instant;
@@ -278,10 +278,13 @@ impl Solver for DotSolver {
                     final_sla,
                 ));
             }
-            // Refine: re-profile from runtime statistics (test-run counts)
-            // and redo the optimization phase.
+            // Refine: re-profile from runtime statistics (test-run counts),
+            // reusing the session profile's baseline runs, and redo the
+            // optimization phase.
             rounds += 1;
-            let refined = profile_workload(cx.plans, ProfileSource::TestRun { seed });
+            let refined = cx
+                .profile
+                .recount(cx.plans, ProfileSource::TestRun { seed });
             let next = dot::optimize_with(problem, &refined, &active_cons, &cx.toc);
             investigated += next.layouts_investigated;
             pruned += next.layouts_pruned;

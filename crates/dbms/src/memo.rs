@@ -15,14 +15,22 @@
 //! dropped with its session.
 //!
 //! A sweep that walks from layout to layout — Procedure 1's group moves,
-//! exhaustive search's odometer, the profiling baselines — changes a few
-//! objects per step, and a template's plan reads only the classes of its
-//! own objects. [`PlanMemo::pricer`] hands out a [`Pricer`] that keeps
-//! every template's last answer and re-runs the choose step only for the
-//! templates that touch an object whose class changed. A sweep that tries
-//! candidates around an incumbent prices each one with
-//! [`Pricer::trial`], against the layout last committed, and
-//! [`commit`](Pricer::commit)s only the candidate it accepts.
+//! exhaustive search's odometer — changes a few objects per step, and a
+//! template's plan reads only the classes of its own objects.
+//! [`PlanMemo::pricer`] hands out a [`Pricer`] that keeps every template's
+//! last answer and re-runs the choose step only for the templates that
+//! touch an object whose class changed. A sweep that tries candidates
+//! around an incumbent prices each one with [`Pricer::trial`], against the
+//! layout last committed, and [`commit`](Pricer::commit)s only the
+//! candidate it accepts.
+//!
+//! Profiling asks less of a layout: which plans it gets, not what they
+//! cost. [`PlanMemo::decisions`] hands out a [`Decisions`] walk that keeps
+//! every template's decision codes in one buffer and re-decides only the
+//! templates reading a moved object, by comparing candidate prices alone:
+//! it sums no ledger and prices no plan. [`PlanMemo::workload_io`] then
+//! counts a layout's I/O straight from the templates, without
+//! materializing plans.
 
 use crate::config::EngineConfig;
 use crate::layout::Layout;
@@ -50,6 +58,35 @@ pub struct PlanMemo<'a> {
 struct Compiled {
     templates: Vec<QueryTemplate>,
     latencies: Latencies,
+    /// Per object, the templates whose objects include it.
+    readers: Vec<Vec<usize>>,
+    /// Per template `t`, where its decision codes sit in a workload's
+    /// codes: `code_starts[t]..code_starts[t + 1]`.
+    code_starts: Vec<usize>,
+}
+
+impl Compiled {
+    /// The templates reading `object` (none for an object the schema does
+    /// not have).
+    fn readers(&self, object: usize) -> &[usize] {
+        self.readers.get(object).map_or(&[], Vec::as_slice)
+    }
+
+    /// Write the decision codes of template `t` under `layout` into its run
+    /// of the workload's `codes`.
+    fn decide(&self, t: usize, layout: &Layout, codes: &mut [u8]) {
+        let run = &mut codes[self.code_starts[t]..self.code_starts[t + 1]];
+        self.templates[t].decide(&self.latencies, layout, run);
+    }
+
+    /// Every template's decision codes under `layout`, in workload order.
+    fn key(&self, layout: &Layout) -> ChoiceKey {
+        let mut codes = vec![0; self.code_starts[self.templates.len()]];
+        for t in 0..self.templates.len() {
+            self.decide(t, layout, &mut codes);
+        }
+        ChoiceKey(codes)
+    }
 }
 
 /// A layout's plan choices over the whole workload: one code per access
@@ -57,6 +94,13 @@ struct Compiled {
 /// when every query's plans have [`PlannedQuery::same_choices`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ChoiceKey(Vec<u8>);
+
+impl ChoiceKey {
+    /// The key's codes: what [`Decisions::key`] answers for its layout.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
 
 impl<'a> PlanMemo<'a> {
     /// A memo over `queries` planned against `schema`, `pool` and `cfg`.
@@ -133,15 +177,24 @@ impl<'a> PlanMemo<'a> {
         (times, stats)
     }
 
-    /// The plan choices every query makes under `layout`.
-    pub fn choice_key(&self, layout: &Layout) -> ChoiceKey {
+    /// The per-object I/O counts of one run of the workload under
+    /// `layout`, each query's weighted by its repetitions: bit-identical to
+    /// the `cost.io` of [`exec::assemble`](crate::exec::assemble) over
+    /// [`plan_workload`](Self::plan_workload)'s plans with no test run,
+    /// without materializing a plan.
+    pub fn workload_io(&self, layout: &Layout) -> Vec<IoCounts> {
         let compiled = self.compiled();
         let mut slots = Vec::new();
-        let mut codes = Vec::new();
+        let mut io = vec![IoCounts::ZERO; self.schema.object_count()];
         for t in &compiled.templates {
-            t.choice_codes(&compiled.latencies, layout, &mut slots, &mut codes);
+            t.add_io(&compiled.latencies, layout, &mut slots, &mut io);
         }
-        ChoiceKey(codes)
+        io
+    }
+
+    /// The plan choices every query makes under `layout`.
+    pub fn choice_key(&self, layout: &Layout) -> ChoiceKey {
+        self.compiled().key(layout)
     }
 
     /// The objects whose class the plan of the workload's `query`-th
@@ -157,23 +210,26 @@ impl<'a> PlanMemo<'a> {
     /// if no request has yet.
     pub fn pricer(&self) -> Pricer<'_> {
         let compiled = self.compiled();
-        let mut readers = vec![Vec::new(); self.schema.object_count()];
-        for (i, t) in compiled.templates.iter().enumerate() {
-            for object in t.objects() {
-                readers[object.0].push(i);
-            }
-        }
         let n = compiled.templates.len();
         Pricer {
             compiled,
-            readers,
-            classes: Vec::new(),
+            walk: Walk::new(n),
             times: vec![0.0; n],
             stats: vec![PlanStats::default(); n],
-            codes: vec![Vec::new(); n],
-            stale: vec![true; n],
             slots: Vec::new(),
             trial: Trial::default(),
+        }
+    }
+
+    /// An incremental walk of [`choice_key`](Self::choice_key)s, for a run
+    /// of layouts that differ in a few objects each. Compiles the templates
+    /// if no request has yet.
+    pub fn decisions(&self) -> Decisions<'_> {
+        let compiled = self.compiled();
+        Decisions {
+            compiled,
+            walk: Walk::new(compiled.templates.len()),
+            codes: vec![0; compiled.code_starts[compiled.templates.len()]],
         }
     }
 
@@ -183,14 +239,94 @@ impl<'a> PlanMemo<'a> {
     }
 
     fn compiled(&self) -> &Compiled {
-        self.compiled.get_or_init(|| Compiled {
-            templates: self
+        self.compiled.get_or_init(|| {
+            let templates: Vec<QueryTemplate> = self
                 .queries
                 .iter()
                 .map(|q| compile(q, self.schema, &self.cfg))
-                .collect(),
-            latencies: Latencies::new(self.pool, self.cfg.concurrency),
+                .collect();
+            let mut readers = vec![Vec::new(); self.schema.object_count()];
+            let mut code_starts = vec![0];
+            for (i, t) in templates.iter().enumerate() {
+                for object in t.objects() {
+                    readers[object.0].push(i);
+                }
+                code_starts.push(code_starts[i] + t.decisions());
+            }
+            Compiled {
+                templates,
+                latencies: Latencies::new(self.pool, self.cfg.concurrency),
+                readers,
+                code_starts,
+            }
         })
+    }
+}
+
+/// The classes of the layout a walk last committed, and the templates a
+/// layout moving some of them leaves stale.
+struct Walk {
+    /// Classes of the committed layout; empty before the first.
+    classes: Vec<ClassId>,
+    /// Templates whose answer no longer matches the layout being priced.
+    stale: Vec<bool>,
+}
+
+impl Walk {
+    fn new(templates: usize) -> Walk {
+        Walk {
+            classes: Vec::new(),
+            stale: vec![true; templates],
+        }
+    }
+
+    /// Commit `layout`: mark the templates reading an object whose class
+    /// changed (all of them on the first layout, or on one of another
+    /// length).
+    fn commit(&mut self, compiled: &Compiled, layout: &Layout) {
+        let assignment = layout.assignment();
+        if self.classes.len() == assignment.len() {
+            for (o, (last, &class)) in self.classes.iter_mut().zip(assignment).enumerate() {
+                if *last != class {
+                    *last = class;
+                    for &t in compiled.readers(o) {
+                        self.stale[t] = true;
+                    }
+                }
+            }
+        } else {
+            self.classes.clear();
+            self.classes.extend_from_slice(assignment);
+            self.stale.fill(true);
+        }
+    }
+}
+
+/// Walks a run of layouts deciding every query's plan choices, re-deciding
+/// only the templates that read an object whose class changed.
+///
+/// Its one buffer holds every template's decision codes at a fixed place,
+/// so a layout costs no allocation: [`key`](Self::key) overwrites the
+/// stale templates' runs and answers the whole buffer, the bytes of
+/// [`PlanMemo::choice_key`] whatever layouts came before. Profiling keys
+/// its baselines this way.
+pub struct Decisions<'m> {
+    compiled: &'m Compiled,
+    walk: Walk,
+    codes: Vec<u8>,
+}
+
+impl Decisions<'_> {
+    /// The bytes of [`PlanMemo::choice_key`] of `layout`, valid until the
+    /// next call.
+    pub fn key(&mut self, layout: &Layout) -> &[u8] {
+        self.walk.commit(self.compiled, layout);
+        for (t, stale) in self.walk.stale.iter_mut().enumerate() {
+            if std::mem::take(stale) {
+                self.compiled.decide(t, layout, &mut self.codes);
+            }
+        }
+        &self.codes
     }
 }
 
@@ -198,14 +334,12 @@ impl<'a> PlanMemo<'a> {
 /// choose step only where a layout moved something a query reads.
 ///
 /// A template's plan and price read the classes of its own objects and
-/// nothing else, so the pricer keeps each template's last `est_time_ms`,
-/// [`PlanStats`] and choice codes, and compares each layout it is given
-/// with the last one: only the templates that touch an object whose class
-/// changed are chosen again. The answers are then re-assembled in
-/// workload order, so [`estimate`](Self::estimate) and
-/// [`choice_key`](Self::choice_key) are bit-identical to
-/// [`PlanMemo::estimate`] and [`PlanMemo::choice_key`] on every layout,
-/// whatever layouts came before it.
+/// nothing else, so the pricer keeps each template's last `est_time_ms`
+/// and [`PlanStats`], and compares each layout it is given with the last
+/// one: only the templates that touch an object whose class changed are
+/// chosen again. The answers are then re-assembled in workload order, so
+/// [`estimate`](Self::estimate) is bit-identical to [`PlanMemo::estimate`]
+/// on every layout, whatever layouts came before it.
 ///
 /// [`estimate`](Self::estimate) and [`choice_key`](Self::choice_key)
 /// commit the layout they price: the next layout is compared with it.
@@ -216,16 +350,11 @@ impl<'a> PlanMemo<'a> {
 /// adopts the last trial's layout and answers.
 pub struct Pricer<'m> {
     compiled: &'m Compiled,
-    /// Per object, the templates whose objects include it.
-    readers: Vec<Vec<usize>>,
-    /// Classes of the committed layout; empty before the first.
-    classes: Vec<ClassId>,
-    /// Per template, its answer under `classes`.
+    /// The committed layout's classes and the stale templates.
+    walk: Walk,
+    /// Per template, its answer under the committed layout.
     times: Vec<f64>,
     stats: Vec<PlanStats>,
-    codes: Vec<Vec<u8>>,
-    /// Templates whose answer no longer matches the layout being priced.
-    stale: Vec<bool>,
     slots: Vec<IoCounts>,
     /// The last trial, until a commit adopts it or a sync drops it.
     trial: Trial,
@@ -240,8 +369,6 @@ struct Trial {
     moved: Vec<(usize, ClassId)>,
     /// The templates the trial chose again, with their answers.
     answers: Vec<Answer>,
-    /// The answers' choice codes, end to end.
-    codes: Vec<u8>,
 }
 
 /// One template's answer under a trial layout.
@@ -249,8 +376,6 @@ struct Answer {
     template: usize,
     time_ms: f64,
     stats: PlanStats,
-    /// The answer's run of [`Trial::codes`].
-    codes: std::ops::Range<usize>,
 }
 
 impl Pricer<'_> {
@@ -261,10 +386,11 @@ impl Pricer<'_> {
         (self.times.clone(), sum_stats(&self.stats))
     }
 
-    /// [`PlanMemo::choice_key`] of `layout`.
+    /// [`PlanMemo::choice_key`] of `layout`, which is committed as
+    /// [`estimate`](Self::estimate) commits it.
     pub fn choice_key(&mut self, layout: &Layout) -> ChoiceKey {
         self.sync(layout);
-        ChoiceKey(self.codes.concat())
+        self.compiled.key(layout)
     }
 
     /// [`estimate`](Self::estimate) of `layout`, priced against the
@@ -276,7 +402,7 @@ impl Pricer<'_> {
     /// prices every template and commits `layout` itself.
     pub fn trial(&mut self, layout: &Layout, times: &mut Vec<f64>) -> PlanStats {
         let assignment = layout.assignment();
-        if self.classes.len() != assignment.len() {
+        if self.walk.classes.len() != assignment.len() {
             self.sync(layout);
             times.clone_from(&self.times);
             return sum_stats(&self.stats);
@@ -285,34 +411,27 @@ impl Pricer<'_> {
         trial.pending = true;
         trial.moved.clear();
         trial.answers.clear();
-        trial.codes.clear();
-        for (o, (&last, &class)) in self.classes.iter().zip(assignment).enumerate() {
+        let compiled = self.compiled;
+        let walk = &mut self.walk;
+        for (o, (&last, &class)) in walk.classes.iter().zip(assignment).enumerate() {
             if last != class {
                 trial.moved.push((o, class));
-                for &t in self.readers.get(o).into_iter().flatten() {
-                    self.stale[t] = true;
+                for &t in compiled.readers(o) {
+                    walk.stale[t] = true;
                 }
             }
         }
         times.clear();
         let mut total = PlanStats::default();
-        let compiled = self.compiled;
         for (t, template) in compiled.templates.iter().enumerate() {
-            let (time_ms, stats) = if std::mem::take(&mut self.stale[t]) {
+            let (time_ms, stats) = if std::mem::take(&mut walk.stale[t]) {
                 let mut stats = PlanStats::default();
-                let start = trial.codes.len();
-                let time_ms = template.evaluate(
-                    &compiled.latencies,
-                    layout,
-                    &mut self.slots,
-                    &mut stats,
-                    &mut trial.codes,
-                );
+                let time_ms =
+                    template.estimate(&compiled.latencies, layout, &mut self.slots, &mut stats);
                 trial.answers.push(Answer {
                     template: t,
                     time_ms,
                     stats,
-                    codes: start..trial.codes.len(),
                 });
                 (time_ms, stats)
             } else {
@@ -334,48 +453,29 @@ impl Pricer<'_> {
             return;
         }
         for &(o, class) in &trial.moved {
-            self.classes[o] = class;
+            self.walk.classes[o] = class;
         }
         for answer in &trial.answers {
             let t = answer.template;
             self.times[t] = answer.time_ms;
             self.stats[t] = answer.stats;
-            self.codes[t].clear();
-            self.codes[t].extend_from_slice(&trial.codes[answer.codes.clone()]);
         }
     }
 
-    /// Bring every template's answer up to `layout` and commit it: mark
-    /// the templates reading an object whose class changed (all of them on
-    /// the first layout, or on one of another length), then choose those
-    /// again. A pending trial is dropped.
+    /// Bring every template's answer up to `layout` and commit it: the
+    /// templates reading an object whose class changed are chosen again. A
+    /// pending trial is dropped.
     fn sync(&mut self, layout: &Layout) {
         self.trial.pending = false;
-        let assignment = layout.assignment();
-        if self.classes.len() == assignment.len() {
-            for (o, (last, &class)) in self.classes.iter_mut().zip(assignment).enumerate() {
-                if *last != class {
-                    *last = class;
-                    for &t in self.readers.get(o).into_iter().flatten() {
-                        self.stale[t] = true;
-                    }
-                }
-            }
-        } else {
-            self.classes.clear();
-            self.classes.extend_from_slice(assignment);
-            self.stale.fill(true);
-        }
+        self.walk.commit(self.compiled, layout);
         let compiled = self.compiled;
         for (t, template) in compiled.templates.iter().enumerate() {
-            if !std::mem::take(&mut self.stale[t]) {
+            if !std::mem::take(&mut self.walk.stale[t]) {
                 continue;
             }
-            let (stats, codes) = (&mut self.stats[t], &mut self.codes[t]);
+            let stats = &mut self.stats[t];
             *stats = PlanStats::default();
-            codes.clear();
-            self.times[t] =
-                template.evaluate(&compiled.latencies, layout, &mut self.slots, stats, codes);
+            self.times[t] = template.estimate(&compiled.latencies, layout, &mut self.slots, stats);
         }
     }
 }
@@ -400,7 +500,7 @@ impl std::fmt::Debug for Pricer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pricer")
             .field("queries", &self.times.len())
-            .field("objects", &self.classes.len())
+            .field("objects", &self.walk.classes.len())
             .finish()
     }
 }

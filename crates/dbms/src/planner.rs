@@ -284,9 +284,44 @@ impl ReadTemplate {
         base.chain(joins).chain(self.sort_spill)
     }
 
+    /// Make the read's decisions under `layout` in the recursive planner's
+    /// order — the base scan, then each join's cheaper candidate — and
+    /// report each with the ledger it chose and whether that ledger spills.
+    /// Only candidate prices are compared: nothing is summed.
+    fn decide(
+        &self,
+        charges: &[Charge],
+        latencies: &Latencies,
+        layout: &Layout,
+        mut pick: impl FnMut(TableId, AccessPath, Option<JoinAlgo>, Ledger, bool),
+    ) {
+        let (path, ledger) = self.base.choose(charges, latencies, layout);
+        pick(self.base.table, path, None, ledger, false);
+        for join in &self.joins {
+            let (path, _) = join.inner.choose(charges, latencies, layout);
+            let hash = join.hash[usize::from(path != AccessPath::SeqScan)];
+            match join.inlj {
+                Some((idx, inlj))
+                    if inlj.time_ms(charges, latencies, layout)
+                        < hash.time_ms(charges, latencies, layout) =>
+                {
+                    // The INLJ reads the inner purely through its index;
+                    // the inner scan's access path is the index probe.
+                    let path = AccessPath::IndexScan(idx);
+                    let algo = Some(JoinAlgo::IndexedNlj);
+                    pick(join.inner.table, path, algo, inlj, false);
+                }
+                _ => {
+                    let algo = Some(JoinAlgo::Hash);
+                    pick(join.inner.table, path, algo, hash, join.hash_spills);
+                }
+            }
+        }
+    }
+
     /// Add the chosen candidates into `op`, in the recursive planner's
-    /// order: the base scan, each join's cheaper candidate, then the
-    /// aggregate and sort charges. Returns whether a chosen operator spills.
+    /// order: each decision's ledger, then the aggregate and sort charges.
+    /// Returns whether a chosen operator spills.
     fn choose(
         &self,
         charges: &[Charge],
@@ -296,31 +331,17 @@ impl ReadTemplate {
         cpu_ms: &mut f64,
         pick: &mut impl FnMut(TableId, AccessPath, Option<JoinAlgo>),
     ) -> bool {
-        let (path, ledger) = self.base.choose(charges, latencies, layout);
-        ledger.absorb_into(charges, op, cpu_ms);
-        pick(self.base.table, path, None);
         let mut spilled = false;
-        for join in &self.joins {
-            let (path, _) = join.inner.choose(charges, latencies, layout);
-            let hash = join.hash[usize::from(path != AccessPath::SeqScan)];
-            match join.inlj {
-                Some((idx, inlj))
-                    if inlj.time_ms(charges, latencies, layout)
-                        < hash.time_ms(charges, latencies, layout) =>
-                {
-                    inlj.absorb_into(charges, op, cpu_ms);
-                    // The INLJ reads the inner purely through its index;
-                    // the inner scan's access path is the index probe.
-                    let path = AccessPath::IndexScan(idx);
-                    pick(join.inner.table, path, Some(JoinAlgo::IndexedNlj));
-                }
-                _ => {
-                    hash.absorb_into(charges, op, cpu_ms);
-                    pick(join.inner.table, path, Some(JoinAlgo::Hash));
-                    spilled |= join.hash_spills;
-                }
-            }
-        }
+        self.decide(
+            charges,
+            latencies,
+            layout,
+            |table, path, join, ledger, spills| {
+                ledger.absorb_into(charges, op, cpu_ms);
+                pick(table, path, join);
+                spilled |= spills;
+            },
+        );
         if let Some(ms) = self.agg_cpu_ms {
             *cpu_ms += ms;
         }
@@ -447,45 +468,58 @@ impl QueryTemplate {
         self.price(latencies, layout, slots, chosen.cpu_ms)
     }
 
-    /// [`estimate`](Self::estimate) and [`choice_codes`](Self::choice_codes)
-    /// from one choose step: the plan's `est_time_ms` under `layout`, with
-    /// its [`PlanStats`] added into `stats` and its codes appended to
-    /// `codes`.
-    pub(crate) fn evaluate(
-        &self,
-        latencies: &Latencies,
-        layout: &Layout,
-        slots: &mut Vec<IoCounts>,
-        stats: &mut PlanStats,
-        codes: &mut Vec<u8>,
-    ) -> f64 {
-        let chosen = self.choose(latencies, layout, slots, |_, path, join| {
-            tally(stats, path, join);
-            codes.push(choice_code(path, join));
-        });
-        self.price(latencies, layout, slots, chosen.cpu_ms)
-    }
-
     /// Every object some candidate charges, ascending: the only objects
     /// whose class the template's plan and price read.
     pub(crate) fn objects(&self) -> &[ObjectId] {
         &self.objects
     }
 
-    /// Append one code per decision the plan under `layout` makes (access
-    /// path, join algorithm). Two layouts append equal codes exactly when
-    /// their plans have [`PlannedQuery::same_choices`]: the spill flag
-    /// follows from the choices.
-    pub(crate) fn choice_codes(
+    /// How many decisions the plan makes under any layout: one per access
+    /// path (each base scan and each join's inner).
+    pub(crate) fn decisions(&self) -> usize {
+        self.ops
+            .iter()
+            .map(|op| match op {
+                OpTemplate::Read(read) => 1 + read.joins.len(),
+                OpTemplate::Write(_) => 0,
+            })
+            .sum()
+    }
+
+    /// Write one code per decision the plan under `layout` makes (access
+    /// path, join algorithm) into `codes`, which holds exactly
+    /// [`decisions`](Self::decisions) of them. Two layouts write equal
+    /// codes exactly when their plans have [`PlannedQuery::same_choices`]:
+    /// the spill flag follows from the choices. Only candidate prices are
+    /// compared: no ledger is summed and the plan is not priced.
+    pub(crate) fn decide(&self, latencies: &Latencies, layout: &Layout, codes: &mut [u8]) {
+        let mut codes = codes.iter_mut();
+        for op in &self.ops {
+            if let OpTemplate::Read(read) = op {
+                read.decide(&self.charges, latencies, layout, |_, path, join, _, _| {
+                    *codes.next().expect("one code per decision") = choice_code(path, join);
+                });
+            }
+        }
+    }
+
+    /// Add the plan's I/O under `layout`, scaled by the query's weight,
+    /// into the workload's per-object counts `io`: exactly the sum
+    /// [`exec::assemble`](crate::exec::assemble) adds for the materialized
+    /// plan. Objects the template does not charge would only add
+    /// `0 · weight`, which changes no sum that started at `+0.0`. `slots`
+    /// is reusable scratch.
+    pub(crate) fn add_io(
         &self,
         latencies: &Latencies,
         layout: &Layout,
         slots: &mut Vec<IoCounts>,
-        codes: &mut Vec<u8>,
+        io: &mut [IoCounts],
     ) {
-        self.choose(latencies, layout, slots, |_, path, join| {
-            codes.push(choice_code(path, join));
-        });
+        self.choose(latencies, layout, slots, |_, _, _| {});
+        for (object, counts) in self.objects.iter().zip(slots.iter()) {
+            io[object.0] += counts.scaled(self.weight);
+        }
     }
 
     /// The choose step: price every decision's candidates under `layout`,

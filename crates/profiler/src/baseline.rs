@@ -13,9 +13,9 @@ use dot_storage::{ClassId, StoragePool};
 /// of indices on any single table (singleton temp/log groups count as 1).
 pub fn group_arity(schema: &Schema) -> usize {
     schema
-        .object_groups()
+        .tables()
         .iter()
-        .map(|g| g.len())
+        .map(|t| 1 + schema.indexes_of(t.id).count())
         .max()
         .unwrap_or(1)
 }

@@ -24,9 +24,14 @@
 //! in the group), indexed by the placement's lexicographic mixed-radix
 //! code — the order [`baseline_placements`] enumerates. Baseline `b` of the
 //! `M^K` writes its counts at row `b / M^(K−k)`, its length-`k` prefix, so
-//! profiling hashes one [`ChoiceKey`](dot_dbms::memo::ChoiceKey) per
-//! baseline and nothing per group, and
 //! [`GroupProfile::io_time_share_ms`] reads a row by arithmetic.
+//!
+//! Baselines are keyed by their plan decisions alone ([`BaselineRuns`]):
+//! the keys are decided in one reused buffer, never priced, and only a
+//! key's first baseline is counted — from the templates, without plans,
+//! for estimates. A profile keeps that partition, so
+//! [`WorkloadProfile::recount`] re-profiles from test runs without walking
+//! the baselines again.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -37,4 +42,4 @@ pub mod profile;
 pub use baseline::{
     baseline_count, baseline_layout, baseline_placements, group_arity, MAX_BASELINE_LAYOUTS,
 };
-pub use profile::{profile_workload, GroupProfile, ProfileSource, WorkloadProfile};
+pub use profile::{profile_workload, BaselineRuns, GroupProfile, ProfileSource, WorkloadProfile};

@@ -6,9 +6,9 @@
 //! optimizer turns these into the *I/O time share* `T^p[g]` of Eq. 1 and the
 //! move scores of §3.3.
 
-use crate::baseline::{baseline_count, group_arity, place_baseline};
-use dot_dbms::memo::{ChoiceKey, PlanMemo};
-use dot_dbms::{exec, Layout, ObjectId};
+use crate::baseline::{baseline_count, group_arity};
+use dot_dbms::memo::PlanMemo;
+use dot_dbms::{exec, Layout, ObjectId, Schema};
 use dot_storage::{ClassId, IoCounts, StoragePool};
 use std::collections::HashMap;
 
@@ -124,6 +124,9 @@ pub struct WorkloadProfile {
     pub baseline_count: usize,
     /// Baselines actually profiled after plan-signature pruning.
     pub profiled_count: usize,
+    /// The baselines' partition into runs, kept so the profile can be
+    /// [`recount`](Self::recount)ed from another source.
+    runs: BaselineRuns,
 }
 
 impl WorkloadProfile {
@@ -134,88 +137,187 @@ impl WorkloadProfile {
             .enumerate()
             .find(|(_, g)| g.objects.contains(&object))
     }
+
+    /// This profile's baselines counted again from `source`, over the memo
+    /// `plans` it was profiled from: bit-identical to
+    /// [`profile_workload`]`(plans, source)`, without walking the
+    /// baselines again. Refinement re-profiles from test runs this way.
+    pub fn recount(&self, plans: &PlanMemo<'_>, source: ProfileSource) -> WorkloadProfile {
+        self.runs.clone().count(plans, source)
+    }
 }
 
 /// Profile the memo's workload over every baseline layout of its pool
 /// (§3.4), with plan-signature pruning: a baseline whose per-query physical
-/// plans are identical to an already-profiled baseline's reuses its counts
-/// instead of re-running. Since I/O counts are a pure function of the
-/// chosen plans, pruning is lossless for estimates and matches the paper's
-/// §4.5.1 optimization for test runs (TPC-C collapses to one profiled
-/// layout).
+/// plans make the same decisions as an already-profiled baseline's reuses
+/// its counts instead of re-running. Since I/O counts are a pure function
+/// of the chosen plans, pruning is lossless for estimates and matches the
+/// paper's §4.5.1 optimization for test runs (TPC-C collapses to one
+/// profiled layout).
 ///
-/// Baselines are priced through `plans`' compiled templates. Two baselines
-/// with the same plan choices share a [`ChoiceKey`], and only the first
-/// baseline of each key materializes its plans, which are priced as they
-/// are ([`exec::assemble`]), never planned a second time. Consecutive
-/// baselines differ in a few positions, so each key re-prices only the
-/// queries that read an object whose class changed. Baselines are walked
-/// by code, rewriting one layout in place, and each writes its counts
-/// straight into every group's dense table at its prefix's code.
+/// Profiling is two steps. [`BaselineRuns::partition`] keys every baseline
+/// by its plan decisions alone, and [`BaselineRuns::count`] counts one
+/// baseline per key (a *run*) and fills every group's dense table. Keys
+/// are decided, never priced; estimated counts are summed straight from
+/// the templates, without materializing plans.
 pub fn profile_workload(plans: &PlanMemo<'_>, source: ProfileSource) -> WorkloadProfile {
-    let (schema, pool, cfg) = (plans.schema(), plans.pool(), plans.cfg());
-    let arity = group_arity(schema);
-    let m = pool.len();
-    let baselines = baseline_count(m, arity).expect("callers bound M^K");
-    let groups = schema.object_groups();
-    let mut pricer = plans.pricer();
-    let mut placement = vec![ClassId(0); arity];
-    let mut layout = Layout::uniform(placement[0], schema.object_count());
+    BaselineRuns::partition(plans).count(plans, source)
+}
 
-    let mut group_profiles: Vec<GroupProfile> = groups
-        .iter()
-        .map(|objs| GroupProfile {
-            objects: objs.clone(),
-            classes: m,
-            table: vec![IoCounts::ZERO; m.pow(objs.len() as u32) * objs.len()],
-        })
-        .collect();
-    // A group no longer than the arity sees the baseline's prefix
-    // (`project_placement(p, k)` is `p[..k]`), whose code is the
-    // baseline's code divided by `M^(K−k)`.
-    let strides: Vec<usize> = groups
-        .iter()
-        .map(|objs| m.pow((arity - objs.len()) as u32))
-        .collect();
+/// The baselines of a memo's workload partitioned into *runs* (§4.5.1):
+/// baselines whose plans make the same decisions share a run, and one
+/// count of the run's first baseline stands for all of them. Runs are
+/// numbered in the order of their first baselines.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BaselineRuns {
+    /// Group arity `K`.
+    arity: usize,
+    /// Storage classes `M`.
+    classes: usize,
+    /// Per object, the place value `M^(K−1−i)` of the digit of a
+    /// baseline's code that names its class, `i` being the object's
+    /// position in its group, capped at `K − 1`.
+    places: Vec<usize>,
+    /// Per baseline, in code order, the index of its run.
+    run_of: Vec<usize>,
+    /// How many runs.
+    runs: usize,
+}
 
-    // The per-object counts of each distinct set of plan choices, from the
-    // one baseline run that priced it.
-    let mut runs: HashMap<ChoiceKey, Vec<IoCounts>> = HashMap::new();
-    let test_run = match source {
-        ProfileSource::Estimate => None,
-        ProfileSource::TestRun { seed } => Some(seed),
-    };
-
-    // Baseline `b` is the `b`-th placement of `baseline_placements`.
-    for b in 0..baselines {
-        let mut digits = b;
-        for slot in placement.iter_mut().rev() {
-            *slot = ClassId(digits % m);
-            digits /= m;
+impl BaselineRuns {
+    /// Partition the memo's baselines. They are walked by code, rewriting
+    /// one layout in place, and keyed by [`PlanMemo::decisions`]: a
+    /// baseline re-decides only the queries that read an object whose
+    /// class changed, and its key is looked up in place. Beyond a fixed
+    /// few buffers, the walk allocates one key per run, whatever the
+    /// number of baselines.
+    pub fn partition(plans: &PlanMemo<'_>) -> BaselineRuns {
+        let schema = plans.schema();
+        let arity = group_arity(schema);
+        let classes = plans.pool().len();
+        let baselines = baseline_count(classes, arity).expect("callers bound M^K");
+        let places = digit_places(schema, classes, arity);
+        let mut layout = Layout::uniform(ClassId(0), schema.object_count());
+        let mut decisions = plans.decisions();
+        let mut keys: HashMap<Vec<u8>, usize> = HashMap::with_capacity(baselines);
+        let mut run_of = Vec::with_capacity(baselines);
+        for b in 0..baselines {
+            place_code(&mut layout, &places, classes, b);
+            let key = decisions.key(&layout);
+            let run = match keys.get(key) {
+                Some(&run) => run,
+                None => {
+                    let run = keys.len();
+                    keys.insert(key.to_vec(), run);
+                    run
+                }
+            };
+            run_of.push(run);
         }
-        place_baseline(&mut layout, &groups, &placement);
-        let io = runs.entry(pricer.choice_key(&layout)).or_insert_with(|| {
-            let planned = plans.plan_workload(&layout);
-            exec::assemble(&planned, schema, &layout, pool, cfg, test_run)
-                .cost
-                .io
-        });
-        // A later baseline with the same prefix overwrites the counts.
-        for (gp, stride) in group_profiles.iter_mut().zip(&strides) {
-            let k = gp.objects.len();
-            let code = b / stride;
-            let row = &mut gp.table[code * k..(code + 1) * k];
-            for (slot, o) in row.iter_mut().zip(&gp.objects) {
-                *slot = io[o.0];
-            }
+        BaselineRuns {
+            arity,
+            classes,
+            places,
+            run_of,
+            runs: keys.len(),
         }
     }
 
-    WorkloadProfile {
-        groups: group_profiles,
-        arity,
-        baseline_count: baselines,
-        profiled_count: runs.len(),
+    /// How many baselines the partition covers (`M^K`).
+    pub fn baseline_count(&self) -> usize {
+        self.run_of.len()
+    }
+
+    /// How many runs the baselines fall into: the baselines profiled.
+    pub fn run_count(&self) -> usize {
+        self.runs
+    }
+
+    /// Count every run from `source` under its first baseline and fill
+    /// every group's dense table, over the memo `plans` the partition was
+    /// made from. Estimates are summed from the templates
+    /// ([`PlanMemo::workload_io`]); a test run materializes the run's plans
+    /// and runs them ([`exec::assemble`]). One loop in baseline order
+    /// writes each baseline's counts at its prefix's code in every group's
+    /// table, so a later baseline with the same prefix overwrites them.
+    pub fn count(self, plans: &PlanMemo<'_>, source: ProfileSource) -> WorkloadProfile {
+        let (schema, pool, cfg) = (plans.schema(), plans.pool(), plans.cfg());
+        let m = self.classes;
+        let mut group_profiles: Vec<GroupProfile> = schema
+            .object_groups()
+            .into_iter()
+            .map(|objects| GroupProfile {
+                table: vec![IoCounts::ZERO; m.pow(objects.len() as u32) * objects.len()],
+                objects,
+                classes: m,
+            })
+            .collect();
+        // A group no longer than the arity sees the baseline's prefix
+        // (`project_placement(p, k)` is `p[..k]`), whose code is the
+        // baseline's code divided by `M^(K−k)`.
+        let strides: Vec<usize> = group_profiles
+            .iter()
+            .map(|g| m.pow((self.arity - g.objects.len()) as u32))
+            .collect();
+
+        let mut layout = Layout::uniform(ClassId(0), schema.object_count());
+        let mut counts: Vec<Vec<IoCounts>> = Vec::with_capacity(self.runs);
+        for (b, &run) in self.run_of.iter().enumerate() {
+            // Runs are numbered by their first baselines.
+            if run == counts.len() {
+                place_code(&mut layout, &self.places, m, b);
+                counts.push(match source {
+                    ProfileSource::Estimate => plans.workload_io(&layout),
+                    ProfileSource::TestRun { seed } => {
+                        let planned = plans.plan_workload(&layout);
+                        exec::assemble(&planned, schema, &layout, pool, cfg, Some(seed))
+                            .cost
+                            .io
+                    }
+                });
+            }
+            let io = &counts[run];
+            // A later baseline with the same prefix overwrites the counts.
+            for (gp, stride) in group_profiles.iter_mut().zip(&strides) {
+                let k = gp.objects.len();
+                let code = b / stride;
+                let row = &mut gp.table[code * k..(code + 1) * k];
+                for (slot, o) in row.iter_mut().zip(&gp.objects) {
+                    *slot = io[o.0];
+                }
+            }
+        }
+
+        WorkloadProfile {
+            groups: group_profiles,
+            arity: self.arity,
+            baseline_count: self.baseline_count(),
+            profiled_count: self.runs,
+            runs: self,
+        }
+    }
+}
+
+/// [`BaselineRuns::places`] of `schema`'s objects: position `i` of a group
+/// (0 the table's heap, `1..` its indexes in schema order; temp and log
+/// objects are singleton groups) takes digit `min(i, K−1)` of the
+/// baseline's placement, whose place value is `M^(K−1−min(i, K−1))`.
+fn digit_places(schema: &Schema, classes: usize, arity: usize) -> Vec<usize> {
+    let place = |position: usize| classes.pow((arity - 1 - position.min(arity - 1)) as u32);
+    let mut places = vec![place(0); schema.object_count()];
+    for table in schema.tables() {
+        for (i, index) in schema.indexes_of(table.id).enumerate() {
+            places[index.object.0] = place(i + 1);
+        }
+    }
+    places
+}
+
+/// Rewrite `layout` in place into baseline `b`: each object takes the
+/// digit of `b` at its place value.
+fn place_code(layout: &mut Layout, places: &[usize], classes: usize, b: usize) {
+    for (o, &place) in places.iter().enumerate() {
+        layout.place(ObjectId(o), ClassId(b / place % classes));
     }
 }
 

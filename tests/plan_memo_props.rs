@@ -23,7 +23,14 @@
 //!   committed incumbent, `commit`, `estimate` and `choice_key` answer bit
 //!   for bit like the memo and the frozen planner, an uncommitted trial
 //!   leaves the next estimate unchanged, and `TocPricer::trial` matches
-//!   `toc::estimate_toc` with and without a memo.
+//!   `toc::estimate_toc` with and without a memo;
+//! - profiling's decision-only walk (`PlanMemo::decisions`) keys every
+//!   layout of a walk with exactly `PlanMemo::choice_key`'s bytes, and its
+//!   plan-free estimate counts (`PlanMemo::workload_io`) equal the I/O of
+//!   the assembled run of the materialized plans bit for bit;
+//! - a test-run recount from a profile's reused baseline partition
+//!   (`WorkloadProfile::recount`) equals a fresh test-run profile on every
+//!   preset family over box1, box2 and the full pool.
 
 mod reference_planner;
 
@@ -35,7 +42,10 @@ use dot_dbms::plan::{PlanStats, PlannedQuery};
 use dot_dbms::planner::plan_query;
 use dot_dbms::query::{InsertOp, Op, QuerySpec, ReadOp, Rel, ScanSpec, UpdateOp};
 use dot_dbms::{exec, testkit, EngineConfig, Layout, Schema, SchemaBuilder};
-use dot_profiler::{baseline_layout, baseline_placements, group_arity};
+use dot_profiler::{
+    baseline_layout, baseline_placements, group_arity, profile_workload, ProfileSource,
+    WorkloadProfile,
+};
 use dot_storage::{catalog, ClassId, StoragePool, IO_TYPES};
 use dot_workloads::{SlaSpec, Workload};
 
@@ -872,4 +882,118 @@ fn a_pricer_for_a_problem_its_memo_does_not_serve_plans_from_scratch() {
         );
     }
     assert!(!memo.is_compiled(), "an unserved memo is never priced");
+}
+
+#[test]
+fn decision_walks_key_every_layout_like_the_memo() {
+    let mut rng = 0x5EED_000Au64;
+    let (mut keyed, mut changed) = (0usize, 0usize);
+    for (label, schema, workload, pool, cfg) in walk_cases() {
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        let mut decisions = memo.decisions();
+        let mut layout = random_layout(schema.object_count(), &pool, &mut rng);
+        let mut last: Option<Vec<u8>> = None;
+        for i in 0..32 {
+            if i > 0 {
+                layout = step(&layout, &pool, &mut rng);
+            }
+            // Pruning skips candidates: the walk never sees them.
+            if splitmix(&mut rng) % 4 == 0 {
+                continue;
+            }
+            let key = decisions.key(&layout).to_vec();
+            let want = memo.choice_key(&layout);
+            assert_eq!(key, want.as_bytes(), "{label} step {i}: decision-only key");
+            keyed += 1;
+            changed += usize::from(last.as_ref().is_some_and(|l| *l != key));
+            last = Some(key);
+        }
+    }
+    assert!(
+        keyed > 1_000 && changed > 0,
+        "{keyed} keyed, {changed} changed"
+    );
+}
+
+#[test]
+fn plan_free_estimate_counts_equal_the_assembled_run() {
+    let mut rng = 0x5EED_000Bu64;
+    for (label, schema, workload, pool, cfg) in walk_cases() {
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        let mut layout = random_layout(schema.object_count(), &pool, &mut rng);
+        for i in 0..8 {
+            if i > 0 {
+                layout = step(&layout, &pool, &mut rng);
+            }
+            let got = memo.workload_io(&layout);
+            let planned = memo.plan_workload(&layout);
+            let want = exec::assemble(&planned, &schema, &layout, &pool, &cfg, None)
+                .cost
+                .io;
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "{label} step {i}: one count per object"
+            );
+            for (o, (g, w)) in got.iter().zip(&want).enumerate() {
+                for io in IO_TYPES {
+                    assert_eq!(
+                        g[io].to_bits(),
+                        w[io].to_bits(),
+                        "{label} step {i}: object {o} {io:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Two profiles agree bit for bit on every group's counts at every
+/// placement, and on their baseline and profiled counts.
+fn assert_profiles_bit_identical(label: &str, got: &WorkloadProfile, want: &WorkloadProfile) {
+    assert_eq!(got.arity, want.arity, "{label}");
+    assert_eq!(got.baseline_count, want.baseline_count, "{label}");
+    assert_eq!(got.profiled_count, want.profiled_count, "{label}");
+    assert_eq!(got.groups.len(), want.groups.len(), "{label}");
+    for (gi, (g, w)) in got.groups.iter().zip(&want.groups).enumerate() {
+        assert_eq!(g.objects, w.objects, "{label} group {gi}");
+        assert_eq!(g.placement_count(), w.placement_count(), "{label} {gi}");
+        for code in 0..g.placement_count() {
+            let placement: Vec<ClassId> = g.placement_at(code).collect();
+            let counts = g.counts(&placement).expect("dense table");
+            let want = w.counts(&placement).expect("dense table");
+            for (c, d) in counts.iter().zip(want) {
+                for io in IO_TYPES {
+                    assert_eq!(c[io].to_bits(), d[io].to_bits(), "{label} {gi} {code}");
+                }
+            }
+        }
+    }
+    assert_eq!(got, want, "{label}");
+}
+
+#[test]
+fn a_test_run_recount_from_a_reused_partition_equals_a_fresh_profile() {
+    let mut recounted = 0usize;
+    for family in FAMILIES {
+        let (schema, workload) = presets::database(family).expect("preset");
+        let cfg = presets::engine(None, &workload).expect("engine");
+        for pool_name in presets::POOL_NAMES {
+            let pool = presets::pool(pool_name).expect("pool");
+            let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+            let estimated = profile_workload(&memo, ProfileSource::Estimate);
+            for seed in [0xD07, 0xD08, 41] {
+                let source = ProfileSource::TestRun { seed };
+                let label = format!("{family}/{pool_name}/seed {seed}");
+                let fresh = profile_workload(&memo, source);
+                let recount = estimated.recount(&memo, source);
+                assert_profiles_bit_identical(&label, &recount, &fresh);
+                // Counting back from the test run restores the estimate.
+                let back = recount.recount(&memo, ProfileSource::Estimate);
+                assert_profiles_bit_identical(&label, &back, &estimated);
+                recounted += 1;
+            }
+        }
+    }
+    assert_eq!(recounted, FAMILIES.len() * presets::POOL_NAMES.len() * 3);
 }
