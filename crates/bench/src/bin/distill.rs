@@ -19,7 +19,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p dot-bench --bin distill                 # write BENCH_26.json
+//! cargo run --release -p dot-bench --bin distill                 # write BENCH_27.json
 //! cargo run --release -p dot-bench --bin distill -- --out <path> # write elsewhere
 //! cargo run --release -p dot-bench --bin distill -- --check <path> # validate a file
 //! ```
@@ -34,8 +34,12 @@
 //! not rewrite the registry), the scheduled migration makespan must never
 //! exceed the sequential copy it packs, every conformance family must
 //! prune a nonzero
-//! number of candidates, and the pruned sweeps must not run meaningfully
-//! slower than their estimate-everything counterparts.
+//! number of candidates, the pruned sweeps must not run meaningfully
+//! slower than their estimate-everything counterparts, and every pruning
+//! cell's `layouts_investigated` and `layouts_pruned` must equal the same
+//! (family, solver) cell's in the previous `BENCH_<pr>.json` in the
+//! working directory: the counts are deterministic, and a cut that
+//! changed them changed what the search enumerates.
 
 use dot_core::advisor::{presets, Advisor};
 use dot_core::controller::{Controller, ControllerConfig, TraceStep};
@@ -53,7 +57,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Where the trajectory for this PR lives, relative to the repo root.
-const DEFAULT_PATH: &str = "BENCH_26.json";
+const DEFAULT_PATH: &str = "BENCH_27.json";
 /// Timed samples per measurement (a warmup run precedes them).
 const SAMPLES: usize = 5;
 /// `--check`: a pruned sweep may be up to this factor slower than the
@@ -1062,7 +1066,7 @@ fn measure_pruning() -> Vec<PruningCell> {
 fn distill(path: &str) {
     let trajectory = Trajectory {
         schema_version: 11,
-        pr: 26,
+        pr: 27,
         samples: SAMPLES,
         hot_paths: measure_hot_paths(),
         telemetry: measure_telemetry(),
@@ -1354,6 +1358,31 @@ fn check(path: &str) {
             ));
         }
     }
+    if let Some((previous, before)) = previous_trajectory(path) {
+        for c in &t.pruning {
+            let Some(b) = before
+                .pruning
+                .iter()
+                .find(|b| b.family == c.family && b.solver == c.solver)
+            else {
+                continue;
+            };
+            if (c.layouts_investigated, c.layouts_pruned)
+                != (b.layouts_investigated, b.layouts_pruned)
+            {
+                fail(&format!(
+                    "{path}: {}/{} investigated {} and pruned {} layouts, against {} and {} \
+                     in {previous}",
+                    c.family,
+                    c.solver,
+                    c.layouts_investigated,
+                    c.layouts_pruned,
+                    b.layouts_investigated,
+                    b.layouts_pruned
+                ));
+            }
+        }
+    }
     for c in &t.pruning {
         if let Some(unpruned) = c.median_ms_unpruned {
             if c.median_ms_pruned <= SLOWDOWN_NOISE_FLOOR_MS {
@@ -1370,6 +1399,31 @@ fn check(path: &str) {
     }
     println!("check: {path} ok");
     summarize(&t);
+}
+
+/// The `BENCH_<pr>.json` in the working directory that precedes `path`:
+/// the one with the largest number below `path`'s own, or the largest of
+/// all when `path` is not named `BENCH_<pr>.json` (a fresh distillation).
+/// `None` when there is none, or it does not parse.
+fn previous_trajectory(path: &str) -> Option<(String, Trajectory)> {
+    let number = |name: &str| -> Option<u32> {
+        name.strip_prefix("BENCH_")?
+            .strip_suffix(".json")?
+            .parse()
+            .ok()
+    };
+    let own = std::path::Path::new(path)
+        .file_name()
+        .and_then(|name| number(name.to_str()?))
+        .unwrap_or(u32::MAX);
+    let previous = std::fs::read_dir(".")
+        .ok()?
+        .filter_map(|entry| number(entry.ok()?.file_name().to_str()?))
+        .filter(|&n| n < own)
+        .max()?;
+    let name = format!("BENCH_{previous}.json");
+    let raw = std::fs::read_to_string(&name).ok()?;
+    Some((name, serde_json::from_str(&raw).ok()?))
 }
 
 fn fail(msg: &str) -> ! {

@@ -101,6 +101,30 @@ impl ProvisionError {
         })
     }
 
+    /// Typed validity check for a pool a request or file defines inline,
+    /// shared by every surface that accepts one:
+    /// [`StoragePool::validate`](dot_storage::StoragePool::validate)'s
+    /// verdict as an `invalid-request` naming the pool and the class.
+    /// `context` names the offender as for [`check_sla`](Self::check_sla).
+    pub fn check_pool(
+        pool: &dot_storage::StoragePool,
+        context: &str,
+    ) -> Result<(), ProvisionError> {
+        let detail = match pool.validate() {
+            Ok(()) => return Ok(()),
+            Err(dot_storage::StorageError::InvalidSpec(msg)) => msg,
+            Err(other) => other.to_string(),
+        };
+        let prefix = if context.is_empty() {
+            String::new()
+        } else {
+            format!("{context}: ")
+        };
+        Err(ProvisionError::InvalidRequest {
+            reason: format!("{prefix}pool {:?}: {detail}", pool.name()),
+        })
+    }
+
     /// Stable machine-readable kind name (one per variant); the CLI maps
     /// these onto distinct exit codes.
     pub fn kind(&self) -> &'static str {

@@ -78,11 +78,16 @@ pub struct ClassBill {
 pub struct Provenance {
     /// Registry id of the solver that produced the recommendation.
     pub solver: String,
-    /// Complete layouts the solver evaluated.
+    /// Complete layouts the solver evaluated: what its per-candidate
+    /// search enumerates, so certified skips (ES's block cut, DOT's doomed
+    /// placements and abandoned trials) change nothing here.
     pub layouts_investigated: usize,
     /// Candidates the dominance cut skipped without estimating (see
-    /// `toc::ObjectiveBound`). Subset of `layouts_investigated`; 0 for
-    /// solvers that never prune and for pre-pruning serialized records.
+    /// `toc::ObjectiveBound`): what the per-candidate search cuts, so a
+    /// block cut counts each layout of its block and doomed placements
+    /// and abandoned trials count nothing. Subset of
+    /// `layouts_investigated`; 0 for solvers that never prune and for
+    /// pre-pruning serialized records.
     #[serde(default)]
     pub layouts_pruned: usize,
     /// Solver wall-clock time in integer milliseconds.

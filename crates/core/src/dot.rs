@@ -5,11 +5,15 @@
 use crate::constraints::{self, Constraints};
 use crate::moves::coded_moves;
 use crate::problem::Problem;
-use crate::toc::{Estimator, ObjectiveBound, TocEstimate};
+use crate::toc::{
+    Dominance, Estimator, ObjectiveBound, SearchWork, TocEstimate, TIME_BOUND_MARGIN,
+};
 use dot_dbms::layout::space_fits;
+use dot_dbms::memo::{Abandon, TrialBounds};
 use dot_dbms::Layout;
 use dot_profiler::{ProfileSource, WorkloadProfile};
-use dot_workloads::SlaSpec;
+use dot_workloads::spec::PerfMetric;
+use dot_workloads::{SlaSpec, Workload};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -21,11 +25,17 @@ pub struct DotOutcome {
     pub layout: Option<Layout>,
     /// Estimate of the recommended layout.
     pub estimate: Option<TocEstimate>,
-    /// Layouts investigated (`|∆| + 1`, counting `L_0`). Pruned candidates
-    /// still count: they were enumerated, just not estimated.
+    /// Layouts investigated (`|∆| + 1`, counting `L_0`): what the
+    /// per-candidate sweep enumerates. Pruned candidates still count: they
+    /// were enumerated, just not estimated. So does every candidate a
+    /// certified skip passes over (a doomed placement, an abandoned
+    /// trial), so those skips never change this count.
     pub layouts_investigated: usize,
     /// Candidates the dominance cut ([`ObjectiveBound`]) skipped without
-    /// estimating. Defaults to 0 when parsing pre-pruning serializations.
+    /// estimating: what the per-candidate sweep cuts. Doomed placements
+    /// and abandoned trials are not counted here, so certified skips never
+    /// change this count. Defaults to 0 when parsing pre-pruning
+    /// serializations.
     #[serde(default)]
     pub layouts_pruned: usize,
     /// Wall-clock time of the sweep.
@@ -73,6 +83,11 @@ pub fn optimize_with(
 /// whose objective lower bound already meets the incumbent; see
 /// [`ObjectiveBound`]) — the perf-trajectory distillation measures the two
 /// against each other.
+///
+/// With pruning on, two more certified cuts skip candidates the sweep
+/// would reject anyway, without changing the outcome or its counters (see
+/// `SweepCuts`): doomed placements are not priced at all, and a trial is
+/// abandoned once it certainly loses.
 pub fn optimize_with_pruning(
     problem: &Problem<'_>,
     profile: &WorkloadProfile,
@@ -80,6 +95,17 @@ pub fn optimize_with_pruning(
     toc: &Estimator<'_>,
     prune: bool,
 ) -> DotOutcome {
+    optimize_with_work(problem, profile, cons, toc, prune).0
+}
+
+/// [`optimize_with_pruning`], with the work the sweep did.
+pub fn optimize_with_work(
+    problem: &Problem<'_>,
+    profile: &WorkloadProfile,
+    cons: &Constraints,
+    toc: &Estimator<'_>,
+    prune: bool,
+) -> (DotOutcome, SearchWork) {
     let start = Instant::now();
     // Every candidate is the incumbent plus one group move, so each is
     // priced against the committed incumbent: only the queries that read
@@ -89,6 +115,7 @@ pub fn optimize_with_pruning(
     let mut current = problem.premium_layout();
     let est0 = pricer.estimate(&current);
     let bound = prune.then(|| ObjectiveBound::new(problem, &est0));
+    let mut cuts = prune.then(|| SweepCuts::new(problem, profile, cons, &est0));
     let mut investigated = 1usize;
     let mut pruned = 0usize;
 
@@ -126,7 +153,29 @@ pub fn optimize_with_pruning(
         if !space_fits(&space, problem.pool) {
             continue;
         }
-        let est = pricer.trial(&candidate, &space, std::mem::take(&mut spare));
+        let (group, code) = (m.group_index(), m.code());
+        let est = match &mut cuts {
+            Some(cuts) => {
+                if cuts.doomed(group, code) {
+                    continue;
+                }
+                let layout_cost = problem.cost_model.cost_of_space(&space, problem.pool);
+                let trial = {
+                    let bounds = cuts.bounds(layout_cost, best_toc);
+                    pricer.trial_within(&candidate, layout_cost, &mut spare, &bounds)
+                };
+                match trial {
+                    Ok(est) => est,
+                    Err(abandon) => {
+                        if cuts.abandon_dooms(abandon) {
+                            cuts.doom(group, code);
+                        }
+                        continue;
+                    }
+                }
+            }
+            None => pricer.trial(&candidate, &space, std::mem::take(&mut spare)),
+        };
         if cons.performance_satisfied(&est) && est.objective_cents < best_toc {
             best_toc = est.objective_cents;
             pricer.commit();
@@ -134,17 +183,224 @@ pub fn optimize_with_pruning(
             if let Some(displaced) = best_est.replace(est) {
                 spare = displaced.per_query_ms;
             }
+            if let Some(cuts) = &mut cuts {
+                cuts.lift_dooms();
+            }
         } else {
+            if let Some(cuts) = cuts.as_mut().filter(|c| c.rejection_dooms(&est)) {
+                cuts.doom(group, code);
+            }
             spare = est.per_query_ms;
         }
     }
 
-    DotOutcome {
+    let work = SearchWork {
+        templates_priced: pricer.templates_priced(),
+        layouts_visited: investigated,
+    };
+    let outcome = DotOutcome {
         layout: best_est.is_some().then_some(current),
         estimate: best_est,
         layouts_investigated: investigated,
         layouts_pruned: pruned,
         elapsed: start.elapsed(),
+    };
+    (outcome, work)
+}
+
+/// The sweep's certified cuts beside the dominance cut: doomed placements
+/// and early-exit trials. Both rest on the premise [`ObjectiveBound`]
+/// uses: a query's time is monotone under pointwise class dominance
+/// ([`Dominance`]) up to `TIME_BOUND_MARGIN` (`m`), i.e. moving objects to
+/// classes that are no faster leaves every query at least `(1 − m)` times
+/// as slow. Every candidate is the incumbent with one group moved, and
+/// only a candidate that meets every constraint *and* strictly improves
+/// the incumbent's objective is accepted.
+///
+/// **Doomed placements.** When a candidate — group `g` on placement `p` —
+/// fails the performance constraints by more than the margin, every
+/// candidate that puts `g` on a placement no faster than `p` at each
+/// position (the rest of the layout is the same incumbent) fails them too:
+///
+/// - a query over its cap by more than the margin (`t · (1 − m) > cap`)
+///   stays over it, as the doomed candidate's time is at least
+///   `t · (1 − m)`;
+/// - a stream time `t` whose `t · (1 − m) · (1 − 4nε)` misses the
+///   throughput floor keeps missing it: each weighted term of the doomed
+///   candidate's sum is at least `(1 − m)` times this one's, rounding is
+///   monotone in each operand of `+` and `×` on non-negative values, and
+///   re-associating `n` terms moves a sum by less than `2nε` relatively.
+///   The shaved time must be positive, because
+///   `throughput_tasks_per_hour(t ≤ 0)` is `0`, a "miss" that a slower
+///   candidate with a positive time need not repeat.
+///
+/// So such a rejection dooms those placements until the next acceptance
+/// moves the incumbent. A doomed candidate is skipped without being
+/// priced; it counts as investigated, not as pruned.
+///
+/// **Early-exit trials.** A trial is abandoned ([`TrialBounds`]) when a
+/// query's time is over its cap, or when a lower bound on its stream time
+/// already misses the throughput floor (again only for a positive bound)
+/// or, for a response-time workload, prices the candidate at or above the
+/// incumbent objective. Both tests compute exactly what the estimate
+/// computes from its stream time, and both are monotone in it: rounding is
+/// monotone in each operand of `+`, `×` and `/` on non-negative values, so
+/// the throughput `c · 3.6e6 / t` does not rise and `C(L) · (t / 3.6e6)`
+/// does not fall as `t` grows (for `C(L) ≥ 0`, which positive prices
+/// give). A hopeless lower bound therefore means a hopeless estimate. The
+/// stream-time bound (`Pricer::trial_within`) charges each stale query
+/// not yet priced its premium time shaved by `m` when the premium class
+/// dominates every class — no layout runs a query faster than the
+/// all-premium one — and `0` otherwise. An abandoned candidate would have
+/// been rejected, so skipping its remaining templates changes nothing; an
+/// accepted one is always priced in full, so its estimate is
+/// bit-identical.
+struct SweepCuts<'a> {
+    workload: &'a Workload,
+    caps_ms: Option<&'a [f64]>,
+    floor: Option<f64>,
+    /// Per query, the least time any layout can give it (empty when the
+    /// workload's weights are not all finite and non-negative, which turns
+    /// the stream-time bound off).
+    floors_ms: Vec<f64>,
+    /// `(1 − m) · (1 − 4nε)`: what a rejected stream time is shaved by
+    /// before it dooms.
+    doom_shave: f64,
+    dominance: Dominance,
+    classes: usize,
+    /// Per group: its size, and where its doomers start in `doomers`.
+    arity: Vec<usize>,
+    starts: Vec<usize>,
+    /// Per group, how many doomers it has since the last acceptance.
+    doomed: Vec<usize>,
+    /// The placement codes that doom their group's slower placements, a
+    /// run per group with room for every placement.
+    doomers: Vec<usize>,
+}
+
+impl<'a> SweepCuts<'a> {
+    fn new(
+        problem: &Problem<'a>,
+        profile: &WorkloadProfile,
+        cons: &'a Constraints,
+        premium: &TocEstimate,
+    ) -> SweepCuts<'a> {
+        let dominance = Dominance::new(problem);
+        let workload = problem.workload;
+        let weighted = workload
+            .queries
+            .iter()
+            .all(|q| q.weight.is_finite() && q.weight >= 0.0);
+        let floors_ms = if !weighted {
+            Vec::new()
+        } else if dominance.dominates_all(problem.pool.most_expensive().0) {
+            premium
+                .per_query_ms
+                .iter()
+                .map(|t| t * (1.0 - TIME_BOUND_MARGIN))
+                .collect()
+        } else {
+            vec![0.0; workload.queries.len()]
+        };
+        let n = workload.queries.len() as f64;
+        let mut starts = Vec::with_capacity(profile.groups.len());
+        let mut next = 0;
+        for g in &profile.groups {
+            starts.push(next);
+            next += g.placement_count();
+        }
+        SweepCuts {
+            workload,
+            caps_ms: cons.response_caps_ms.as_deref(),
+            floor: cons.throughput_floor,
+            floors_ms,
+            doom_shave: (1.0 - TIME_BOUND_MARGIN) * (1.0 - 4.0 * n * f64::EPSILON),
+            dominance,
+            classes: problem.pool.len(),
+            arity: profile.groups.iter().map(|g| g.objects.len()).collect(),
+            starts,
+            doomed: vec![0; profile.groups.len()],
+            doomers: vec![0; next],
+        }
+    }
+
+    /// The trial bounds of a candidate costing `layout_cost` against the
+    /// incumbent objective `best`.
+    fn bounds(&self, layout_cost: f64, best: f64) -> TrialBounds<'_, impl Fn(f64) -> bool + '_> {
+        let over_incumbent = self.workload.metric == PerfMetric::ResponseTime && layout_cost >= 0.0;
+        TrialBounds {
+            caps_ms: self.caps_ms,
+            floors_ms: &self.floors_ms,
+            hopeless: move |t: f64| {
+                (over_incumbent && layout_cost * self.workload.execution_hours(t) >= best)
+                    || self.misses_floor(t)
+            },
+        }
+    }
+
+    /// Whether a stream time of at least `t` misses the throughput floor.
+    fn misses_floor(&self, t: f64) -> bool {
+        self.floor
+            .is_some_and(|floor| t > 0.0 && self.workload.throughput_tasks_per_hour(t) < floor)
+    }
+
+    /// Whether an abandoned trial's reason clears the margin.
+    fn abandon_dooms(&self, abandon: Abandon) -> bool {
+        match abandon {
+            Abandon::OverCap { query, time_ms } => self
+                .caps_ms
+                .and_then(|caps| caps.get(query))
+                .is_some_and(|&cap| time_ms * (1.0 - TIME_BOUND_MARGIN) > cap),
+            Abandon::Hopeless { stream_floor_ms } => {
+                self.misses_floor(stream_floor_ms * self.doom_shave)
+            }
+        }
+    }
+
+    /// Whether a priced, rejected estimate fails a performance constraint
+    /// by more than the margin.
+    fn rejection_dooms(&self, est: &TocEstimate) -> bool {
+        let over_cap = self.caps_ms.is_some_and(|caps| {
+            est.per_query_ms
+                .iter()
+                .zip(caps)
+                .any(|(t, &cap)| t * (1.0 - TIME_BOUND_MARGIN) > cap)
+        });
+        over_cap || self.misses_floor(est.stream_time_ms * self.doom_shave)
+    }
+
+    /// Doom every placement of `group` no faster than placement `code`.
+    fn doom(&mut self, group: usize, code: usize) {
+        self.doomers[self.starts[group] + self.doomed[group]] = code;
+        self.doomed[group] += 1;
+    }
+
+    /// Whether some doomer of `group` makes placement `code` no faster.
+    fn doomed(&self, group: usize, code: usize) -> bool {
+        let start = self.starts[group];
+        let doomers = &self.doomers[start..start + self.doomed[group]];
+        doomers
+            .iter()
+            .any(|&doomer| self.no_faster(self.arity[group], code, doomer))
+    }
+
+    /// Whether placement `a` is no faster than placement `b` at each of
+    /// their `k` positions (codes are base-`M` class digits).
+    fn no_faster(&self, k: usize, mut a: usize, mut b: usize) -> bool {
+        let m = self.classes;
+        for _ in 0..k {
+            if !self.dominance.no_faster(a % m, b % m) {
+                return false;
+            }
+            a /= m;
+            b /= m;
+        }
+        true
+    }
+
+    /// An acceptance moved the incumbent: no placement is doomed any more.
+    fn lift_dooms(&mut self) {
+        self.doomed.fill(0);
     }
 }
 

@@ -22,7 +22,7 @@
 use crate::advisor::ProvisionError;
 use crate::constraints::Constraints;
 use crate::problem::{LayoutCostModel, Problem};
-use crate::toc::{Estimator, ObjectiveBound, TocEstimate};
+use crate::toc::{Estimator, ObjectiveBound, SearchWork, TocEstimate, TIME_BOUND_MARGIN};
 use dot_dbms::layout::space_fits;
 use dot_dbms::{Layout, ObjectId};
 use dot_profiler::baseline::group_placements;
@@ -40,15 +40,19 @@ pub struct EsOutcome {
     /// Its estimate.
     pub estimate: Option<TocEstimate>,
     /// What the search visited. Literal enumeration: complete layouts
-    /// enumerated (pruned ones included: enumerated, just not estimated).
-    /// Additive search: search-tree nodes entered, partial group
-    /// placements included, over every cap-tightening round.
+    /// the per-layout odometer enumerates (pruned ones included:
+    /// enumerated, just not estimated), so a block the certified block cut
+    /// skips as a whole still counts every layout in it. Additive search:
+    /// search-tree nodes entered, partial group placements included, over
+    /// every cap-tightening round.
     pub layouts_investigated: usize,
     /// The visited units cut without estimating, so never more than
     /// `layouts_investigated`: dominance cuts of complete layouts in the
-    /// literal enumeration, cost-bound cuts of search-tree nodes (each one
-    /// a whole subtree) in the additive search. Defaults to 0 when parsing
-    /// pre-pruning serializations.
+    /// literal enumeration — what the per-layout odometer cuts, so a
+    /// skipped block counts each of its layouts here too — and cost-bound
+    /// cuts of search-tree nodes (each one a whole subtree) in the
+    /// additive search. Defaults to 0 when parsing pre-pruning
+    /// serializations.
     #[serde(default)]
     pub layouts_pruned: usize,
     /// Wall-clock time.
@@ -83,12 +87,26 @@ pub fn exhaustive_search_with(
 /// [`ObjectiveBound`]) — the perf-trajectory distillation measures the two
 /// against each other. Each branch prunes against its own incumbent, so
 /// the pruned count does not depend on the order branches run in.
+///
+/// With pruning on, whole blocks of the odometer are cut at once where
+/// every layout in them would be cut one by one (see `BlockCut`), with
+/// the same outcome and counters.
 pub fn exhaustive_search_with_pruning(
     problem: &Problem<'_>,
     cons: &Constraints,
     toc: &Estimator<'_>,
     prune: bool,
 ) -> EsOutcome {
+    exhaustive_search_with_work(problem, cons, toc, prune).0
+}
+
+/// [`exhaustive_search_with_pruning`], with the work the search did.
+pub fn exhaustive_search_with_work(
+    problem: &Problem<'_>,
+    cons: &Constraints,
+    toc: &Estimator<'_>,
+    prune: bool,
+) -> (EsOutcome, SearchWork) {
     let start = Instant::now();
     let n = problem.schema.object_count();
     let classes: Vec<ClassId> = problem.pool.ids().collect();
@@ -98,6 +116,7 @@ pub fn exhaustive_search_with_pruning(
     // costs nothing extra to build.
     let bound = prune.then(|| ObjectiveBound::new(problem, &cons.reference));
     let bound = bound.as_ref();
+    let mut block = bound.and_then(|b| BlockCut::new(problem, b));
     let mut pricer = toc.pricer(problem);
     // `S_j` of the layout at hand: one pass over the objects feeds the
     // capacity check, the bound and the estimate's `C(L)`.
@@ -108,6 +127,7 @@ pub fn exhaustive_search_with_pruning(
     let mut best_toc = f64::INFINITY;
     let mut evaluated = 0usize;
     let mut pruned = 0usize;
+    let mut visited = 0usize;
     for &first in &classes {
         // Each branch prunes only against its own incumbent, so the
         // pruned count is a property of the branch, not of the branches
@@ -120,26 +140,54 @@ pub fn exhaustive_search_with_pruning(
         let mut digits = vec![0usize; n - 1];
         let mut candidate = Layout::uniform(classes[0], n);
         candidate.place(ObjectId(0), first);
+        // The odometer's low digits that are 0: the layout at hand starts
+        // a block over that many fastest digits (objects `1..=free`).
+        let mut free = n - 1;
         loop {
-            evaluated += 1;
-            candidate.space_per_class_into(problem.schema, problem.pool, &mut space);
-            // Cheap capacity pre-check before paying for planning.
-            if space_fits(&space, problem.pool) {
-                let lb = bound.and_then(|b| b.lower_bound_of_space(problem, &space));
-                if lb.is_some_and(|lb| lb >= branch_toc) {
-                    // Dominance cut: cannot beat this branch's incumbent.
-                    pruned += 1;
-                } else {
-                    let est = pricer.estimate_of_space(&candidate, &space);
-                    if cons.performance_satisfied(&est) && est.objective_cents < branch_toc {
-                        branch_toc = est.objective_cents;
-                        branch_layout = Some(candidate.clone());
-                        branch_estimate = Some(est);
-                    }
+            // Block cut: the largest block starting here that is cut whole
+            // is counted as the odometer would count it, layout by layout.
+            let cut = block.as_mut().and_then(|block| {
+                (1..=free)
+                    .rev()
+                    .find(|&k| block.cuts(problem, &candidate, k, branch_toc))
+            });
+            let from = match cut {
+                Some(k) => {
+                    let layouts = m.pow(k as u32);
+                    evaluated += layouts;
+                    pruned += layouts;
+                    k
                 }
-            }
-            // Advance the odometer.
-            let Some(i) = digits.iter().position(|&d| d + 1 < m) else {
+                None => {
+                    evaluated += 1;
+                    visited += 1;
+                    candidate.space_per_class_into(problem.schema, problem.pool, &mut space);
+                    // Cheap capacity pre-check before paying for planning.
+                    if space_fits(&space, problem.pool) {
+                        let lb = bound.and_then(|b| b.lower_bound_of_space(problem, &space));
+                        if lb.is_some_and(|lb| lb >= branch_toc) {
+                            // Dominance cut: cannot beat this branch's incumbent.
+                            pruned += 1;
+                        } else {
+                            let est = pricer.estimate_of_space(&candidate, &space);
+                            if cons.performance_satisfied(&est) && est.objective_cents < branch_toc
+                            {
+                                branch_toc = est.objective_cents;
+                                branch_layout = Some(candidate.clone());
+                                branch_estimate = Some(est);
+                            }
+                        }
+                    }
+                    0
+                }
+            };
+            // Advance the odometer past the layout, or past the block: its
+            // low digits are all 0 and would all have reached `M − 1`.
+            let Some(i) = digits[from..]
+                .iter()
+                .position(|&d| d + 1 < m)
+                .map(|at| from + at)
+            else {
                 break;
             };
             for (j, d) in digits[..i].iter_mut().enumerate() {
@@ -148,6 +196,7 @@ pub fn exhaustive_search_with_pruning(
             }
             digits[i] += 1;
             candidate.place(ObjectId(i + 1), classes[digits[i]]);
+            free = i;
         }
         if branch_toc < best_toc {
             best_toc = branch_toc;
@@ -155,12 +204,117 @@ pub fn exhaustive_search_with_pruning(
             estimate = branch_estimate;
         }
     }
-    EsOutcome {
+    let work = SearchWork {
+        templates_priced: pricer.templates_priced(),
+        layouts_visited: visited,
+    };
+    let outcome = EsOutcome {
         layout,
         estimate,
         layouts_investigated: evaluated,
         layouts_pruned: pruned,
         elapsed: start.elapsed(),
+    };
+    (outcome, work)
+}
+
+/// The exhaustive search's block cut. Where the odometer starts a block in
+/// which only objects `1..=k` vary (its `k` fastest digits are all 0), the
+/// `M^k` layouts of the block share every other object's class. If every
+/// one of them certainly fits and is certainly cut by the dominance bound
+/// against the branch incumbent — which no layout of the block can move,
+/// since none is estimated — the whole block is counted investigated and
+/// pruned, exactly as the per-layout odometer would count it, and skipped.
+///
+/// - **Fit.** A block layout's `S_j` sums, in schema order, the sizes of
+///   the objects on class `j`; the block's `U_j` sums the fixed objects on
+///   `j` and every free object. Sizes are non-negative and rounding is
+///   monotone in each operand of `+`, so `S_j ≤ U_j`, and when `U` fits
+///   (`U_j` below every capacity) every layout of the block does.
+/// - **Cost.** Under the linear model, the fixed objects' `S_j` with every
+///   free object on the cheapest class is, over the reals, no more than
+///   any block layout's `C(L)`, since prices are non-negative. The floats
+///   differ from the reals by a few ulps of relative error, far inside
+///   `TIME_BOUND_MARGIN`, so the bound shaved by that margin is at most
+///   every block layout's float `C(L)`. Under the discrete-sized model a
+///   free object put on a class not yet in use would add a whole device
+///   charge, so the cheapest class bounds nothing; the free objects are
+///   left out instead. Each class's charge is non-decreasing in its
+///   `S_j`, in floats too, and the fixed objects' `S_j` are at most any
+///   block layout's. The objective bound scales the cost monotonically
+///   ([`ObjectiveBound::lower_bound_of_space`]), so a shaved bound that
+///   meets the incumbent means every layout's own bound meets it.
+///
+/// The cut needs non-negative sizes and prices; a problem with any
+/// negative one gets no block cut.
+struct BlockCut {
+    /// The cheapest class under the linear model; `None` under the
+    /// discrete-sized model, which leaves the free objects out.
+    cheapest: Option<usize>,
+    bound: ObjectiveBound,
+    /// The block's `U_j` and its cost bound's `S_j`.
+    upper: Vec<f64>,
+    lower: Vec<f64>,
+}
+
+impl BlockCut {
+    fn new(problem: &Problem<'_>, bound: &ObjectiveBound) -> Option<BlockCut> {
+        let pool = problem.pool;
+        let sound = problem.schema.objects().iter().all(|o| o.size_gb >= 0.0)
+            && pool
+                .classes()
+                .iter()
+                .all(|c| c.price_cents_per_gb_hour >= 0.0);
+        if !sound || !bound.is_active() {
+            return None;
+        }
+        let cheapest = match problem.cost_model {
+            LayoutCostModel::Linear => pool
+                .classes()
+                .iter()
+                .min_by(|a, b| {
+                    a.price_cents_per_gb_hour
+                        .total_cmp(&b.price_cents_per_gb_hour)
+                })
+                .map(|c| c.id.0),
+            LayoutCostModel::Discrete { .. } => None,
+        };
+        Some(BlockCut {
+            cheapest,
+            bound: *bound,
+            upper: vec![0.0; pool.len()],
+            lower: vec![0.0; pool.len()],
+        })
+    }
+
+    /// Whether the block of `layout` whose free objects are `1..=k`
+    /// certainly fits and is certainly cut against `incumbent`.
+    fn cuts(&mut self, problem: &Problem<'_>, layout: &Layout, k: usize, incumbent: f64) -> bool {
+        if incumbent == f64::INFINITY {
+            return false;
+        }
+        self.upper.fill(0.0);
+        self.lower.fill(0.0);
+        for o in problem.schema.objects() {
+            if (1..=k).contains(&o.id.0) {
+                for u in &mut self.upper {
+                    *u += o.size_gb;
+                }
+            } else {
+                let class = layout.class_of(o.id).0;
+                self.upper[class] += o.size_gb;
+                self.lower[class] += o.size_gb;
+            }
+        }
+        if !space_fits(&self.upper, problem.pool) {
+            return false;
+        }
+        if let Some(cheapest) = self.cheapest {
+            self.lower[cheapest] = self.upper[cheapest];
+        }
+        self.bound
+            .lower_bound_of_space(problem, &self.lower)
+            .is_some_and(|lb| lb * (1.0 - TIME_BOUND_MARGIN) >= incumbent)
     }
 }
 

@@ -67,6 +67,16 @@ pub(crate) struct CodedMove {
 }
 
 impl CodedMove {
+    /// The index of the move's group in [`WorkloadProfile::groups`].
+    pub(crate) fn group_index(self) -> usize {
+        self.group_index
+    }
+
+    /// The target placement's code ([`GroupProfile::placement_at`]).
+    pub(crate) fn code(self) -> usize {
+        self.code
+    }
+
     /// Place the move's group onto its placement in `layout`.
     pub(crate) fn step(self, profile: &WorkloadProfile, layout: &mut Layout) {
         let g = &profile.groups[self.group_index];

@@ -15,7 +15,7 @@
 //! reference (`tests/plan_memo_props.rs`).
 
 use crate::problem::Problem;
-use dot_dbms::memo::{PlanMemo, Pricer};
+use dot_dbms::memo::{Abandon, PlanMemo, Pricer, TrialBounds};
 use dot_dbms::plan::PlanStats;
 use dot_dbms::query::QuerySpec;
 use dot_dbms::{exec, Layout};
@@ -258,25 +258,24 @@ fn from_query_times(
     )
 }
 
-/// [`measure_toc`] over the session's templates: the plans are
-/// materialized from them and the test run prices them through the buffer
-/// pool, exactly as `exec::simulate_workload` does.
+/// [`measure_toc`] over the session's templates: the test run prices the
+/// templates' chosen counts through the buffer pool without materializing
+/// a plan ([`PlanMemo::test_run`]), exactly as `exec::simulate_workload`
+/// prices the plans.
 fn measure_planned(
     problem: &Problem<'_>,
     layout: &Layout,
     seed: u64,
     plans: &PlanMemo<'_>,
 ) -> TocEstimate {
-    let planned = plans.plan_workload(layout);
-    let run = exec::assemble(
-        &planned,
-        problem.schema,
-        layout,
-        problem.pool,
-        &problem.cfg,
-        Some(seed),
-    );
-    TocEstimate::from_run(problem, problem.layout_cost_cents_per_hour(layout), run)
+    let run = plans.test_run(layout, seed);
+    TocEstimate::from_times(
+        problem,
+        problem.layout_cost_cents_per_hour(layout),
+        run.stream_time_ms,
+        run.per_query_ms,
+        run.stats,
+    )
 }
 
 /// Measure the TOC of `layout` with a simulated test run (the validation
@@ -308,11 +307,71 @@ pub fn measure_toc(problem: &Problem<'_>, layout: &Layout, seed: u64) -> TocEsti
 // Dominance pruning support
 // ---------------------------------------------------------------------------
 
-/// Relative safety margin the response-time bound concedes to
-/// floating-point accumulation: per-query times are monotone under
-/// pointwise device dominance only up to rounding, so the stream-time
-/// floor is shaved by this factor before it prunes anything.
-const TIME_BOUND_MARGIN: f64 = 1e-6;
+/// Relative safety margin the bounds concede to floating-point
+/// accumulation: per-query times are monotone under pointwise device
+/// dominance only up to rounding, so a time bound derived from another
+/// layout's times is shaved by this factor before it prunes anything. The
+/// exhaustive search's block cut shaves its cost bound by the same factor
+/// (see `exhaustive::BlockCut`).
+pub(crate) const TIME_BOUND_MARGIN: f64 = 1e-6;
+
+/// Pointwise dominance between a pool's classes at one degree of
+/// concurrency: class `a` is *no faster* than class `b` when its latency
+/// is at least `b`'s on every I/O pattern. Moving an object to a class
+/// that is no faster never makes a query faster (up to
+/// [`TIME_BOUND_MARGIN`]): every candidate plan's price is a sum of
+/// non-negative counts times latencies, and the planner picks the
+/// cheapest.
+#[derive(Debug, Clone)]
+pub(crate) struct Dominance {
+    classes: usize,
+    /// `no_faster[a · M + b]`.
+    no_faster: Vec<bool>,
+}
+
+impl Dominance {
+    /// The dominance of `problem`'s pool at its engine's concurrency.
+    pub(crate) fn new(problem: &Problem<'_>) -> Dominance {
+        let classes = problem.pool.classes();
+        let concurrency = problem.cfg.concurrency;
+        let mut no_faster = Vec::with_capacity(classes.len() * classes.len());
+        for a in classes {
+            for b in classes {
+                no_faster.push(dot_storage::IO_TYPES.iter().all(|&io| {
+                    a.profile.latency_ms(io, concurrency) >= b.profile.latency_ms(io, concurrency)
+                }));
+            }
+        }
+        Dominance {
+            classes: classes.len(),
+            no_faster,
+        }
+    }
+
+    /// Whether class `a` is no faster than class `b` at any I/O pattern.
+    pub(crate) fn no_faster(&self, a: usize, b: usize) -> bool {
+        self.no_faster[a * self.classes + b]
+    }
+
+    /// Whether every class is no faster than `top`.
+    pub(crate) fn dominates_all(&self, top: usize) -> bool {
+        (0..self.classes).all(|c| self.no_faster(c, top))
+    }
+}
+
+/// Deterministic work one search did, beside the counters its outcome
+/// reports: what a certified cut saves shows here, while the outcome's
+/// `layouts_investigated` and `layouts_pruned` stay those of the
+/// per-candidate search.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchWork {
+    /// Query templates chosen and priced, in estimates and trials alike
+    /// (a memo-free estimate prices every query).
+    pub templates_priced: usize,
+    /// Candidates the search looked at one at a time: every enumerated
+    /// candidate except those a block cut skipped as a whole.
+    pub layouts_visited: usize,
+}
 
 /// An analytic, memo-independent lower bound on any candidate layout's
 /// [`TocEstimate::objective_cents`] — the branch-and-bound cut behind the
@@ -361,16 +420,8 @@ impl ObjectiveBound {
         let mode = match problem.workload.metric {
             PerfMetric::Throughput => BoundMode::LayoutCost,
             PerfMetric::ResponseTime => {
-                let classes = problem.pool.classes();
-                let concurrency = problem.cfg.concurrency;
-                let top = &classes[problem.pool.most_expensive().0];
-                let dominates = classes.iter().all(|c| {
-                    dot_storage::IO_TYPES.iter().all(|&io| {
-                        top.profile.latency_ms(io, concurrency)
-                            <= c.profile.latency_ms(io, concurrency)
-                    })
-                });
-                if dominates {
+                let top = problem.pool.most_expensive().0;
+                if Dominance::new(problem).dominates_all(top) {
                     BoundMode::CostTimesHours {
                         min_hours: problem.workload.execution_hours(premium.stream_time_ms)
                             * (1.0 - TIME_BOUND_MARGIN),
@@ -462,6 +513,7 @@ impl<'c> Estimator<'c> {
         TocPricer {
             problem,
             plans: self.plans_for(problem).map(PlanMemo::pricer),
+            planned: 0,
         }
     }
 
@@ -488,6 +540,8 @@ impl<'c> Estimator<'c> {
 pub struct TocPricer<'m, 'p> {
     problem: &'p Problem<'p>,
     plans: Option<Pricer<'m>>,
+    /// Queries planned by memo-free estimates.
+    planned: usize,
 }
 
 impl TocPricer<'_, '_> {
@@ -525,7 +579,44 @@ impl TocPricer<'_, '_> {
                 let plan_stats = plans.trial(layout, &mut times);
                 from_query_times(self.problem, layout_cost, times, plan_stats)
             }
-            None => estimate_toc_at_cost(self.problem, layout, layout_cost),
+            None => self.estimate_direct(layout, layout_cost),
+        }
+    }
+
+    /// [`trial`](Self::trial) of a candidate whose `C(L)` is
+    /// `layout_cost`, abandoned as soon as it certainly loses under
+    /// `bounds` ([`Pricer::trial_within`]). A priced trial's estimate takes
+    /// over `spare`'s allocation; an abandoned one leaves it in `spare`.
+    /// Without a memo this is a full estimate, never abandoned.
+    pub(crate) fn trial_within<H: Fn(f64) -> bool>(
+        &mut self,
+        layout: &Layout,
+        layout_cost: f64,
+        spare: &mut Vec<f64>,
+        bounds: &TrialBounds<'_, H>,
+    ) -> Result<TocEstimate, Abandon> {
+        match &mut self.plans {
+            Some(plans) => {
+                let plan_stats = plans.trial_within(layout, spare, bounds)?;
+                let times = std::mem::take(spare);
+                Ok(from_query_times(
+                    self.problem,
+                    layout_cost,
+                    times,
+                    plan_stats,
+                ))
+            }
+            None => Ok(self.estimate_direct(layout, layout_cost)),
+        }
+    }
+
+    /// Query templates this pricer has chosen and priced
+    /// ([`Pricer::templates_priced`]); without a memo, every query of
+    /// every estimate.
+    pub fn templates_priced(&self) -> usize {
+        match &self.plans {
+            Some(plans) => plans.templates_priced(),
+            None => self.planned,
         }
     }
 
@@ -543,8 +634,13 @@ impl TocPricer<'_, '_> {
                 let (per_query_ms, plan_stats) = plans.estimate(layout);
                 from_query_times(self.problem, layout_cost, per_query_ms, plan_stats)
             }
-            None => estimate_toc_at_cost(self.problem, layout, layout_cost),
+            None => self.estimate_direct(layout, layout_cost),
         }
+    }
+
+    fn estimate_direct(&mut self, layout: &Layout, layout_cost: f64) -> TocEstimate {
+        self.planned += self.problem.workload.queries.len();
+        estimate_toc_at_cost(self.problem, layout, layout_cost)
     }
 }
 

@@ -16,7 +16,7 @@
 use crate::cost::CostVector;
 use crate::object::ObjectId;
 use crate::schema::Schema;
-use dot_storage::IoType;
+use dot_storage::{IoCounts, IoType};
 use serde::{Deserialize, Serialize};
 
 /// Maximum hit rate the model will credit (there is always cold traffic).
@@ -50,12 +50,7 @@ impl BufferPool {
 
     /// Total distinct data (GB) read by a cost vector.
     pub fn touched_read_gb(&self, schema: &Schema, cost: &CostVector) -> f64 {
-        cost.io
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.reads() > 0.0)
-            .map(|(i, _)| schema.object(ObjectId(i)).size_gb)
-            .sum()
+        touched_read_gb_of(schema, &cost.io)
     }
 
     /// Apply the cache model in place: reduce `cost`'s read I/O counts by
@@ -67,13 +62,28 @@ impl BufferPool {
             return;
         }
         for (i, counts) in cost.io.iter_mut().enumerate() {
-            let obj = schema.object(ObjectId(i));
-            counts[IoType::RandRead] *= 1.0 - h;
-            if obj.size_gb <= self.size_gb * SCAN_CACHE_FRACTION {
-                counts[IoType::SeqRead] *= 1.0 - h;
-            }
+            self.absorb(schema.object(ObjectId(i)).size_gb, counts, h);
         }
     }
+
+    /// [`apply`](Self::apply)'s step for one object of `object_gb`
+    /// gigabytes at hit rate `h`.
+    pub(crate) fn absorb(&self, object_gb: f64, counts: &mut IoCounts, h: f64) {
+        counts[IoType::RandRead] *= 1.0 - h;
+        if object_gb <= self.size_gb * SCAN_CACHE_FRACTION {
+            counts[IoType::SeqRead] *= 1.0 - h;
+        }
+    }
+}
+
+/// [`BufferPool::touched_read_gb`] of per-object counts `io`: the sizes of
+/// the objects with reads, summed in object order.
+pub(crate) fn touched_read_gb_of(schema: &Schema, io: &[IoCounts]) -> f64 {
+    io.iter()
+        .enumerate()
+        .filter(|(_, c)| c.reads() > 0.0)
+        .map(|(i, _)| schema.object(ObjectId(i)).size_gb)
+        .sum()
 }
 
 #[cfg(test)]

@@ -188,7 +188,7 @@ pub fn assemble<P: Borrow<PlannedQuery>>(
 /// Deterministic multiplicative noise in `[0.97, 1.03]` from a splitmix-style
 /// hash of `(seed, k)`. Keeps test runs reproducible without an RNG
 /// dependency in this crate.
-fn noise_factor(seed: u64, k: u64) -> f64 {
+pub(crate) fn noise_factor(seed: u64, k: u64) -> f64 {
     let mut z = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(k.wrapping_mul(0xBF58_476D_1CE4_E5B9))

@@ -24,6 +24,18 @@
 //! layout last committed, and [`commit`](Pricer::commit)s only the
 //! candidate it accepts.
 //!
+//! A sweep that only needs to know a candidate loses, not what it costs,
+//! prices it with [`Pricer::trial_within`]: the trial is abandoned as soon
+//! as a query exceeds its cap or a lower bound on the stream time is
+//! already hopeless, and an abandoned trial cannot be committed. Every
+//! template the pricer chooses and prices is counted
+//! ([`Pricer::templates_priced`]).
+//!
+//! A validation run needs the chosen plans' I/O, not the plans:
+//! [`PlanMemo::test_run`] runs the buffer pool and the seeded noise over
+//! the templates' chosen counts, bit for bit as a run of the materialized
+//! plans.
+//!
 //! Profiling asks less of a layout: which plans it gets, not what they
 //! cost. [`PlanMemo::decisions`] hands out a [`Decisions`] walk that keeps
 //! every template's decision codes in one buffer and re-decides only the
@@ -32,7 +44,9 @@
 //! counts a layout's I/O straight from the templates, without
 //! materializing plans.
 
+use crate::bufferpool::{touched_read_gb_of, BufferPool};
 use crate::config::EngineConfig;
+use crate::exec::noise_factor;
 use crate::layout::Layout;
 use crate::object::ObjectId;
 use crate::plan::{PlanStats, PlannedQuery};
@@ -192,6 +206,65 @@ impl<'a> PlanMemo<'a> {
         io
     }
 
+    /// A simulated test run of the workload under `layout` with `seed`:
+    /// bit for bit what [`exec::assemble`](crate::exec::assemble) measures
+    /// over [`plan_workload`](Self::plan_workload)'s plans with
+    /// `Some(seed)` (buffer pool and noise engaged), without materializing
+    /// a plan. The pool's hit rate reads the chosen counts summed over the
+    /// whole stream, so every template is chosen first; each query's
+    /// absorbed counts are then priced, noised, and added into the
+    /// per-object I/O scaled by its weight. Objects a template does not
+    /// charge would only add `+0.0` or `0 · weight` to sums that started
+    /// at `+0.0`, which changes no bit for the finite weights a validated
+    /// workload carries.
+    pub fn test_run(&self, layout: &Layout, seed: u64) -> TestRun {
+        let compiled = self.compiled();
+        let objects = self.schema.object_count();
+        let mut stats = PlanStats::default();
+        let mut slots = Vec::new();
+        // Every template's chosen counts, a run per template in workload
+        // order, and the whole stream's sum the pool's hit rate reads.
+        let mut chosen = Vec::new();
+        let mut cpu_ms = Vec::with_capacity(compiled.templates.len());
+        let mut io = vec![IoCounts::ZERO; objects];
+        for t in &compiled.templates {
+            cpu_ms.push(t.choose_counts(&compiled.latencies, layout, &mut slots, &mut stats));
+            for (object, counts) in t.objects().iter().zip(&slots) {
+                io[object.0] += *counts;
+            }
+            chosen.extend_from_slice(&slots);
+        }
+        let pool = BufferPool::new(self.cfg.buffer_gb);
+        let hit_rate = pool.hit_rate(touched_read_gb_of(self.schema, &io));
+        io.fill(IoCounts::ZERO);
+
+        let mut per_query_ms = Vec::with_capacity(compiled.templates.len());
+        let mut stream_time_ms = 0.0;
+        let mut runs = chosen.as_mut_slice();
+        for (i, (t, &cpu_ms)) in compiled.templates.iter().zip(&cpu_ms).enumerate() {
+            let (run, rest) = runs.split_at_mut(t.objects().len());
+            runs = rest;
+            if hit_rate != 0.0 {
+                for (object, counts) in t.objects().iter().zip(run.iter_mut()) {
+                    pool.absorb(self.schema.object(*object).size_gb, counts, hit_rate);
+                }
+            }
+            let time_ms =
+                t.price(&compiled.latencies, layout, run, cpu_ms) * noise_factor(seed, i as u64);
+            for (object, counts) in t.objects().iter().zip(run.iter()) {
+                io[object.0] += counts.scaled(t.weight());
+            }
+            stream_time_ms += time_ms * t.weight();
+            per_query_ms.push(time_ms);
+        }
+        TestRun {
+            per_query_ms,
+            stream_time_ms,
+            io,
+            stats,
+        }
+    }
+
     /// The plan choices every query makes under `layout`.
     pub fn choice_key(&self, layout: &Layout) -> ChoiceKey {
         self.compiled().key(layout)
@@ -217,7 +290,14 @@ impl<'a> PlanMemo<'a> {
             times: vec![0.0; n],
             stats: vec![PlanStats::default(); n],
             slots: Vec::new(),
-            trial: Trial::default(),
+            trial: Trial {
+                pending: false,
+                moved: Vec::with_capacity(compiled.readers.len()),
+                answers: Vec::with_capacity(n),
+            },
+            suffix_ms: vec![0.0; n + 1],
+            reassociation: 1.0 - 4.0 * n as f64 * f64::EPSILON,
+            priced: 0,
         }
     }
 
@@ -302,6 +382,24 @@ impl Walk {
     }
 }
 
+/// What [`PlanMemo::test_run`] measures: every query's single-execution
+/// time in workload order, their weighted sum, the per-object I/O of the
+/// whole stream and the plans' summed [`PlanStats`] — the `queries`' times,
+/// `stream_time_ms`, `cost.io` and `stats` of the equivalent
+/// [`RunResult`](crate::exec::RunResult).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TestRun {
+    /// Per query, in workload order, its measured time in ms.
+    pub per_query_ms: Vec<f64>,
+    /// `Σ weight · time` in workload order, ms.
+    pub stream_time_ms: f64,
+    /// Per object, the stream's cache-absorbed counts weighted by
+    /// repetitions.
+    pub io: Vec<IoCounts>,
+    /// The plans' summed statistics.
+    pub stats: PlanStats,
+}
+
 /// Walks a run of layouts deciding every query's plan choices, re-deciding
 /// only the templates that read an object whose class changed.
 ///
@@ -348,6 +446,11 @@ impl Decisions<'_> {
 /// incumbent in a few objects re-prices only those objects' readers, and
 /// a rejected candidate is never priced back; [`commit`](Self::commit)
 /// adopts the last trial's layout and answers.
+///
+/// [`trial_within`](Self::trial_within) prices a trial under
+/// [`TrialBounds`] and abandons it once it certainly loses; its buffers are
+/// sized when the pricer is made, so neither a priced nor an abandoned
+/// trial allocates.
 pub struct Pricer<'m> {
     compiled: &'m Compiled,
     /// The committed layout's classes and the stale templates.
@@ -358,10 +461,51 @@ pub struct Pricer<'m> {
     slots: Vec<IoCounts>,
     /// The last trial, until a commit adopts it or a sync drops it.
     trial: Trial,
+    /// `suffix_ms[t]`: the stream-time bound's terms of templates `t..`,
+    /// summed from the last one back.
+    suffix_ms: Vec<f64>,
+    /// `1 − 4nε` for `n` templates: what a bound summed in another order
+    /// than the stream time is shaved by (see
+    /// [`trial_within`](Self::trial_within)).
+    reassociation: f64,
+    /// Templates chosen and priced since the pricer was made.
+    priced: usize,
+}
+
+/// Bounds under which [`Pricer::trial_within`] abandons a trial that
+/// certainly loses.
+#[derive(Debug, Clone, Copy)]
+pub struct TrialBounds<'b, H> {
+    /// Per query, in workload order, the time it must not exceed: a trial
+    /// is abandoned at the first query whose time is over its cap.
+    pub caps_ms: Option<&'b [f64]>,
+    /// Per query, in workload order, a lower bound on its time under any
+    /// layout; empty for no stream-time bound.
+    pub floors_ms: &'b [f64],
+    /// Whether a candidate whose stream time is at least the argument
+    /// certainly loses. It must be monotone: true at `t` means true at
+    /// every `t' ≥ t`.
+    pub hopeless: H,
+}
+
+/// Why [`Pricer::trial_within`] abandoned a trial.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Abandon {
+    /// The `query`-th query takes `time_ms`, over its cap.
+    OverCap {
+        /// The query's position in the workload.
+        query: usize,
+        /// Its time under the trial layout.
+        time_ms: f64,
+    },
+    /// The stream time is at least `stream_floor_ms`, which is hopeless.
+    Hopeless {
+        /// The stream-time lower bound that was hopeless.
+        stream_floor_ms: f64,
+    },
 }
 
 /// What a [`Pricer::trial`] found that differs from the committed state.
-#[derive(Default)]
 struct Trial {
     /// Whether `moved` and `answers` describe a trial not yet committed.
     pending: bool,
@@ -401,11 +545,57 @@ impl Pricer<'_> {
     /// nothing committed yet (or a layout of another length) the trial
     /// prices every template and commits `layout` itself.
     pub fn trial(&mut self, layout: &Layout, times: &mut Vec<f64>) -> PlanStats {
+        let unbounded = TrialBounds {
+            caps_ms: None,
+            floors_ms: &[],
+            hopeless: |_: f64| false,
+        };
+        match self.trial_within(layout, times, &unbounded) {
+            Ok(stats) => stats,
+            Err(abandon) => unreachable!("an unbounded trial abandoned: {abandon:?}"),
+        }
+    }
+
+    /// [`trial`](Self::trial) of `layout`, abandoned as soon as it
+    /// certainly loses under `bounds`. The stale templates are priced one
+    /// at a time in workload order, and the trial is abandoned
+    ///
+    /// - when a query's time, computed or committed, is over its cap: the
+    ///   full trial would carry that very time; or
+    /// - when a lower bound on the stream time is `hopeless`. The bound
+    ///   adds, per query, its weight times its committed or computed time,
+    ///   or for a stale query not yet priced its floor. Each term is at
+    ///   most the full trial's (a floor is a lower bound on the query's
+    ///   time), and rounding is monotone in each operand of `+` and `×` on
+    ///   non-negative values, so the bound summed in workload order is at
+    ///   most the stream time the full trial would sum. The bound is kept
+    ///   as the priced prefix plus a suffix summed from the back, two
+    ///   orders of the same `n` non-negative terms, which differ from the
+    ///   workload-order sum by less than `2nε` relatively; shaving by
+    ///   `4nε` keeps it below that sum. It is checked once before anything
+    ///   is priced and after each stale template, the only steps that
+    ///   raise it, for `O(1)` each.
+    ///
+    /// An abandoned trial clears its stale flags, cannot be
+    /// [`commit`](Self::commit)ted, and leaves `times` holding a prefix of
+    /// the answers; the committed state is untouched. A trial that is not
+    /// abandoned answers exactly as [`trial`](Self::trial). With nothing
+    /// committed yet (or a layout of another length) the trial prices
+    /// every template, commits `layout` itself and is never abandoned.
+    ///
+    /// # Errors
+    /// The [`Abandon`] reason, with the bound that fired.
+    pub fn trial_within<H: Fn(f64) -> bool>(
+        &mut self,
+        layout: &Layout,
+        times: &mut Vec<f64>,
+        bounds: &TrialBounds<'_, H>,
+    ) -> Result<PlanStats, Abandon> {
         let assignment = layout.assignment();
         if self.walk.classes.len() != assignment.len() {
             self.sync(layout);
             times.clone_from(&self.times);
-            return sum_stats(&self.stats);
+            return Ok(sum_stats(&self.stats));
         }
         let trial = &mut self.trial;
         trial.pending = true;
@@ -421,13 +611,41 @@ impl Pricer<'_> {
                 }
             }
         }
+        // Abandon the trial before template `from`: clear the stale flags
+        // it has not reached, and drop the trial.
+        let abandon = |walk: &mut Walk, trial: &mut Trial, from: usize, why: Abandon| {
+            walk.stale[from..].fill(false);
+            trial.pending = false;
+            Err(why)
+        };
+        let bounded = !bounds.floors_ms.is_empty();
+        if bounded {
+            let suffix = &mut self.suffix_ms;
+            let mut sum = 0.0;
+            for (t, template) in compiled.templates.iter().enumerate().rev() {
+                let time_ms = if walk.stale[t] {
+                    bounds.floors_ms[t]
+                } else {
+                    self.times[t]
+                };
+                sum += time_ms * template.weight();
+                suffix[t] = sum;
+            }
+            let stream_floor_ms = sum * self.reassociation;
+            if (bounds.hopeless)(stream_floor_ms) {
+                return abandon(walk, trial, 0, Abandon::Hopeless { stream_floor_ms });
+            }
+        }
         times.clear();
         let mut total = PlanStats::default();
+        let mut prefix_ms = 0.0;
         for (t, template) in compiled.templates.iter().enumerate() {
-            let (time_ms, stats) = if std::mem::take(&mut walk.stale[t]) {
+            let stale = std::mem::take(&mut walk.stale[t]);
+            let (time_ms, stats) = if stale {
                 let mut stats = PlanStats::default();
                 let time_ms =
                     template.estimate(&compiled.latencies, layout, &mut self.slots, &mut stats);
+                self.priced += 1;
                 trial.answers.push(Answer {
                     template: t,
                     time_ms,
@@ -439,8 +657,30 @@ impl Pricer<'_> {
             };
             times.push(time_ms);
             add_stats(&mut total, &stats);
+            if bounds
+                .caps_ms
+                .and_then(|caps| caps.get(t))
+                .is_some_and(|&cap| time_ms > cap)
+            {
+                return abandon(walk, trial, t + 1, Abandon::OverCap { query: t, time_ms });
+            }
+            if bounded {
+                prefix_ms += time_ms * template.weight();
+                if stale {
+                    let stream_floor_ms = (prefix_ms + self.suffix_ms[t + 1]) * self.reassociation;
+                    if (bounds.hopeless)(stream_floor_ms) {
+                        return abandon(walk, trial, t + 1, Abandon::Hopeless { stream_floor_ms });
+                    }
+                }
+            }
         }
-        total
+        Ok(total)
+    }
+
+    /// How many templates this pricer has chosen and priced: the work its
+    /// estimates and trials did, whatever they answered.
+    pub fn templates_priced(&self) -> usize {
+        self.priced
     }
 
     /// Make the last [`trial`](Self::trial)'s layout the committed one,
@@ -476,6 +716,7 @@ impl Pricer<'_> {
             let stats = &mut self.stats[t];
             *stats = PlanStats::default();
             self.times[t] = template.estimate(&compiled.latencies, layout, &mut self.slots, stats);
+            self.priced += 1;
         }
     }
 }

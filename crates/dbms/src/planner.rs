@@ -468,6 +468,28 @@ impl QueryTemplate {
         self.price(latencies, layout, slots, chosen.cpu_ms)
     }
 
+    /// The choose step alone: the chosen plan's counts per object of
+    /// [`objects`](Self::objects) in `slots`, its [`PlanStats`] added into
+    /// `stats`, and its CPU ms answered, as [`plan`](Self::plan) would
+    /// ledger them. `slots` is reusable scratch.
+    pub(crate) fn choose_counts(
+        &self,
+        latencies: &Latencies,
+        layout: &Layout,
+        slots: &mut Vec<IoCounts>,
+        stats: &mut PlanStats,
+    ) -> f64 {
+        self.choose(latencies, layout, slots, |_, path, join| {
+            tally(stats, path, join);
+        })
+        .cpu_ms
+    }
+
+    /// The query's repetitions within the stream.
+    pub(crate) fn weight(&self) -> f64 {
+        self.weight
+    }
+
     /// Every object some candidate charges, ascending: the only objects
     /// whose class the template's plan and price read.
     pub(crate) fn objects(&self) -> &[ObjectId] {
@@ -571,7 +593,7 @@ impl QueryTemplate {
 
     /// Eq. 1 over the summed slots: [`CostVector::time_ms`] of the chosen
     /// plan's ledger.
-    fn price(
+    pub(crate) fn price(
         &self,
         latencies: &Latencies,
         layout: &Layout,

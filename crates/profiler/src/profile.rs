@@ -8,7 +8,7 @@
 
 use crate::baseline::{baseline_count, group_arity};
 use dot_dbms::memo::PlanMemo;
-use dot_dbms::{exec, Layout, ObjectId, Schema};
+use dot_dbms::{Layout, ObjectId, Schema};
 use dot_storage::{ClassId, IoCounts, StoragePool};
 use std::collections::HashMap;
 
@@ -236,12 +236,12 @@ impl BaselineRuns {
     /// Count every run from `source` under its first baseline and fill
     /// every group's dense table, over the memo `plans` the partition was
     /// made from. Estimates are summed from the templates
-    /// ([`PlanMemo::workload_io`]); a test run materializes the run's plans
-    /// and runs them ([`exec::assemble`]). One loop in baseline order
+    /// ([`PlanMemo::workload_io`]), and so is a test run's cache-absorbed,
+    /// weighted I/O ([`PlanMemo::test_run`]), neither materializing a plan. One loop in baseline order
     /// writes each baseline's counts at its prefix's code in every group's
     /// table, so a later baseline with the same prefix overwrites them.
     pub fn count(self, plans: &PlanMemo<'_>, source: ProfileSource) -> WorkloadProfile {
-        let (schema, pool, cfg) = (plans.schema(), plans.pool(), plans.cfg());
+        let schema = plans.schema();
         let m = self.classes;
         let mut group_profiles: Vec<GroupProfile> = schema
             .object_groups()
@@ -268,12 +268,7 @@ impl BaselineRuns {
                 place_code(&mut layout, &self.places, m, b);
                 counts.push(match source {
                     ProfileSource::Estimate => plans.workload_io(&layout),
-                    ProfileSource::TestRun { seed } => {
-                        let planned = plans.plan_workload(&layout);
-                        exec::assemble(&planned, schema, &layout, pool, cfg, Some(seed))
-                            .cost
-                            .io
-                    }
+                    ProfileSource::TestRun { seed } => plans.test_run(&layout, seed).io,
                 });
             }
             let io = &counts[run];
@@ -327,7 +322,7 @@ mod tests {
     use crate::baseline::{
         baseline_layout, baseline_placements, group_placements, project_placement,
     };
-    use dot_dbms::{EngineConfig, Schema};
+    use dot_dbms::{exec, EngineConfig, Schema};
     use dot_storage::catalog;
     use dot_workloads::{synth, tpcc, Workload};
 

@@ -412,11 +412,14 @@ pub struct ResolvedProblem {
 }
 
 impl ProblemSpec {
-    /// Resolve presets and validate the SLA domain.
+    /// Resolve presets and validate the SLA domain and an inline pool.
     pub fn resolve(&self) -> Result<ResolvedProblem, ProvisionError> {
         ProvisionError::check_sla(self.sla, "")?;
         let pool = match &self.pool {
-            PoolSpec::Custom(pool) => pool.clone(),
+            PoolSpec::Custom(pool) => {
+                ProvisionError::check_pool(pool, "")?;
+                pool.clone()
+            }
             PoolSpec::Name(name) => presets::pool(name)?,
         };
         let (schema, workload) = match &self.database {

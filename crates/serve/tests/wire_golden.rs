@@ -2,8 +2,10 @@
 //!
 //! Every `Response` variant, every `ProtocolError` kind (every
 //! `ProvisionError` inside `Provision`), every `ControlEvent` variant,
-//! real `Provisioned` frames, a real registry snapshot, numeric edge cases
-//! and hostile strings are encoded with [`write_frame`] (compact, one line
+//! real `Provisioned` frames, a real registry snapshot, numeric edge cases,
+//! hostile strings, and the registry's typed refusals of inline pools that
+//! fail validation (a negative price, a duplicate class name, a class id
+//! that is not its position) are encoded with [`write_frame`] (compact, one line
 //! each) and with `serde_json::to_string_pretty`, and both streams must
 //! equal the committed files byte for byte. The committed files were
 //! written by the Value-tree encoder the streaming encoder replaced, so a
@@ -20,11 +22,12 @@ use dot_core::controller::{
 use dot_core::replan::MigrationDecision;
 use dot_serve::framing::write_frame;
 use dot_serve::protocol::{
-    ProblemSpec, ProtocolError, Request, RequestFrame, Response, ResponseFrame, ScheduleSummary,
-    TenantSummary,
+    DbSpec, PoolSpec, ProblemSpec, ProtocolError, Request, RequestFrame, Response, ResponseFrame,
+    ScheduleSummary, TenantSummary,
 };
 use dot_serve::registry::{RegistryConfig, RegistrySnapshot, STATE_FILE};
 use dot_serve::Registry;
+use dot_storage::{catalog, StoragePool};
 use serde::{Serialize, Value};
 use std::path::PathBuf;
 
@@ -253,6 +256,28 @@ fn flip_steps() -> Vec<TraceStep> {
     .iter()
     .map(|s| serde_json::from_str(s).expect("trace step"))
     .collect()
+}
+
+/// Box 2 decoded with one edit to its JSON that validation rejects: a
+/// class priced at −1 cents/GB/h, two classes named "HDD", and a class
+/// whose id is 7 at position 0. (An infinite price is refused too, but it
+/// encodes as `null`, which decodes to NaN, so its frame cannot be pinned
+/// as a line that decodes back to itself.)
+fn invalid_pools() -> Vec<StoragePool> {
+    let json = serde_json::to_string(&catalog::box2()).expect("pool encodes");
+    let edit = |from: &str, to: &str| {
+        assert!(json.contains(from), "box2 encodes {from}");
+        serde_json::from_str(&json.replacen(from, to, 1)).expect("edited pool decodes")
+    };
+    let price = "\"price_cents_per_gb_hour\":";
+    let at = json.find(price).expect("a priced class") + price.len();
+    let end = at + json[at..].find([',', '}']).expect("price ends");
+    let negative = format!("{price}{}", &json[at..end]);
+    vec![
+        edit(&negative, &format!("{price}-1.0")),
+        edit("\"name\":\"L-SSD RAID 0\"", "\"name\":\"HDD\""),
+        edit("{\"id\":0,", "{\"id\":7,"),
+    ]
 }
 
 fn temp_state_dir(tag: &str) -> PathBuf {
@@ -513,6 +538,36 @@ fn encode_everything() -> Wire {
             ]),
         ),
     ]));
+
+    // Inline pools that fail validation: each Provision frame is refused
+    // with a typed invalid-request naming the class, never answered.
+    let registry = Registry::new(RegistryConfig::default());
+    for pool in invalid_pools() {
+        let problem = ProblemSpec {
+            pool: PoolSpec::Custom(pool),
+            database: DbSpec::Preset("tpch-subset:1".to_owned()),
+            sla: 0.5,
+            engine: None,
+            refinements: None,
+        };
+        let error = registry
+            .provision(&problem, None)
+            .expect_err("an invalid pool is refused");
+        match &error {
+            ProtocolError::Provision { error } => {
+                assert_eq!(error.kind(), "invalid-request", "{error}");
+            }
+            other => panic!("expected a provision error, got {other}"),
+        }
+        wire.push(&RequestFrame {
+            id: 11,
+            request: Request::Provision {
+                problem,
+                solver: None,
+            },
+        });
+        wire.frame(11, Response::Error { error });
+    }
     wire
 }
 

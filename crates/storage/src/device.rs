@@ -180,7 +180,8 @@ impl StorageClass {
         rows * self.profile.at_c1[crate::IoType::SeqWrite.index()] / 1_000.0
     }
 
-    /// Validate spec and profile consistency.
+    /// Validate spec and profile consistency: the class's devices, and
+    /// [`validate_terms`](Self::validate_terms).
     pub fn validate(&self) -> Result<(), crate::StorageError> {
         if self.devices.is_empty() {
             return Err(crate::StorageError::InvalidSpec(format!(
@@ -191,6 +192,16 @@ impl StorageClass {
         for d in &self.devices {
             d.validate()?;
         }
+        self.validate_terms()
+    }
+
+    /// Validate what the optimizer reads of the class: strictly positive
+    /// latencies and capacity, and a positive, finite price (an infinite
+    /// one makes `C(L)` of every layout not or partly on the class
+    /// `∞ · 0`, NaN). A pool decoded from a request or a
+    /// file is held to this; its device list is descriptive, and nothing
+    /// prices it.
+    pub fn validate_terms(&self) -> Result<(), crate::StorageError> {
         self.profile.validate()?;
         if self.capacity_gb <= 0.0 || self.capacity_gb.is_nan() {
             return Err(crate::StorageError::InvalidSpec(format!(
@@ -198,9 +209,9 @@ impl StorageClass {
                 self.name
             )));
         }
-        if self.price_cents_per_gb_hour <= 0.0 || self.price_cents_per_gb_hour.is_nan() {
+        if !(self.price_cents_per_gb_hour > 0.0 && self.price_cents_per_gb_hour.is_finite()) {
             return Err(crate::StorageError::InvalidSpec(format!(
-                "{}: price must be positive",
+                "{}: price must be positive and finite",
                 self.name
             )));
         }

@@ -20,29 +20,55 @@ impl StoragePool {
     /// Build a pool, assigning dense ids in the given order.
     ///
     /// # Panics
-    /// Panics if two classes share a name (names are used as stable keys in
-    /// reports and layouts) or if any class fails validation.
+    /// Panics if a class fails [`StorageClass::validate`] (its devices
+    /// included) or [`validate`](Self::validate) rejects the pool: two
+    /// classes share a name (names are used as stable keys in reports and
+    /// layouts), say.
     pub fn new(name: &str, mut classes: Vec<StorageClass>) -> Self {
         for (i, c) in classes.iter_mut().enumerate() {
             c.id = ClassId(i);
         }
-        for c in &classes {
-            c.validate()
-                .unwrap_or_else(|e| panic!("invalid class {}: {e}", c.name));
-        }
-        for i in 0..classes.len() {
-            for j in (i + 1)..classes.len() {
-                assert!(
-                    classes[i].name != classes[j].name,
-                    "duplicate class name {}",
-                    classes[i].name
-                );
-            }
-        }
-        StoragePool {
+        let pool = StoragePool {
             name: name.to_owned(),
             classes,
+        };
+        let checked = pool.classes.iter().try_for_each(StorageClass::validate);
+        if let Err(e) = checked.and_then(|()| pool.validate()) {
+            panic!("{e}");
         }
+        pool
+    }
+
+    /// Check what every consumer of a pool assumes, without panicking:
+    /// each class passes [`StorageClass::validate_terms`] (strictly
+    /// positive prices, capacities and latencies), each class's id is its
+    /// position, and no two classes share a name. A pool decoded from a
+    /// request or a file gets this check before it is used.
+    ///
+    /// # Errors
+    /// [`StorageError::InvalidSpec`](crate::StorageError::InvalidSpec)
+    /// naming the first offending class.
+    pub fn validate(&self) -> Result<(), crate::StorageError> {
+        let invalid = |msg: String| Err(crate::StorageError::InvalidSpec(msg));
+        for (i, c) in self.classes.iter().enumerate() {
+            match c.validate_terms() {
+                Err(crate::StorageError::InvalidSpec(msg)) => {
+                    return invalid(format!("class {:?}: {msg}", c.name));
+                }
+                Err(other) => return Err(other),
+                Ok(()) => {}
+            }
+            if c.id != ClassId(i) {
+                return invalid(format!(
+                    "class {:?} has id {} at position {i}",
+                    c.name, c.id.0
+                ));
+            }
+            if self.classes[..i].iter().any(|other| other.name == c.name) {
+                return invalid(format!("duplicate class name {:?}", c.name));
+            }
+        }
+        Ok(())
     }
 
     /// Pool display name ("Box 1", "Box 2", ...).
@@ -177,6 +203,38 @@ mod tests {
         for w in prices.windows(2) {
             assert!(w[0] >= w[1]);
         }
+    }
+
+    #[test]
+    fn validation_names_the_offending_class() {
+        let reason = |pool: &StoragePool| match pool.validate() {
+            Err(crate::StorageError::InvalidSpec(msg)) => msg,
+            other => panic!("expected an invalid spec, got {other:?}"),
+        };
+        assert!(catalog::full_pool().validate().is_ok());
+
+        let mut negative = catalog::box2();
+        negative.classes[1].price_cents_per_gb_hour = -1.0;
+        let msg = reason(&negative);
+        assert!(
+            msg.contains(&format!("{:?}", negative.classes[1].name)),
+            "{msg}"
+        );
+        assert!(msg.contains("price must be positive"), "{msg}");
+
+        let mut infinite = catalog::box2();
+        infinite.classes[0].price_cents_per_gb_hour = f64::INFINITY;
+        assert!(reason(&infinite).contains("price must be positive and finite"));
+
+        let mut duplicate = catalog::box2();
+        duplicate.classes[2].name = duplicate.classes[0].name.clone();
+        let msg = reason(&duplicate);
+        assert!(msg.contains("duplicate class name"), "{msg}");
+
+        let mut renumbered = catalog::box2();
+        renumbered.classes[0].id = ClassId(7);
+        let msg = reason(&renumbered);
+        assert!(msg.contains("has id 7 at position 0"), "{msg}");
     }
 
     #[test]

@@ -207,7 +207,10 @@ fn load(path: &str) -> Result<Request, ProvisionError> {
     })?;
     ProvisionError::check_sla(file.sla, "")?;
     let pool = match file.pool {
-        PoolSpec::Custom(pool) => pool,
+        PoolSpec::Custom(pool) => {
+            ProvisionError::check_pool(&pool, "")?;
+            pool
+        }
         PoolSpec::Name(name) => presets::pool(&name)?,
     };
     let (schema, workload) = match file.database {
@@ -281,7 +284,10 @@ fn load_fleet(path: &str) -> Result<(Vec<TenantRequest>, FleetConfig), Provision
         let name = entry.name.unwrap_or_else(|| format!("tenant-{i}"));
         ProvisionError::check_sla(entry.sla, &format!("tenant {name:?}"))?;
         let pool = match entry.pool {
-            PoolSpec::Custom(pool) => pool,
+            PoolSpec::Custom(pool) => {
+                ProvisionError::check_pool(&pool, &format!("tenant {name:?}"))?;
+                pool
+            }
             PoolSpec::Name(name) => presets::pool(&name)?,
         };
         let (schema, workload) = match entry.database {

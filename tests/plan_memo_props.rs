@@ -28,6 +28,18 @@
 //!   layout of a walk with exactly `PlanMemo::choice_key`'s bytes, and its
 //!   plan-free estimate counts (`PlanMemo::workload_io`) equal the I/O of
 //!   the assembled run of the materialized plans bit for bit;
+//! - bounded trials (`Pricer::trial_within`) walked beside plain trials
+//!   answer exactly like them when not abandoned; an abandoned trial's
+//!   reason holds of the plain trial's answer (the query is over its cap,
+//!   or the stream-time bound is at most its stream time), it cannot be
+//!   committed, and it leaves the committed state untouched;
+//! - the premise of the sweeps' certified cuts holds: moving objects to
+//!   classes no faster at any I/O pattern (at the engine's concurrency)
+//!   never makes a query faster by more than the cuts' `1e-6` margin;
+//! - plan-free test runs (`PlanMemo::test_run`) equal the assembled run of
+//!   the materialized plans with the buffer pool and noise engaged — every
+//!   query's time, the stream time, the per-object I/O and the plan
+//!   statistics — on every walk case under several seeds;
 //! - a test-run recount from a profile's reused baseline partition
 //!   (`WorkloadProfile::recount`) equals a fresh test-run profile on every
 //!   preset family over box1, box2 and the full pool.
@@ -37,7 +49,7 @@ mod reference_planner;
 use dot_core::advisor::{presets, Advisor};
 use dot_core::problem::Problem;
 use dot_core::toc::{self, TocEstimate};
-use dot_dbms::memo::PlanMemo;
+use dot_dbms::memo::{Abandon, PlanMemo, TrialBounds};
 use dot_dbms::plan::{PlanStats, PlannedQuery};
 use dot_dbms::planner::plan_query;
 use dot_dbms::query::{InsertOp, Op, QuerySpec, ReadOp, Rel, ScanSpec, UpdateOp};
@@ -948,6 +960,119 @@ fn plan_free_estimate_counts_equal_the_assembled_run() {
     }
 }
 
+#[test]
+fn plan_free_test_runs_equal_the_assembled_run() {
+    let mut rng = 0x5EED_000Cu64;
+    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    for (label, schema, workload, pool, cfg) in walk_cases() {
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        let mut layout = random_layout(schema.object_count(), &pool, &mut rng);
+        for i in 0..6 {
+            if i > 0 {
+                layout = step(&layout, &pool, &mut rng);
+            }
+            for seed in [1, 0xD07, 41, u64::MAX] {
+                let label = format!("{label} step {i} seed {seed}");
+                let got = memo.test_run(&layout, seed);
+                let planned = memo.plan_workload(&layout);
+                let want = exec::assemble(&planned, &schema, &layout, &pool, &cfg, Some(seed));
+                let want_times: Vec<f64> = want.queries.iter().map(|q| q.time_ms).collect();
+                assert_eq!(bits(&got.per_query_ms), bits(&want_times), "{label}: times");
+                assert_eq!(
+                    got.stream_time_ms.to_bits(),
+                    want.stream_time_ms.to_bits(),
+                    "{label}: stream time"
+                );
+                assert_eq!(got.stats, want.stats, "{label}: plan stats");
+                assert_eq!(got.io.len(), want.cost.io.len(), "{label}");
+                for (o, (g, w)) in got.io.iter().zip(&want.cost.io).enumerate() {
+                    for io in IO_TYPES {
+                        assert_eq!(g[io].to_bits(), w[io].to_bits(), "{label}: {o} {io:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn bounded_trials_answer_like_trials_or_certainly_lose() {
+    let mut rng = 0x5EED_000Du64;
+    let (mut priced, mut over_cap, mut hopeless) = (0usize, 0usize, 0usize);
+    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    for (label, schema, workload, pool, cfg) in walk_cases() {
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        let n = workload.queries.len();
+        let mut bounded = memo.pricer();
+        let mut plain = memo.pricer();
+        let mut committed = random_layout(schema.object_count(), &pool, &mut rng);
+        let (committed_times, _) = bounded.estimate(&committed);
+        plain.estimate(&committed);
+        // Caps around the first committed answers, and a stream-time
+        // threshold around their sum: some trials pass, some do not.
+        let caps: Vec<f64> = committed_times
+            .iter()
+            .map(|t| t * (0.8 + 0.6 * (splitmix(&mut rng) % 1000) as f64 / 1000.0))
+            .collect();
+        let floors = vec![0.0; n];
+        let (mut times, mut want) = (Vec::new(), Vec::new());
+        for i in 0..40 {
+            let label = format!("{label} step {i}");
+            let candidate = step(&committed, &pool, &mut rng);
+            let stream_cap: f64 = committed_times
+                .iter()
+                .zip(&workload.queries)
+                .map(|(t, q)| t * q.weight)
+                .sum::<f64>()
+                * (0.5 + (splitmix(&mut rng) % 1000) as f64 / 1000.0);
+            let bounds = TrialBounds {
+                caps_ms: (i % 3 != 0).then_some(caps.as_slice()),
+                floors_ms: if i % 2 == 0 { &floors[..] } else { &[] },
+                hopeless: |t: f64| t > stream_cap,
+            };
+            let got = bounded.trial_within(&candidate, &mut times, &bounds);
+            let want_stats = plain.trial(&candidate, &mut want);
+            let stream: f64 = want
+                .iter()
+                .zip(&workload.queries)
+                .fold(0.0, |sum, (t, q)| sum + t * q.weight);
+            match got {
+                Ok(stats) => {
+                    assert_eq!(bits(&times), bits(&want), "{label}: times");
+                    assert_eq!(stats, want_stats, "{label}: stats");
+                    priced += 1;
+                    if splitmix(&mut rng) % 2 == 0 {
+                        bounded.commit();
+                        plain.commit();
+                        committed = candidate;
+                    }
+                }
+                Err(Abandon::OverCap { query, time_ms }) => {
+                    assert_eq!(time_ms.to_bits(), want[query].to_bits(), "{label}");
+                    assert!(time_ms > caps[query], "{label}: not over its cap");
+                    over_cap += 1;
+                    bounded.commit(); // a no-op: an abandoned trial is dropped
+                }
+                Err(Abandon::Hopeless { stream_floor_ms }) => {
+                    assert!(stream_floor_ms > stream_cap, "{label}: not hopeless");
+                    assert!(stream_floor_ms <= stream, "{label}: bound over the stream");
+                    hopeless += 1;
+                    bounded.commit();
+                }
+            }
+            // The committed state is the same in both pricers.
+            let (got, got_stats) = bounded.estimate(&committed);
+            let (want_times, want_stats) = plain.estimate(&committed);
+            assert_eq!(bits(&got), bits(&want_times), "{label}: committed");
+            assert_eq!(got_stats, want_stats, "{label}: committed stats");
+        }
+    }
+    assert!(
+        priced > 100 && over_cap > 100 && hopeless > 100,
+        "{priced} priced, {over_cap} over a cap, {hopeless} hopeless"
+    );
+}
+
 /// Two profiles agree bit for bit on every group's counts at every
 /// placement, and on their baseline and profiled counts.
 fn assert_profiles_bit_identical(label: &str, got: &WorkloadProfile, want: &WorkloadProfile) {
@@ -996,4 +1121,42 @@ fn a_test_run_recount_from_a_reused_partition_equals_a_fresh_profile() {
         }
     }
     assert_eq!(recounted, FAMILIES.len() * presets::POOL_NAMES.len() * 3);
+}
+
+#[test]
+fn query_times_are_monotone_under_pointwise_class_dominance() {
+    let mut rng = 0x5EED_000Eu64;
+    let mut slower_pairs = 0usize;
+    for (label, schema, workload, pool, cfg) in walk_cases() {
+        let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+        let no_faster = |a: ClassId, b: ClassId| {
+            IO_TYPES.iter().all(|&io| {
+                let (a, b) = (pool.class_unchecked(a), pool.class_unchecked(b));
+                a.profile.latency_ms(io, cfg.concurrency)
+                    >= b.profile.latency_ms(io, cfg.concurrency)
+            })
+        };
+        for i in 0..24 {
+            let fast = random_layout(schema.object_count(), &pool, &mut rng);
+            // Move some objects to classes no faster than their own.
+            let mut slow = fast.clone();
+            for o in 0..schema.object_count() {
+                let object = dot_dbms::ObjectId(o);
+                let class = ClassId(splitmix(&mut rng) as usize % pool.len());
+                if splitmix(&mut rng) % 2 == 0 && no_faster(class, fast.class_of(object)) {
+                    slow.place(object, class);
+                }
+            }
+            let (fast_times, _) = memo.estimate(&fast);
+            let (slow_times, _) = memo.estimate(&slow);
+            for (q, (f, s)) in fast_times.iter().zip(&slow_times).enumerate() {
+                assert!(
+                    *s >= f * (1.0 - 1e-6),
+                    "{label} step {i}: query {q} runs {s} ms on the slower layout, {f} on the faster"
+                );
+            }
+            slower_pairs += usize::from(slow != fast);
+        }
+    }
+    assert!(slower_pairs > 500, "{slower_pairs} pairs");
 }

@@ -20,10 +20,19 @@
 //!   both counters — with pruning on and off across an SLA grid, on the
 //!   pools as built and with capacities tight enough that the premium
 //!   layout and some candidates do not fit.
+//!
+//! The exhaustive search is held to a frozen copy of its per-layout
+//! odometer, which cut one layout at a time: on every problem of the same
+//! grid that `es` admits, the search with its block cut returns the same
+//! `EsOutcome` — layout, estimate bits and both counters. And the
+//! certified cuts must fire on the paper's workloads: with pruning on,
+//! DOT on tpcc:16/full prices fewer templates and ES on the TPC-H subset
+//! visits fewer layouts one by one.
 
 use dot_core::advisor::presets;
 use dot_core::constraints::{self, Constraints};
 use dot_core::dot::{self, DotOutcome};
+use dot_core::exhaustive::{self, EsOutcome};
 use dot_core::moves::{self, Move};
 use dot_core::problem::{LayoutCostModel, Problem};
 use dot_core::toc::{Estimator, TocEstimate};
@@ -45,13 +54,18 @@ const FAMILIES: [&str; 5] = [
 
 const SLAS: [f64; 5] = [0.1, 0.3, 0.5, 0.8, 1.0];
 
-/// The frozen hash-map profile, move list and sweep.
+/// Largest `M^N` the `es` solver admits (`ES_MAX_LAYOUTS`).
+const ES_MAX_LAYOUTS: f64 = 2e6;
+
+/// The frozen hash-map profile, move list, sweep and per-layout odometer.
 mod reference {
     use dot_core::constraints::Constraints;
     use dot_core::dot::DotOutcome;
+    use dot_core::exhaustive::EsOutcome;
     use dot_core::moves::Move;
     use dot_core::problem::Problem;
     use dot_core::toc::{Estimator, ObjectiveBound};
+    use dot_dbms::layout::space_fits;
     use dot_dbms::memo::{ChoiceKey, PlanMemo};
     use dot_dbms::{exec, Layout, ObjectId};
     use dot_profiler::baseline::{
@@ -245,6 +259,76 @@ mod reference {
             layout: best,
             estimate: best_est,
             layouts_investigated: investigated,
+            layouts_pruned: pruned,
+            elapsed: Duration::ZERO,
+        }
+    }
+
+    /// The exhaustive search as it cut one layout at a time: one branch
+    /// per class of object 0, each an odometer over the other objects,
+    /// pruning against the branch's own incumbent.
+    pub fn exhaustive_search_with_pruning(
+        problem: &Problem<'_>,
+        cons: &Constraints,
+        toc: &Estimator<'_>,
+        prune: bool,
+    ) -> EsOutcome {
+        let n = problem.schema.object_count();
+        let classes: Vec<ClassId> = problem.pool.ids().collect();
+        let m = classes.len();
+        let bound = prune.then(|| ObjectiveBound::new(problem, &cons.reference));
+        let bound = bound.as_ref();
+        let mut pricer = toc.pricer(problem);
+        let mut space = Vec::with_capacity(m);
+
+        let mut layout = None;
+        let mut estimate = None;
+        let mut best_toc = f64::INFINITY;
+        let mut evaluated = 0usize;
+        let mut pruned = 0usize;
+        for &first in &classes {
+            let mut branch_layout = None;
+            let mut branch_estimate = None;
+            let mut branch_toc = f64::INFINITY;
+            let mut digits = vec![0usize; n - 1];
+            let mut candidate = Layout::uniform(classes[0], n);
+            candidate.place(ObjectId(0), first);
+            loop {
+                evaluated += 1;
+                candidate.space_per_class_into(problem.schema, problem.pool, &mut space);
+                if space_fits(&space, problem.pool) {
+                    let lb = bound.and_then(|b| b.lower_bound_of_space(problem, &space));
+                    if lb.is_some_and(|lb| lb >= branch_toc) {
+                        pruned += 1;
+                    } else {
+                        let est = pricer.estimate_of_space(&candidate, &space);
+                        if cons.performance_satisfied(&est) && est.objective_cents < branch_toc {
+                            branch_toc = est.objective_cents;
+                            branch_layout = Some(candidate.clone());
+                            branch_estimate = Some(est);
+                        }
+                    }
+                }
+                let Some(i) = digits.iter().position(|&d| d + 1 < m) else {
+                    break;
+                };
+                for (j, d) in digits[..i].iter_mut().enumerate() {
+                    *d = 0;
+                    candidate.place(ObjectId(j + 1), classes[0]);
+                }
+                digits[i] += 1;
+                candidate.place(ObjectId(i + 1), classes[digits[i]]);
+            }
+            if branch_toc < best_toc {
+                best_toc = branch_toc;
+                layout = branch_layout;
+                estimate = branch_estimate;
+            }
+        }
+        EsOutcome {
+            layout,
+            estimate,
+            layouts_investigated: evaluated,
             layouts_pruned: pruned,
             elapsed: Duration::ZERO,
         }
@@ -449,5 +533,108 @@ fn moves_and_sweeps_equal_the_allocating_reference() {
     assert!(
         infeasible_somewhere,
         "the grid must exercise an infeasible sweep"
+    );
+}
+
+fn assert_es_outcomes_agree(got: &EsOutcome, want: &EsOutcome, case: &str) {
+    assert_eq!(got.layout, want.layout, "{case}");
+    assert_eq!(
+        got.estimate.as_ref().map(estimate_bits),
+        want.estimate.as_ref().map(estimate_bits),
+        "{case}"
+    );
+    assert_eq!(got.estimate, want.estimate, "{case}");
+    assert_eq!(
+        got.layouts_investigated, want.layouts_investigated,
+        "{case}"
+    );
+    assert_eq!(got.layouts_pruned, want.layouts_pruned, "{case}");
+}
+
+#[test]
+fn exhaustive_search_equals_the_per_layout_odometer() {
+    let mut admitted = 0usize;
+    let mut skipped_somewhere = false;
+    for (family, schema, workload, cfg) in databases() {
+        for (pool_name, built) in pools() {
+            let space = (built.len() as f64).powf(schema.object_count() as f64);
+            if space > ES_MAX_LAYOUTS {
+                continue;
+            }
+            for (capacity, pool) in [("roomy", built.clone()), ("tight", tight(&built, &schema))] {
+                let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+                let toc = Estimator::direct().memoized(&memo);
+                let mut models = vec![LayoutCostModel::Linear];
+                if workload.metric == PerfMetric::ResponseTime {
+                    models.push(LayoutCostModel::Discrete { alpha: 0.5 });
+                }
+                for model in models {
+                    for sla in SLAS {
+                        let problem =
+                            Problem::new(&schema, &pool, &workload, SlaSpec::relative(sla), cfg)
+                                .with_cost_model(model);
+                        let cons = constraints::derive_with_estimator(&problem, problem.sla, &toc);
+                        for prune in [true, false] {
+                            let case = format!(
+                                "{family}/{pool_name}/{capacity}/{model:?}/sla {sla}/prune {prune}"
+                            );
+                            let (got, work) = exhaustive::exhaustive_search_with_work(
+                                &problem, &cons, &toc, prune,
+                            );
+                            let want = reference::exhaustive_search_with_pruning(
+                                &problem, &cons, &toc, prune,
+                            );
+                            assert_es_outcomes_agree(&got, &want, &case);
+                            skipped_somewhere |= work.layouts_visited < got.layouts_investigated;
+                            admitted += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(admitted > 0, "the grid must hold problems ES admits");
+    assert!(skipped_somewhere, "the grid must exercise the block cut");
+}
+
+#[test]
+fn cuts_fire_on_paper_workloads() {
+    // DOT on tpcc:16/full: doomed placements and early-exit trials price
+    // fewer templates than the estimate-every-candidate sweep.
+    let (schema, workload) = presets::database("tpcc:16").expect("preset");
+    let cfg = presets::engine(None, &workload).expect("engine");
+    let pool = presets::pool("full").expect("pool");
+    let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+    let toc = Estimator::direct().memoized(&memo);
+    let profile = profile_workload(&memo, ProfileSource::Estimate);
+    let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
+    let cons = constraints::derive_with_estimator(&problem, problem.sla, &toc);
+    let (cut, cut_work) = dot::optimize_with_work(&problem, &profile, &cons, &toc, true);
+    let (plain, plain_work) = dot::optimize_with_work(&problem, &profile, &cons, &toc, false);
+    assert_eq!(cut.layout, plain.layout);
+    assert_eq!(cut.layouts_investigated, plain.layouts_investigated);
+    assert!(
+        cut_work.templates_priced < plain_work.templates_priced,
+        "dot priced {} templates with the cuts, {} without",
+        cut_work.templates_priced,
+        plain_work.templates_priced
+    );
+
+    // ES on the TPC-H subset (§4.4.3): the block cut visits fewer layouts
+    // one by one than the odometer enumerates.
+    let (schema, workload) = presets::database("tpch-subset:1").expect("preset");
+    let cfg = presets::engine(None, &workload).expect("engine");
+    let pool = presets::pool("box2").expect("pool");
+    let memo = PlanMemo::new(&workload.queries, &schema, &pool, &cfg);
+    let toc = Estimator::direct().memoized(&memo);
+    let problem = Problem::new(&schema, &pool, &workload, SlaSpec::relative(0.5), cfg);
+    let cons = constraints::derive_with_estimator(&problem, problem.sla, &toc);
+    let (es, work) = exhaustive::exhaustive_search_with_work(&problem, &cons, &toc, true);
+    assert!(
+        work.layouts_visited < es.layouts_investigated,
+        "es visited {} of {} layouts one by one ({} pruned)",
+        work.layouts_visited,
+        es.layouts_investigated,
+        es.layouts_pruned
     );
 }

@@ -1303,6 +1303,50 @@ fn oversized_database_is_capacity_exceeded_exit_8() {
 }
 
 #[test]
+fn invalid_inline_pools_are_invalid_request_exit_2() {
+    let class = |id: usize, name: &str, price: &str| {
+        format!(
+            r#"{{ "id": {id}, "name": "{name}", "devices": [],
+                  "controller_cents": 0.0, "controller_watts": 0.0,
+                  "capacity_gb": 1000.0, "price_cents_per_gb_hour": {price},
+                  "profile": {{ "at_c1": [0.005, 6.0, 0.006, 8.0],
+                               "at_c300": [0.037, 2.4, 0.035, 3.6] }} }}"#
+        )
+    };
+    for (probe, classes, want) in [
+        (
+            "negative-price",
+            [class(0, "H-SSD", "-1.0"), class(1, "HDD", "0.000347")],
+            "class \"H-SSD\": H-SSD: price must be positive and finite",
+        ),
+        (
+            "infinite-price",
+            [class(0, "H-SSD", "1e400"), class(1, "HDD", "0.000347")],
+            "price must be positive and finite",
+        ),
+        (
+            "duplicate-name",
+            [class(0, "HDD", "0.169"), class(1, "HDD", "0.000347")],
+            "duplicate class name \"HDD\"",
+        ),
+        (
+            "renumbered",
+            [class(7, "H-SSD", "0.169"), class(1, "HDD", "0.000347")],
+            "class \"H-SSD\" has id 7 at position 0",
+        ),
+    ] {
+        let problem = format!(
+            r#"{{ "pool": {{ "name": "Probe", "classes": [{}] }},
+                "database": "tpch-subset:1", "sla": 0.5 }}"#,
+            classes.join(", ")
+        );
+        let err = provision_fails(&format!("{probe}.json"), &problem, &[], 2);
+        assert!(err.contains("invalid-request"), "{probe}: {err}");
+        assert!(err.contains(want), "{probe}: {err}");
+    }
+}
+
+#[test]
 fn solver_workload_mismatch_is_unsupported_exit_9() {
     let err = provision_fails(
         "mismatch.json",
